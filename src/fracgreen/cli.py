@@ -9,16 +9,14 @@ violation, 3 numerical-tolerance failure.
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .fracmath import HAccuracyError, mittag_leffler
-from .green import (FourierOnlyError, GreenKind, ProblemSpec,
-                    QuadratureConfig, RegimeError, ToleranceNotMetError,
-                    green_point_closed, green_points)
+from .fracmath import HAccuracyError, MLConvergenceError, mittag_leffler
+from .green import (FourierOnlyError, GreenKind, ProblemSpec, RegimeError,
+                    ToleranceNotMetError, green_point_closed, green_points)
 from .operators import SymbolParams, riesz_feller_symbol
 from .oracle import OracleConfig, OracleInstabilityError, oracle_solve
 from .solver import (SourceDescriptor, SpaceTimeGrid, SpecValidationError,
@@ -59,7 +57,7 @@ def _parse_source(text: str) -> SourceDescriptor:
             return SourceDescriptor.gaussian(*args)
         if name == "box":
             return SourceDescriptor.box(*args)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise argparse.ArgumentTypeError(str(exc))
     raise argparse.ArgumentTypeError(f"unknown source {name!r}")
 
@@ -137,10 +135,6 @@ def _write_manifest(path, command, spec, grid, checks, extra=None):
         "spec": _spec_echo(spec),
         "grid": {"x_min": grid.x_min, "x_max": grid.x_max, "nx": grid.nx,
                  "times": list(grid.times), "dt_oracle": grid.dt_oracle},
-        "quadrature": {"k_max": QuadratureConfig().k_max,
-                       "nodes_per_unit": QuadratureConfig().nodes_per_unit,
-                       "abs_tol": QuadratureConfig().abs_tol,
-                       "rel_tol": QuadratureConfig().rel_tol},
         "checks": checks,
     }
     if extra:
@@ -176,15 +170,6 @@ def _read_field_csv(path):
     return np.asarray(rows)
 
 
-def _n_workers() -> int:
-    raw = os.environ.get("FRACGREEN_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return n if n > 0 else (os.cpu_count() or 1)
-
-
 def _cmd_ml(args):
     v = mittag_leffler(args.alpha, args.beta, args.z)
     print(_fmt(v.real) + "," + _fmt(v.imag))
@@ -207,32 +192,26 @@ def _cmd_green(args):
     probs = spec.violations()
     if probs:
         raise SpecValidationError(probs)
+    if any(t <= 0.0 for t in args.t):
+        raise ValueError("times must start above 0 (kernels are singular "
+                         "at t = 0)")
     kind = GreenKind[args.kind]
     xs = np.linspace(args.x_range[0], args.x_range[1], args.nx)
-    cfg = QuadratureConfig()
     lines = ["t,x,re,im,method"]
 
     def eval_time(t):
         if args.method in ("auto", "closed"):
             try:
                 vals = [green_point_closed(kind, x, t, spec) for x in xs]
-                return t, vals, "closed"
+                return vals, "closed"
             except (FourierOnlyError, RegimeError, ValueError,
                     HAccuracyError):
                 if args.method == "closed":
                     raise
-        vals = green_points(kind, xs, t, spec, cfg)
-        return t, list(vals), "quadrature"
+        return green_points(kind, xs, t, spec), "quadrature"
 
-    times = list(args.t)
-    if len(times) > 1 and _n_workers() > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(
-                max_workers=min(_n_workers(), len(times))) as ex:
-            results = list(ex.map(eval_time, times))
-    else:
-        results = [eval_time(t) for t in times]
-    for t, vals, method in results:
+    for t in args.t:
+        vals, method = eval_time(t)
         for x, v in zip(xs, vals):
             v = complex(v)
             lines.append(",".join(
@@ -423,8 +402,8 @@ def run(argv=None) -> int:
     except (SpecValidationError, RegimeError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONSTRAINT
-    except (ToleranceNotMetError, HAccuracyError, FourierOnlyError,
-            OracleInstabilityError) as exc:
+    except (ToleranceNotMetError, HAccuracyError, MLConvergenceError,
+            FourierOnlyError, OracleInstabilityError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_TOLERANCE
     except OSError as exc:

@@ -1,8 +1,9 @@
 """Green functions of the space-time fractional diffusion family.
 
 Three evaluation routes: Fourier-space values (green_hat), real-space
-oscillatory quadrature (green_point), and the closed H-function form
-(green_point_closed) where it exists.  All share one convention:
+oscillatory quadrature (green_points, with green_point its one-point
+form), and the closed H-function form (green_point_closed) where it
+exists.  All share one convention:
 f_hat(k) = Int exp(+ikx) f(x) dx, inversion with exp(-ikx), and the
 space operator acts as multiplication by -Psi.
 """
@@ -155,16 +156,6 @@ def green_hat(kind: GreenKind, k, t: float, spec: ProblemSpec):
     return complex(out[0]) if scalar else out
 
 
-def _decay_exponent(kind: GreenKind, spec: ProblemSpec) -> float:
-    """Algebraic decay rate of |green_hat| in k, used for tail bounds."""
-    base = spec.beta
-    if kind in (GreenKind.G3, GreenKind.G4) and abs(spec.mu) > 0:
-        base = max(spec.beta, spec.gamma)
-    if kind == GreenKind.G1 and spec.source_mode == "riesz_feller":
-        base = spec.beta - spec.gamma
-    return base
-
-
 def _check_dissipative(spec: ProblemSpec, kinds_self: bool):
     """Re(lam Psi) must be strictly positive off k=0, else no real-space kernel."""
     pairs = [(spec.lam, spec.theta)]
@@ -213,87 +204,8 @@ def _gauss(n):
 
 def green_point(kind: GreenKind, x: float, t: float, spec: ProblemSpec,
                 cfg: QuadratureConfig = None):
-    """Real-space kernel value by oscillatory Fourier inversion.
-
-    Folds the line integral to (0, inf), integrates on panels no wider
-    than a half oscillation period with Gauss nodes, and stops when the
-    algebraic tail bound of the Mittag-Leffler factor drops below
-    abs_tol; slowly decaying cases fall back to epsilon acceleration of
-    the alternating panel sums.
-    """
-    kind = GreenKind(kind)
-    cfg = cfg or QuadratureConfig()
-    if t <= 0:
-        raise ValueError("t must be positive")
-    probs = spec.violations()
-    if probs:
-        raise ValueError("; ".join(probs))
-    self_coupled = kind in (GreenKind.G3, GreenKind.G4)
-    _check_dissipative(spec, self_coupled)
-
-    dec = _decay_exponent(kind, spec)
-    if dec <= 1.0 and x == 0.0:
-        raise ToleranceNotMetError(
-            f"kernel diverges at x = 0 for decay exponent {dec} <= 1"
-        )
-
-    coeff_scale = abs(spec.lam)
-    if self_coupled:
-        coeff_scale += abs(spec.mu)
-    k1 = (coeff_scale * t ** spec.alpha) ** (-1.0 / spec.beta)
-
-    gx, gw = _gauss(cfg.nodes_per_unit)
-    halfper = math.pi / abs(x) if x != 0.0 else math.inf
-
-    def fold(knodes):
-        up = green_hat(kind, knodes, t, spec)
-        dn = green_hat(kind, -knodes, t, spec)
-        return np.exp(-1j * knodes * x) * up + np.exp(1j * knodes * x) * dn
-
-    total = 0.0 + 0.0j
-    partials = []
-    edge = 0.0
-    n_panel = 0
-    tail_pref = abs(t ** (spec.alpha - (2.0 if kind in (GreenKind.G2, GreenKind.G4)
-                                        else 1.0)))
-    if kind == GreenKind.G1:
-        tail_pref = 1.0
-    prev_panel = math.inf
-    while edge < cfg.k_max:
-        width = min(halfper, max(0.5 * edge, k1 / 8.0), cfg.k_max - edge)
-        lo, hi = edge, edge + width
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        panel = half * np.sum(gw * fold(mid + half * gx))
-        total += panel
-        edge = hi
-        n_panel += 1
-        partials.append(total)
-        pm = abs(panel)
-        if edge > 10.0 * k1:
-            if dec > 1.0:
-                # |E(-w)| <= 2/|w| once |w| >> 1, integrable tail bound
-                tail = tail_pref * 2.0 / (coeff_scale * t ** spec.alpha) \
-                    * edge ** (1.0 - dec) / (dec - 1.0) / math.pi
-                if tail < cfg.abs_tol:
-                    return total / (2.0 * math.pi)
-            if x != 0.0 and width == halfper and pm < cfg.abs_tol \
-                    and prev_panel < cfg.abs_tol:
-                # alternating half-period sums: remainder below the last term
-                return total / (2.0 * math.pi)
-            if x == 0.0 and pm < prev_panel:
-                r = pm / prev_panel
-                if r < 0.9 and pm * r / (1.0 - r) < cfg.abs_tol:
-                    return total / (2.0 * math.pi)
-            if x != 0.0 and n_panel > 24 and n_panel % 8 == 0:
-                acc1 = _wynn(partials[-17:-1])
-                acc2 = _wynn(partials[-16:])
-                if abs(acc2 - acc1) < max(cfg.abs_tol,
-                                          cfg.rel_tol * abs(acc2)) * 2.0 * math.pi:
-                    return acc2 / (2.0 * math.pi)
-        prev_panel = pm
-    raise ToleranceNotMetError(
-        f"Fourier inversion did not meet tolerance by k_max = {cfg.k_max}"
-    )
+    """Real-space kernel value at one point: green_points on [x]."""
+    return complex(green_points(kind, [x], t, spec, cfg)[0])
 
 
 def _kernel_tail_data(kind: GreenKind, spec: ProblemSpec, t: float,

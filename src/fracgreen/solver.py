@@ -2,8 +2,9 @@
 
 The solution is built spectrally: transform the initial data on a padded
 grid, multiply by the Fourier-side kernel per output time, transform
-back.  The weakly singular source integral in time uses product
-integration so the (t - tau)^(alpha - 1) factor is handled exactly.
+back.  The source is a fixed profile switched on at t = 0, so its time
+integral against the singular kernel is exact per mode:
+Int_0^t s^(a-1) E_{a,a}(-c s^a) ds = t^a E_{a,a+1}(-c t^a).
 """
 
 import math
@@ -40,6 +41,11 @@ class SourceDescriptor:
             raise ValueError(f"unknown source kind {self.kind!r}")
         if self.kind == "samples" and self.values is None:
             raise ValueError("samples descriptor needs values")
+        if self.kind == "gaussian" and not self.width > 0.0:
+            raise ValueError(
+                f"gaussian width must be positive, got {self.width}")
+        if self.kind == "box" and not self.lo < self.hi:
+            raise ValueError(f"box needs lo < hi, got [{self.lo}, {self.hi}]")
 
     @classmethod
     def zero(cls):
@@ -95,6 +101,9 @@ class SpaceTimeGrid:
     def __post_init__(self):
         if self.nx < 8:
             raise ValueError("nx must be at least 8")
+        if not self.x_max > self.x_min:
+            raise ValueError(f"x_max = {self.x_max} must exceed "
+                             f"x_min = {self.x_min}")
         ts = tuple(float(t) for t in self.times)
         object.__setattr__(self, "times", ts)
         if not ts or ts[0] <= 0.0:
@@ -148,7 +157,8 @@ def convolve_time_singular(kernel_values, alpha: float, t_index: int,
     kernel_values[j] holds the smooth factor S at tau = j dt (scalar or
     vector); it is interpolated linearly on each step while the singular
     power is integrated exactly, so constants are reproduced exactly and
-    smooth integrands converge at O(dt^2).
+    smooth integrands converge at O(dt^2).  solve does not call it; it
+    serves as an independent check on the closed-form source term there.
     """
     if not 0.0 < alpha <= 2.0:
         raise ValueError("alpha must lie in (0, 2]")
@@ -204,14 +214,16 @@ def _window_mass_warning(ghat, M, nx):
 
 
 def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
-          U: SourceDescriptor, grid: SpaceTimeGrid, n_time_sub: int = 256,
+          U: SourceDescriptor, grid: SpaceTimeGrid,
           fundamental: bool = False) -> Field:
     """Solution field from initial data f (and g for alpha > 1) plus source U.
 
-    U is read as a fixed spatial profile switched on at t = 0; its time
-    integral against the singular kernel uses product integration on
-    n_time_sub steps per output time.  fundamental replaces f by a unit
-    impulse so the output is the Green function itself.
+    U is read as a fixed spatial profile switched on at t = 0; mode k
+    receives s mu t^a E_{a,a+1}(-lam Psi_beta(k) t^a) m_S(k) U_hat(k), the
+    exact time integral of the source kernel.  The riesz_feller source
+    mode has s = -1 and m_S the gamma-operator symbol; the identity mode
+    has s = 1 and m_S = 1.  fundamental replaces f by a unit impulse so
+    the output is the Green function itself.
     """
     validate_spec(spec)
     a = spec.alpha
@@ -246,14 +258,15 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
     kind_g = GreenKind.G4 if self_coupled else GreenKind.G2
 
     out = np.empty((len(grid.times), nx), dtype=complex)
-    src_sign = -1.0 if spec.source_mode == "riesz_feller" else 1.0
 
-    psi_b = None
     if uhat is not None:
         from .operators import riesz_feller_symbol
-        m_S = riesz_feller_symbol(spec.source_symbol(), k) \
-            if spec.source_mode == "riesz_feller" else np.ones(M, dtype=complex)
-        psi_b = riesz_feller_symbol(spec.space_symbol(), k)
+        if spec.source_mode == "riesz_feller":
+            src_hat = -spec.mu * riesz_feller_symbol(spec.source_symbol(), k) \
+                * uhat
+        else:
+            src_hat = spec.mu * uhat
+        lam_psi = spec.lam * riesz_feller_symbol(spec.space_symbol(), k)
 
     for it, t in enumerate(grid.times):
         gh = green_hat(kind_f, k, t, spec)
@@ -265,15 +278,8 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
         if ghat_data is not None:
             nhat = nhat + ghat_data * green_hat(kind_g, k, t, spec)
         if uhat is not None:
-            # S(tau) = m_S E_aa(-lam Psi (t-tau)^a) u_hat, sampled on a
-            # uniform sub-grid and convolved against (t-tau)^(a-1)
-            dts = t / n_time_sub
-            taus = dts * np.arange(n_time_sub + 1)
-            w = t - taus
-            ml = mittag_leffler_array(
-                a, a, -np.outer(w ** a, spec.lam * psi_b))
-            S = ml * (m_S * uhat)[None, :]
-            nhat = nhat + src_sign * spec.mu \
-                * convolve_time_singular(S, a, n_time_sub, dts)
+            ta = t ** a
+            nhat = nhat + ta * mittag_leffler_array(
+                a, a + 1.0, -ta * lam_psi) * src_hat
         out[it] = np.fft.ifft(nhat)[:nx]
     return Field(grid=grid, values=out)

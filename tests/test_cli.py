@@ -26,6 +26,12 @@ class TestMl:
         out = capsys.readouterr().out.strip().split(",")
         assert float(out[0]) == pytest.approx(-1.0, rel=1e-10)
 
+    def test_overflow_is_tolerance_error(self, capsys):
+        # E_{1/2}(40) = exp(1600) erfc(-40) overflows a double
+        with pytest.warns(RuntimeWarning):
+            assert run(["ml", "--alpha", "0.5", "--z", "40"]) == 3
+        assert "non-finite" in capsys.readouterr().err
+
 
 class TestSymbol:
     def test_tabulates(self, tmp_path):
@@ -67,6 +73,21 @@ class TestGreen:
         lines = out.read_text().splitlines()[1:]
         assert all(l.endswith(",closed") for l in lines)
 
+    def test_multi_time_output_is_deterministic(self, tmp_path):
+        args = ["green", "--kind", "G", "--alpha", "0.8", "--beta", "1.6",
+                "--theta", "0.1", "--t", "0.5,1,2",
+                "--x-range", "-3", "3", "--nx", "7", "--method", "quadrature"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(args + ["-o", str(a)]) == 0
+        assert run(args + ["-o", str(b)]) == 0
+        assert len(a.read_text().splitlines()) == 1 + 3 * 7
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_nonpositive_time_is_constraint_error(self, capsys):
+        assert run(["green", "--alpha", "0.5", "--beta", "1.5", "--t", "0",
+                    "--x-range", "-1", "1", "--nx", "3"]) == 2
+        assert "times must start above 0" in capsys.readouterr().err
+
     def test_invalid_theta_is_constraint_error(self):
         assert run(["green", "--alpha", "0.5", "--beta", "2",
                     "--theta", "0.1", "--t", "1",
@@ -96,6 +117,12 @@ class TestSolveCompare:
         assert doc["grid"]["nx"] == 32
         assert doc["checks"][0][1] is True
         assert "version" in doc
+        assert "quadrature" not in doc
+
+    def test_zero_width_source_is_usage_error(self, tmp_path, capsys):
+        args = self._solve_args(tmp_path / "f.csv") + ["--U", "gaussian:0,0"]
+        assert run(args) == 1
+        assert "width must be positive" in capsys.readouterr().err
 
     def test_round_trip_zero_residual(self, tmp_path):
         csv = tmp_path / "f.csv"

@@ -59,6 +59,20 @@ class TestGrid:
             Field(grid=grid, values=np.zeros((2, 16)))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: SpaceTimeGrid(5.0, -5.0, 16, (1.0,)),
+    lambda: SpaceTimeGrid(2.0, 2.0, 16, (1.0,)),
+    lambda: SourceDescriptor.gaussian(0.0, 0.0),
+    lambda: SourceDescriptor.gaussian(0.0, -1.0),
+    lambda: SourceDescriptor.box(1.0, 1.0),
+    lambda: SourceDescriptor.box(2.0, -2.0),
+], ids=["grid_reversed", "grid_empty", "gaussian_zero_width",
+        "gaussian_negative_width", "box_empty", "box_reversed"])
+def test_malformed_inputs_rejected(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 class TestValidateSpec:
     def test_passthrough(self):
         spec = ProblemSpec(alpha=0.5, beta=1.5)
@@ -160,8 +174,7 @@ class TestSolve:
                            source_mode="identity")
         grid = SpaceTimeGrid(-30.0, 30.0, 128, (1.0,))
         U = SourceDescriptor.gaussian(0.0, 1.5)
-        fld = solve(spec, self._zero(), self._zero(), U, grid,
-                    n_time_sub=512)
+        fld = solve(spec, self._zero(), self._zero(), U, grid)
         # exact per mode: mu U_hat t^a E_{a,a+1}(-lam Psi t^a)
         from fracgreen.solver import _padded_wavenumbers
         M, k = _padded_wavenumbers(grid)
@@ -174,6 +187,44 @@ class TestSolve:
                                   -spec.lam * psi * t ** spec.alpha)
         ref = np.fft.ifft(spec.mu * uh * t ** spec.alpha * ml)[:grid.nx]
         rel = np.max(np.abs(fld.values[0] - ref)) / np.max(np.abs(ref))
+        assert rel < 1e-4
+
+    def _rf_source_case(self, alpha):
+        spec = ProblemSpec(alpha=alpha, beta=1.5, theta=0.2, gamma=0.8,
+                           phi=0.1, mu=0.6, source_mode="riesz_feller")
+        grid = SpaceTimeGrid(-20.0, 20.0, 128, (1.0,))
+        U = SourceDescriptor.gaussian(0.0, 1.5)
+        fld = solve(spec, self._zero(), self._zero(), U, grid)
+        from fracgreen.solver import _padded_wavenumbers
+        M, k = _padded_wavenumbers(grid)
+        col = np.zeros(M, dtype=complex)
+        col[:grid.nx] = U.render(grid.x, grid.dx)
+        # riesz_feller mode: -mu m_S(k) U_hat(k) times the time integral
+        src_hat = -spec.mu * riesz_feller_symbol(spec.source_symbol(), k) \
+            * np.fft.fft(col)
+        c = spec.lam * riesz_feller_symbol(spec.space_symbol(), k)
+        return fld.values[0], grid, src_hat, c
+
+    def test_riesz_feller_source_alpha_one_elementary(self):
+        # alpha = 1: Int_0^t exp(-c s) ds = (1 - exp(-c t)) / c, t at c = 0
+        got, grid, src_hat, c = self._rf_source_case(1.0)
+        t = grid.times[0]
+        safe = np.where(c == 0.0, 1.0, c)
+        integral = np.where(c == 0.0, t, -np.expm1(-c * t) / safe)
+        ref = np.fft.ifft(src_hat * integral)[:grid.nx]
+        rel = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+        assert rel < 1e-10
+
+    def test_riesz_feller_source_matches_product_integration(self):
+        alpha, n = 1.45, 256
+        got, grid, src_hat, c = self._rf_source_case(alpha)
+        t = grid.times[0]
+        w = t - (t / n) * np.arange(n + 1)
+        S = mittag_leffler_array(alpha, alpha, -np.outer(w ** alpha, c)) \
+            * src_hat[None, :]
+        integral = convolve_time_singular(S, alpha, n, t / n)
+        ref = np.fft.ifft(integral)[:grid.nx]
+        rel = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
         assert rel < 1e-4
 
     def test_window_mass_warning_fires_on_narrow_grid(self):
