@@ -8,12 +8,22 @@ concurrent use is safe.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import loggamma as _loggamma
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on first use.
+
+    Nothing on the import path of the package loads scipy; this module-level
+    name is the one quadrature entry point (perfbench's tracer wraps it).
+    """
+    from scipy.integrate import quad as _quad
+
+    return _quad(*args, **kwargs)
 
 
 class GammaPoleError(ZeroDivisionError):
@@ -98,77 +108,65 @@ def rgamma(z) -> complex:
 # Mittag-Leffler function
 # ---------------------------------------------------------------------------
 
-# Region switches (see module notes): plain series up to |z|=5 when the
-# running cancellation estimate allows it, algebraic/exponential asymptotics
-# from |z|=15, contour-integral kernel in between.
-_SERIES_RADIUS = 5.0
+# Evaluation regions.  The Taylor series takes |z| <= 1 for alpha <= 1 and
+# |z| <= 25 for alpha > 1, where it costs less than the contour (measured
+# on warm solves), and the asymptotic expansion |z| >= 15; each keeps a
+# point only when it passes its own error estimate, and the optimal
+# parabolic contour takes every other point.
+_SERIES_RADIUS = 1.0
+_SERIES_RADIUS_HIGH = 25.0
 _ASYMPTOTIC_RADIUS = 15.0
 _SERIES_CAP = 500
-_CANCELLATION_LIMIT = 1e5  # max-term / |sum| before the series loses 1e-10
+_ASYMPTOTIC_TERMS = 40
+# largest term / |sum| the series accepts: its rounding error is about
+# this ratio times (number of terms) * eps, so 1e2 keeps it near 1e-13
+_CANCELLATION_LIMIT = 1e2
+
+# Optimal parabolic contour (Garrappa, SIAM J. Numer. Anal. 53(3), 2015):
+# the target accuracy, the log of the unit round-off, the node count above
+# which the target is relaxed tenfold, and the most points summed at once.
+_OPC_LOG_TOL = math.log(1e-15)
+_LOG_EPS = math.log(np.finfo(float).eps)
+_OPC_MAX_NODES = 200
+_OPC_BLOCK = 4096
 
 
-class _MLContext:
-    """Per-(alpha, beta) coefficient cache for 0 < alpha <= 1."""
-
-    def __init__(self, alpha: float, beta: float):
-        self.alpha = alpha
-        self.beta = beta
-        self._series = np.empty(0, dtype=complex)
-        self._asym = np.empty(0, dtype=complex)
-        self._asym_env = np.empty(0, dtype=float)
-        self._ray_cheb: dict = {}
-
-    def series_coeffs(self, n: int) -> np.ndarray:
-        if len(self._series) < n:
-            old = len(self._series)
-            ext = [rgamma(self.alpha * j + self.beta) for j in range(old, n)]
-            self._series = np.concatenate([self._series, np.array(ext)])
-        return self._series[:n]
-
-    def asym_coeffs(self, n: int) -> np.ndarray:
-        if len(self._asym) < n:
-            old = len(self._asym)
-            ext = [rgamma(self.beta - self.alpha * (j + 1)) for j in range(old, n)]
-            self._asym = np.concatenate([self._asym, np.array(ext)])
-        return self._asym[:n]
-
-    def asym_env(self, n: int) -> np.ndarray:
-        """Smooth magnitude envelope for the asymptotic coefficients.
-
-        |1/Gamma(y)| dips to zero near the poles, which would fool a
-        smallest-term truncation rule; the reflection bound Gamma(1-y)/pi
-        is monotone there and safe to use instead.
-        """
-        if len(self._asym_env) < n:
-            old = len(self._asym_env)
-            ext = []
-            for j in range(old, n):
-                y = self.beta - self.alpha * (j + 1)
-                if y >= 0.5:
-                    ext.append(abs(rgamma(y)))
-                else:
-                    try:
-                        ext.append(math.gamma(1.0 - y) / math.pi)
-                    except OverflowError:
-                        ext.append(math.inf)
-            self._asym_env = np.concatenate([self._asym_env, np.array(ext)])
-        return self._asym_env[:n]
+def _rgamma_real(x: float) -> float:
+    """1/Gamma(x) for real x from math.gamma (a few ulp, against ~1e-12
+    for the Lanczos rgamma at negative x); 0 at the poles and past the
+    double range."""
+    if x <= 0.0 and x == math.floor(x):
+        return 0.0
+    try:
+        return 1.0 / math.gamma(x)
+    except OverflowError:
+        return 0.0
 
 
-_ML_CONTEXTS: dict = {}
+@functools.lru_cache(maxsize=64)
+def _ml_coeffs(alpha: float, beta: float):
+    """Read-only coefficient rows for (alpha, beta).
+
+    1/Gamma(alpha j + beta) for the Taylor series, 1/Gamma(beta - alpha
+    (j + 1)) for the asymptotic expansion, and a smooth envelope of the
+    latter: |1/Gamma(y)| dips to zero near the poles, which would fool a
+    smallest-term truncation rule, while the reflection bound
+    Gamma(1 - y)/pi is monotone there.
+    """
+    series = np.array([_rgamma_real(alpha * j + beta)
+                       for j in range(_SERIES_CAP)])
+    ys = [beta - alpha * (j + 1) for j in range(_ASYMPTOTIC_TERMS)]
+    asym = np.array([_rgamma_real(y) for y in ys])
+    env = np.array([abs(_rgamma_real(y)) if y >= 0.5
+                    else math.gamma(1.0 - y) / math.pi for y in ys])
+    for row in (series, asym, env):
+        row.flags.writeable = False
+    return series, asym, env
 
 
-def _ml_context(alpha: float, beta: float) -> _MLContext:
-    key = (alpha, beta)
-    ctx = _ML_CONTEXTS.get(key)
-    if ctx is None:
-        ctx = _ML_CONTEXTS[key] = _MLContext(alpha, beta)
-    return ctx
-
-
-def _ml_series_batch(ctx: _MLContext, z: np.ndarray):
+def _ml_series_batch(alpha: float, beta: float, z: np.ndarray):
     """Taylor series on an array; returns (values, ok_mask)."""
-    coeffs = ctx.series_coeffs(_SERIES_CAP)
+    coeffs = _ml_coeffs(alpha, beta)[0]
     acc = np.full(z.shape, coeffs[0], dtype=complex)
     power = np.ones_like(acc)
     maxmag = np.abs(acc)
@@ -190,18 +188,15 @@ def _ml_series_batch(ctx: _MLContext, z: np.ndarray):
     return acc, converged & safe
 
 
-def _ml_asymptotic_batch(ctx: _MLContext, z: np.ndarray):
+def _ml_asymptotic_batch(alpha: float, beta: float, z: np.ndarray):
     """Algebraic expansion (plus exponential term in-sector); (values, ok)."""
-    alpha, beta = ctx.alpha, ctx.beta
-    nmax = 40
-    coeffs = ctx.asym_coeffs(nmax)
-    env = ctx.asym_env(nmax)
+    _, coeffs, env = _ml_coeffs(alpha, beta)
     zinv = 1.0 / z
     acc = np.zeros(z.shape, dtype=complex)
     power = np.ones_like(acc)
     best_err = np.full(z.shape, np.inf)
     frozen = np.zeros(z.shape, dtype=bool)
-    for n in range(nmax):
+    for n in range(_ASYMPTOTIC_TERMS):
         power = power * zinv
         term = coeffs[n] * power
         tm = env[n] * np.abs(power)
@@ -212,89 +207,290 @@ def _ml_asymptotic_batch(ctx: _MLContext, z: np.ndarray):
     vals = acc
     phase = np.angle(z)
     mag = np.abs(z)
-    # for alpha > 1 more than one branch of z^(1/alpha) can fall inside the
-    # exponential sector, so scan the neighbouring sheets too
+    # the pole terms (1/alpha) r^(1-beta) exp(r), r = z^(1/alpha) on a sheet
+    # with |arg| < alpha pi; for alpha > 1 a neighbouring sheet can hold one
+    # too.  Near the Stokes line |arg| = alpha pi the weight of a term moves
+    # from 1 to 0, so there its size counts as error.
     ks = (0,) if alpha <= 1.0 else (-1, 0, 1)
     for k in ks:
         ph = phase + 2.0 * np.pi * k
-        sector = np.abs(ph) <= 0.75 * alpha * np.pi
-        if sector.any():
-            root = np.where(sector, mag, 1.0) ** (1.0 / alpha) * np.exp(
-                1j * ph / alpha
-            )
-            expterm = (1.0 / alpha) * root ** (1.0 - beta) * np.exp(root)
-            vals = vals + np.where(sector, expterm, 0.0)
+        near = np.abs(ph) <= 1.25 * alpha * np.pi
+        if near.any():
+            # a value beyond the double range stays inf here and is
+            # reported as MLConvergenceError by the caller
+            with np.errstate(over="ignore", invalid="ignore"):
+                root = np.where(near, mag, 1.0) ** (1.0 / alpha) * np.exp(
+                    1j * ph / alpha
+                )
+                expterm = (1.0 / alpha) * root ** (1.0 - beta) * np.exp(root)
+            vals = vals + np.where(np.abs(ph) < alpha * np.pi, expterm, 0.0)
+            edge = near & (np.abs(ph) >= 0.75 * alpha * np.pi)
+            best_err = best_err + np.where(edge, np.abs(expterm), 0.0)
     ok = best_err <= 1e-11 * (np.abs(vals) + 1e-300)
     return vals, ok
 
 
-def _cquad(f, a, b, **kw):
-    re = quad(lambda t: f(t).real, a, b, **kw)[0]
-    im = quad(lambda t: f(t).imag, a, b, **kw)[0]
-    return re + 1j * im
+def _opc_bounded(phi0, phi1, p, log_tol):
+    """(mu, h, N) for a contour between two singularities.
 
-
-def _ml_integral(alpha: float, beta: float, z: complex) -> complex:
-    """Contour-integral kernel representation, 0 < alpha < 1, any |z|.
-
-    Splits the rotated Hankel contour into a ray kernel K and (when needed)
-    a circular-arc part P, plus the residue of exp(z^(1/alpha)) when z lies
-    inside the sector |arg z| < alpha*pi.
+    Garrappa's rule for the region between the parabolas phi0 (strength p)
+    and phi1 (a simple pole); N is inf where the region cannot reach
+    exp(log_tol).
     """
-    a, b = alpha, beta
-    az = abs(z)
-    ph = abs(cmath.phase(z))
-    chi0 = max(1.0, 2.0 * az, (-math.log(math.pi * 1e-15 / 6.0)) ** a)
+    f_max = np.exp(log_tol - _LOG_EPS)
+    sq0 = np.sqrt(phi0)
+    sq1 = np.minimum(np.sqrt(phi1), 2.0 * np.sqrt(log_tol - _LOG_EPS) - sq0)
+    if p < 1e-14:
+        # only the branch point at the origin can be this weak, so sq0 = 0
+        f_min = 1.01
+        ok = f_min < f_max
+        f_bar = f_min + f_min / f_max * (f_max - f_min)
+        sq1 = 2.0 * sq1 / (2.0 + 1.0 / f_bar)
+    else:
+        f_min = 1.01 * (sq0 + sq1) / (sq1 - sq0) ** max(p, 1.0)
+        ok = f_min < f_max
+        # inadmissible points get N = inf below; clamp them to stay finite
+        f_min = np.clip(f_min, 1.5, f_max)
+        f_bar = f_min + f_min / f_max * (f_max - f_min)
+        fp = f_bar ** (-1.0 / p)
+        fq = 1.0 / f_bar
+        w = -phi1 / log_tol
+        den = 2.0 + w - (1.0 + w) * fp + fq
+        sq0, sq1 = (((2.0 + w + fq) * sq0 + fp * sq1) / den,
+                    (-(1.0 + w) * fq * sq0
+                     + (2.0 + w - (1.0 + w) * fp) * sq1) / den)
+    log_tol = log_tol - np.log(f_bar)
+    w = -sq1 ** 2 / log_tol
+    mu = (((1.0 + w) * sq0 + sq1) / (2.0 + w)) ** 2
+    h = -2.0 * np.pi / log_tol * (sq1 - sq0) / ((1.0 + w) * sq0 + sq1)
+    n = np.ceil(np.sqrt(1.0 - log_tol / mu) / h)
+    return mu, h, np.where(ok, n, np.inf)
 
-    sin_b1 = math.sin(math.pi * (1.0 - b))
-    sin_ab = math.sin(math.pi * (1.0 - b + a))
-    cos_ap = math.cos(a * math.pi)
 
-    def K(r):
-        num = r * sin_b1 - z * sin_ab
-        den = r * r - 2.0 * r * z * cos_ap + z * z
-        return (1.0 / (a * math.pi)) * r ** ((1.0 - b) / a) * math.exp(
-            -r ** (1.0 / a)
-        ) * num / den
+def _opc_unbounded(phi, p, log_tol):
+    """(mu, h, N) for the contour right of a singularity of strength p.
 
-    def P(phi, eps0):
-        w = phi * (1.0 + (1.0 - b) / a) + eps0 ** (1.0 / a) * math.sin(phi / a)
-        num = (
-            eps0 ** (1.0 + (1.0 - b) / a)
-            * math.exp(eps0 ** (1.0 / a) * math.cos(phi / a))
-            * (math.cos(w) + 1j * math.sin(w))
+    Garrappa's rule for the unbounded region beyond the parabola phi; the
+    fixed-point search for the singularity distance runs on every point
+    at once.  N is inf where exp(mu) would amplify round-off past the
+    target.
+    """
+    sq0 = np.sqrt(phi)
+    phib = np.where(phi > 0.0, 1.01 * phi, 0.01)
+    sqb = np.sqrt(phib)
+    weak = p < 1e-14
+    shrink = 5.0 ** (-1.0 / np.where(weak, 1.0, p))
+    active = ~weak
+    for _ in range(50):
+        lp = log_tol / phib
+        n = np.ceil(phib / np.pi * (1.0 - 1.5 * lp + np.sqrt(1.0 - 2.0 * lp)))
+        a = np.pi * n / phib
+        sq_mu = sqb * np.abs(4.0 - a) / np.abs(7.0 - np.sqrt(1.0 + 12.0 * a))
+        fbar = ((sqb - sq0) / sq_mu) ** (-p)
+        active &= ~((1.0 < fbar) & (fbar < 10.0))
+        if not active.any():
+            break
+        sqb = np.where(active, shrink * sq_mu + sq0, sqb)
+        phib = sqb ** 2
+    mu = sq_mu ** 2
+    h = (-3.0 * a - 2.0 + 2.0 * np.sqrt(1.0 + 12.0 * a)) / (4.0 - a) / n
+    thr = log_tol - _LOG_EPS
+    big = mu > thr
+    if big.any():
+        # pull the contour back to the round-off threshold when the
+        # singularity allows it
+        phib = (np.where(weak, 0.0, shrink * sq_mu) + sq0) ** 2
+        fix = big & (phib < thr)
+        w = np.sqrt(_LOG_EPS / (_LOG_EPS - log_tol))
+        u = np.sqrt(-phib / _LOG_EPS)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # entries outside `fix` may divide by zero; they are dropped
+            n_fix = np.ceil(w * log_tol / (2.0 * np.pi) / (u * w - 1.0))
+            h = np.where(fix, w / n_fix, h)
+        mu = np.where(fix, thr, mu)
+        n = np.where(fix, n_fix, np.where(big, np.inf, n))
+    return mu, h, n
+
+
+def _on_grid(phi, up):
+    """phi moved onto the grid 2^(j/8), up or down.
+
+    A contour placed for a singularity moved away from its region stays
+    valid, and points whose singularities land on the same grid values get
+    the same (mu, h, N), so they share their nodes.
+    """
+    e = 8.0 * np.log2(np.maximum(phi, 1e-300))
+    return np.exp2((np.ceil(e) if up else np.floor(e)) / 8.0)
+
+
+def _opc_params(alpha, beta, phi_a, phi_b, has_a, has_b, log_tol):
+    """Per point (mu, h, N, region) of the admissible region with the fewest
+    nodes: region 0 lies left of every pole, 1 between pole b and pole a
+    (phi_b <= phi_a), 2 right of every pole.  The left-most wins a tie."""
+    p0 = max(0.0, 2.0 * (beta - alpha - 1.0))  # branch point at the origin
+    thr = log_tol - _LOG_EPS
+    lo_a, hi_a = _on_grid(phi_a, False), _on_grid(phi_a, True)
+    lo_b, hi_b = _on_grid(phi_b, False), _on_grid(phi_b, True)
+    mu, h, n = _opc_unbounded(np.where(has_a, hi_a, 0.0),
+                              np.where(has_a, 1.0, p0), log_tol)
+    n = np.where(has_a & (hi_a >= thr), np.inf, n)
+    region = np.where(has_a, 2, 0)
+    between = has_b & (hi_b < lo_a) & (hi_b < thr)
+    first = np.where(has_b, lo_b, np.where(has_a, lo_a, 1.0))
+    for r, sel, lo, hi, p in (
+            (1, between, np.where(between, hi_b, 0.0),
+             np.where(between, lo_a, 1.0), 1.0),
+            (0, has_a, 0.0, first, p0)):
+        if sel.any():
+            mu_r, h_r, n_r = _opc_bounded(lo, hi, p, log_tol)
+            take = sel & (n_r <= n)
+            mu = np.where(take, mu_r, mu)
+            h = np.where(take, h_r, h)
+            n = np.where(take, n_r, n)
+            region = np.where(take, r, region)
+    return mu, h, n, region
+
+
+def _ml_opc(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
+    """E_{alpha,beta}(z) for 0 < alpha <= 2 and Im z >= 0.
+
+    Inverts the Laplace transform s^(alpha-beta) / (s^alpha - z) with the
+    trapezoid rule on the parabola s(u) = mu (1 + iu)^2, and adds the
+    residue (1/alpha) s*^(1-beta) exp(s*) of each pole s*^alpha = z that
+    lies right of the contour.  mu, the step h and the node count N are
+    chosen per point by Garrappa's rules.
+    """
+    theta = np.angle(z)
+    r = np.abs(z) ** (1.0 / alpha)
+    # the poles s = r exp(i (theta + 2 pi k) / alpha) on the principal
+    # sheet, |theta + 2 pi k| <= alpha pi, are k = 0 and, for alpha > 1
+    # near the negative axis, k = -1; phi is the parabola through each
+    pole_a = r * np.exp(1j * theta / alpha)
+    pole_b = r * np.exp(1j * (theta - 2.0 * np.pi) / alpha)
+    phi_a = 0.5 * (pole_a.real + r)
+    phi_b = 0.5 * (pole_b.real + r)
+    has_a = (theta <= alpha * np.pi) & (phi_a > 1e-15)
+    has_b = (2.0 * np.pi - theta <= alpha * np.pi) & (phi_b > 1e-15)
+    log_tol = np.full(z.shape, _OPC_LOG_TOL)
+    mu, h, n, region = _opc_params(alpha, beta, phi_a, phi_b, has_a, has_b,
+                                   log_tol)
+    for _ in range(10):
+        # relax the target tenfold where every region needs too many nodes
+        bad = np.flatnonzero(n > _OPC_MAX_NODES)
+        if not bad.size:
+            break
+        log_tol[bad] += math.log(10.0)
+        got = _opc_params(alpha, beta, phi_a[bad], phi_b[bad], has_a[bad],
+                          has_b[bad], log_tol[bad])
+        for arr, new in zip((mu, h, n, region), got):
+            arr[bad] = new
+    # a point no region admits gets NaN; a dummy one-node contour keeps
+    # the arithmetic below finite
+    lost = ~np.isfinite(n)
+    mu, h = np.where(lost, 1.0, mu), np.where(lost, 1.0, h)
+    n = np.where(lost, 0, n).astype(np.int64)
+    out = np.empty(z.shape, dtype=complex)
+    # points with the same contour share its nodes: every point with no
+    # pole, and most points right of a far pole, get identical (mu, h, N)
+    order = np.lexsort((n, h, mu))
+    ms, hs, ns = mu[order], h[order], n[order]
+    cut = np.flatnonzero((ms[1:] != ms[:-1]) | (hs[1:] != hs[:-1])
+                         | (ns[1:] != ns[:-1])) + 1
+    for grp in (g[i:i + _OPC_BLOCK] for g in np.split(order, cut)
+                for i in range(0, g.size, _OPC_BLOCK)):
+        m, hg, ng = mu[grp[0]], h[grp[0]], n[grp[0]]
+        u = hg * np.arange(-ng, ng + 1)
+        s = m * (1.0 + 1j * u) ** 2
+        # log s from real parts: log(mu (1 + u^2)) + 2i atan(u); numpy's
+        # complex log costs several times more
+        ls = math.log(m) + np.log1p(u * u) + 2j * np.arctan(u)
+        num = np.exp(s + (alpha - beta) * ls) * (2.0 * m * (1j - u))
+        f = np.exp(alpha * ls) - z[grp, None]
+        np.divide(num, f, out=f)
+        # one row sum per point over its own nodes, so a value does not
+        # depend on the batch it arrives in
+        out[grp] = hg / (2j * np.pi) * f.sum(axis=1)
+    for pole, right in ((pole_a, has_a & (region < 2)),
+                        (pole_b, has_b & (region < 1))):
+        if right.any():
+            sr = pole[right]
+            with np.errstate(over="ignore", invalid="ignore"):
+                out[right] += (1.0 / alpha) * sr ** (1.0 - beta) * np.exp(sr)
+    out[lost] = np.nan
+    return out
+
+
+def _ml_array(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
+    """E_{alpha,beta} on a flat array with Im z >= 0, 0 < alpha <= 2."""
+    if alpha == 1.0 and beta == 1.0:
+        return np.exp(z)
+    out = np.empty(z.shape, dtype=complex)
+    done = z == 0
+    out[done] = _rgamma_real(beta)
+    az = np.abs(z)
+    radius = _SERIES_RADIUS if alpha <= 1.0 else _SERIES_RADIUS_HIGH
+    for region, batch in ((az <= radius, _ml_series_batch),
+                          (az >= _ASYMPTOTIC_RADIUS, _ml_asymptotic_batch)):
+        idx = np.flatnonzero(region & ~done)
+        if idx.size:
+            vals, ok = batch(alpha, beta, z[idx])
+            out[idx[ok]] = vals[ok]
+            done[idx[ok]] = True
+    rest = np.flatnonzero(~done)
+    if rest.size:
+        out[rest] = _ml_opc(alpha, beta, z[rest])
+    return out
+
+
+def mittag_leffler_array(alpha: float, beta: float, z) -> np.ndarray:
+    """Vectorized E_{alpha,beta} over an array of complex arguments.
+
+    Each point takes the Taylor series (small |z|) or the asymptotic
+    expansion (|z| >= 15) when that passes its own error estimate, and
+    the optimal parabolic contour otherwise; alpha > 2 is first reduced to
+    order alpha/m <= 2.  A value depends on (alpha, beta, z) alone, not on
+    the rest of the batch.  Raises MLConvergenceError, naming the first
+    such z, where the value is not finite.
+    """
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    z = np.asarray(z, dtype=complex)
+    shape = z.shape
+    z = z.ravel()
+    if alpha > 2.0:
+        # E_{a,b}(z) = (1/m) sum_j E_{a/m,b}(z^(1/m) exp(2 pi i j/m))
+        m = math.ceil(alpha / 2.0)
+        root = np.where(z != 0, z, 1.0) ** (1.0 / m)
+        root = np.where(z != 0, root, 0.0)
+        vals = sum(mittag_leffler_array(alpha / m, beta,
+                                        root * cmath.exp(2j * math.pi * j / m))
+                   for j in range(m)) / m
+        return vals.reshape(shape)
+    # E(conj z) = conj E(z): evaluate on the upper half plane
+    flip = np.signbit(z.imag)
+    vals = _ml_array(alpha, beta, np.where(flip, z.conjugate(), z))
+    vals = np.where(flip, vals.conjugate(), vals)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise MLConvergenceError(
+            f"non-finite Mittag-Leffler value at alpha={alpha}, beta={beta}, "
+            f"z={complex(z[np.argmax(bad)])}"
         )
-        return (1.0 / (2.0 * a * math.pi)) * num / (eps0 * cmath.exp(1j * phi) - z)
+    return vals.reshape(shape)
 
-    kw = dict(limit=400, epsabs=1e-14, epsrel=1e-12)
-    near = [az] if 0.0 < az < chi0 else None
 
-    def kray(lo):
-        if near and near[0] > lo:
-            return _cquad(K, lo, chi0, points=near, **kw)
-        return _cquad(K, lo, chi0, **kw)
+def mittag_leffler(alpha: float, beta: float, z) -> complex:
+    """Two-parameter Mittag-Leffler function E_{alpha,beta}(z) at one point.
 
-    tol_edge = 1e-13
-    if ph > a * math.pi + tol_edge:
-        if b <= 1.0:
-            return kray(0.0)
-        return kray(1.0) + _cquad(lambda t: P(t, 1.0), -a * math.pi, a * math.pi, **kw)
-    if ph < a * math.pi - tol_edge:
-        res = (1.0 / a) * z ** ((1.0 - b) / a) * cmath.exp(z ** (1.0 / a))
-        if b <= 1.0 and az > 1e-8:
-            return kray(0.0) + res
-        eps0 = max(az / 2.0, 1e-3)
-        return (
-            kray(eps0)
-            + _cquad(lambda t: P(t, eps0), -a * math.pi, a * math.pi, **kw)
-            + res
-        )
-    eps0 = (az + 1.0) / 2.0
-    return kray(eps0) + _cquad(lambda t: P(t, eps0), -a * math.pi, a * math.pi, **kw)
+    The one-point case of mittag_leffler_array, with the same regions,
+    errors and values.
+    """
+    return complex(mittag_leffler_array(alpha, beta, [complex(z)])[0])
 
 
 def _ml_mpmath(alpha: float, beta: float, z: complex) -> complex:
-    """Extended-precision Taylor fallback (small/moderate |z| only)."""
+    """Extended-precision Taylor series: the reference the tests compare
+    the evaluator against (small/moderate |z| only)."""
     import mpmath as mp
 
     need = 30 + int(1.2 * abs(z) ** (1.0 / alpha) / math.log(10.0))
@@ -316,210 +512,6 @@ def _ml_mpmath(alpha: float, beta: float, z: complex) -> complex:
             if n > 4 and abs(term) < term_floor * (1 + abs(acc)):
                 break
         return complex(acc)
-
-
-def _ml_scalar_le1(alpha: float, beta: float, z: complex) -> complex:
-    """Scalar evaluation for 0 < alpha <= 1 (no ray cache)."""
-    if z == 0:
-        return complex(rgamma(beta))
-    if alpha == 1.0 and beta == 1.0:
-        return cmath.exp(z)
-    az = abs(z)
-    ctx = _ml_context(alpha, beta)
-    if az <= _SERIES_RADIUS:
-        val, ok = _ml_series_batch(ctx, np.array([z]))
-        if bool(ok[0]):
-            return complex(val[0])
-    if az >= _ASYMPTOTIC_RADIUS:
-        val, ok = _ml_asymptotic_batch(ctx, np.array([z]))
-        if bool(ok[0]):
-            return complex(val[0])
-    if alpha < 1.0:
-        return _ml_integral(alpha, beta, z)
-    # alpha == 1 with beta != 1: closed forms for small integer beta
-    if beta == 2.0:
-        return (cmath.exp(z) - 1.0) / z
-    if beta == 0.0:
-        return z * cmath.exp(z)
-    if beta == 3.0:
-        return (cmath.exp(z) - 1.0 - z) / (z * z)
-    return _ml_mpmath(alpha, beta, z)
-
-
-def mittag_leffler(alpha: float, beta: float, z) -> complex:
-    """Two-parameter Mittag-Leffler function E_{alpha,beta}(z).
-
-    Region-switched evaluation: Taylor series for small arguments, the
-    algebraic/exponential expansion for large ones, a contour-integral
-    kernel in between.  Raises MLConvergenceError when no region passes
-    its own error estimate.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    z = complex(z)
-    if z.imag < 0.0:
-        return mittag_leffler(alpha, beta, z.conjugate()).conjugate()
-    if alpha > 1.0:
-        # the large-argument expansion stays valid for 1 < alpha <= 2 and is
-        # better conditioned than the order-halving recursion there
-        if abs(z) >= _ASYMPTOTIC_RADIUS:
-            ctx = _ml_context(alpha, beta)
-            val, ok = _ml_asymptotic_batch(ctx, np.array([z]))
-            if bool(ok[0]):
-                return complex(val[0])
-        m = math.ceil(alpha)
-        root = z ** (1.0 / m) if z != 0 else 0.0
-        acc = 0.0 + 0.0j
-        for j in range(m):
-            w = root * cmath.exp(2j * math.pi * j / m)
-            acc += mittag_leffler(alpha / m, beta, w)
-        return acc / m
-    val = _ml_scalar_le1(alpha, beta, z)
-    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-        raise MLConvergenceError(
-            f"non-finite Mittag-Leffler value at alpha={alpha}, beta={beta}, z={z}"
-        )
-    return val
-
-
-def _ml_ray_cheb(ctx: _MLContext, phase: float, rlo: float, rhi: float):
-    """Chebyshev model of E along the ray arg z = phase, r in [rlo, rhi].
-
-    The function is entire, so a log-radius Chebyshev fit converges fast;
-    anchors are computed with the extended-precision Taylor fallback so
-    the one-off build cost buys a model good to ~1e-12.
-    """
-    key = (round(phase, 12), round(math.log(rlo), 6), round(math.log(rhi), 6))
-    if key in ctx._ray_cheb:
-        return ctx._ray_cheb[key]
-    lo, hi = math.log(rlo), math.log(rhi)
-    rot = cmath.exp(1j * phase)
-    n_anchor = 49
-    nodes = np.cos(np.pi * (np.arange(n_anchor) + 0.5) / n_anchor)
-    u = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
-    vals = np.array(
-        [_ml_mpmath(ctx.alpha, ctx.beta, math.exp(t) * rot) for t in u]
-    )
-    # off-node interior references, shared across the degree ladder
-    rs = np.exp(np.linspace(lo, hi, 7)[1:-1])
-    ref = np.array([_ml_mpmath(ctx.alpha, ctx.beta, r * rot) for r in rs])
-    for deg in (32, n_anchor - 1):
-        cre = np.polynomial.chebyshev.chebfit(nodes, vals.real, deg)
-        cim = np.polynomial.chebyshev.chebfit(nodes, vals.imag, deg)
-
-        def ev(r, cre=cre, cim=cim):
-            x = (2.0 * np.log(r) - (lo + hi)) / (hi - lo)
-            return np.polynomial.chebyshev.chebval(
-                x, cre
-            ) + 1j * np.polynomial.chebyshev.chebval(x, cim)
-
-        # spot-check interior accuracy before trusting the model
-        err = np.max(np.abs(ev(rs) - ref) / (np.abs(ref) + 1e-300))
-        if err < 5e-12:
-            ctx._ray_cheb[key] = ev
-            return ev
-    ctx._ray_cheb[key] = None
-    return None
-
-
-def _ml_array_le1(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    out = np.empty(z.shape, dtype=complex)
-    flip = z.imag < 0.0
-    zw = np.where(flip, z.conjugate(), z)
-    if alpha == 1.0 and beta == 1.0:
-        out = np.exp(zw)
-        return np.where(flip, out.conjugate(), out)
-    ctx = _ml_context(alpha, beta)
-    done = np.zeros(z.shape, dtype=bool)
-    zero = zw == 0
-    out[zero] = rgamma(beta)
-    done |= zero
-    az = np.abs(zw)
-
-    small = ~done & (az <= _SERIES_RADIUS)
-    if small.any():
-        vals, ok = _ml_series_batch(ctx, zw[small])
-        idx = np.flatnonzero(small)[ok]
-        out.flat[idx] = vals[ok]
-        done.flat[idx] = True
-
-    large = ~done & (az >= _ASYMPTOTIC_RADIUS)
-    if large.any():
-        vals, ok = _ml_asymptotic_batch(ctx, zw[large])
-        idx = np.flatnonzero(large)[ok]
-        out.flat[idx] = vals[ok]
-        done.flat[idx] = True
-
-    rest = np.flatnonzero(~done)
-    if rest.size:
-        zr = zw.flat[rest]
-        phases = np.angle(zr)
-        radii = np.abs(zr)
-        # mid-region points on a shared ray get fixed-range Chebyshev
-        # models, keyed by phase and band so repeated sweeps reuse them;
-        # the band ladder covers radii the asymptotic path may reject
-        handled = np.zeros(rest.size, dtype=bool)
-        if alpha < 1.0:
-            bands = [(_SERIES_RADIUS * 0.98, _ASYMPTOTIC_RADIUS * 1.02)]
-            while bands[-1][1] < min(radii.max(), 1e4):
-                lo = bands[-1][1] * 0.96
-                bands.append((lo, lo * 3.2))
-            for rlo, rhi in bands:
-                in_band = ~handled & (radii > rlo) & (radii < rhi)
-                if not in_band.any():
-                    continue
-                for ph in np.unique(np.round(phases[in_band], 12)):
-                    sel = in_band & (np.abs(phases - ph) < 1e-11)
-                    key_known = (round(float(ph), 12),
-                                 round(math.log(rlo), 6),
-                                 round(math.log(rhi), 6)) in ctx._ray_cheb
-                    if sel.sum() < 4 and not key_known:
-                        continue
-                    ev = _ml_ray_cheb(ctx, float(ph), rlo, rhi)
-                    if ev is not None:
-                        out.flat[rest[sel]] = ev(radii[sel])
-                        handled[sel] = True
-        for i, zz in zip(rest[~handled], zr[~handled]):
-            out.flat[i] = _ml_scalar_le1(alpha, beta, complex(zz))
-    return np.where(flip, out.conjugate(), out)
-
-
-def mittag_leffler_array(alpha: float, beta: float, z) -> np.ndarray:
-    """Vectorized E_{alpha,beta} over an array of complex arguments."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    z = np.asarray(z, dtype=complex)
-    shape = z.shape
-    z = z.ravel()
-    if alpha > 1.0:
-        vals = np.empty_like(z)
-        done = np.zeros(z.shape, dtype=bool)
-        flip = z.imag < 0.0
-        zw = np.where(flip, z.conjugate(), z)
-        large = np.abs(zw) >= _ASYMPTOTIC_RADIUS
-        if large.any():
-            ctx = _ml_context(alpha, beta)
-            got, ok = _ml_asymptotic_batch(ctx, zw[large])
-            idx = np.flatnonzero(large)[ok]
-            vals.flat[idx] = got[ok]
-            done.flat[idx] = True
-        vals = np.where(flip, vals.conjugate(), vals)
-        rest = ~done
-        if rest.any():
-            m = math.ceil(alpha)
-            zr = z[rest]
-            root = np.where(zr != 0, zr, 1.0) ** (1.0 / m)
-            root = np.where(zr != 0, root, 0.0)
-            acc = np.zeros_like(zr)
-            for j in range(m):
-                w = root * cmath.exp(2j * math.pi * j / m)
-                acc += _ml_array_le1(alpha / m, beta, w)
-            vals[rest] = acc / m
-    else:
-        vals = _ml_array_le1(alpha, beta, z)
-    if not np.all(np.isfinite(vals.real) & np.isfinite(vals.imag)):
-        raise MLConvergenceError("non-finite Mittag-Leffler value in array evaluation")
-    return vals.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -599,6 +591,8 @@ class HFunctionParams:
 
     def theta_log(self, xi: np.ndarray) -> np.ndarray:
         """log of the gamma-ratio integrand at contour points xi."""
+        from scipy.special import loggamma as _loggamma
+
         acc = np.zeros_like(xi, dtype=complex)
         for j in range(self.m):
             b, B = self.lower[j]

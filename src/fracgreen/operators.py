@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from numpy.polynomial.legendre import leggauss
 
 
@@ -87,6 +86,8 @@ def riesz_feller_apply(samples, dx: float, p: SymbolParams, cfg=None):
     Taylor term is subtracted under the integral (analytic continuation);
     its finite part over (0, inf) vanishes, which the split below respects.
     """
+    from scipy.interpolate import CubicSpline
+
     a = p.order
     if a >= 2.0:
         raise ValueError("integral representation is invalid at order = 2; "

@@ -196,20 +196,29 @@ def _padded_wavenumbers(grid: SpaceTimeGrid):
 
 
 def _window_mass_warning(ghat, M, nx):
-    """Warn when the kernel carries noticeable mass near the alias boundary.
+    """Warn when the padded convolution cannot be trusted.
 
-    The padded ring leaves (M - nx)/2 grid offsets of slack on either
-    side; kernel mass beyond half that slack is about to wrap onto the
-    window and corrupt the convolution.
+    First the resolution: when |G_hat| at the largest padded wavenumber is
+    not small against |G_hat(0)|, the grid under-resolves the kernel and
+    its transform rings round the whole ring, so far "mass" is an artefact
+    and the remedy is a finer grid.  Otherwise kernel mass beyond half the
+    (M - nx)/2 grid offsets of slack on either side is about to wrap onto
+    the window and corrupt the convolution.
     """
+    ratio = abs(ghat[M // 2]) / max(abs(ghat[0]), 1e-300)
+    if ratio > 1e-2:
+        warnings.warn(
+            f"kernel under-resolved: |G_hat| at the largest wavenumber is "
+            f"{ratio:.1e} of |G_hat(0)|; increase nx", stacklevel=3
+        )
+        return
     h = np.abs(np.fft.ifft(ghat))
     offs = np.minimum(np.arange(M), M - np.arange(M))
-    far = h[offs > (M - nx) // 2].sum()
-    tot = max(h.sum(), 1e-300)
-    if far / tot > 1e-3:
+    far = h[offs > (M - nx) // 2].sum() / max(h.sum(), 1e-300)
+    if far > 1e-3:
         warnings.warn(
-            "kernel mass outside the spatial window exceeds 1e-3; "
-            "widen the grid", stacklevel=3
+            f"kernel mass outside the spatial window is {far:.1e}, above "
+            f"1e-3; widen the grid", stacklevel=3
         )
 
 

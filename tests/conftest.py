@@ -1,0 +1,35 @@
+"""Shared test settings and fixtures.
+
+The hypothesis profile draws the same examples on every run and sets no
+per-example deadline, so the property tests neither flake nor time out
+on a machine whose speed varies from run to run, and it keeps no example
+database on disk.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+from hypothesis import settings
+
+import fracgreen
+
+settings.register_profile("fracgreen", derandomize=True, deadline=None,
+                          max_examples=40, database=None)
+settings.load_profile("fracgreen")
+
+
+@pytest.fixture
+def run_python():
+    """Run code in a fresh interpreter that imports the fracgreen under
+    test; returns its stdout."""
+    src = os.path.dirname(os.path.dirname(fracgreen.__file__))
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+    def run(code):
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True,
+                              check=True).stdout
+    return run

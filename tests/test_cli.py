@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,10 +28,14 @@ class TestMl:
         assert float(out[0]) == pytest.approx(-1.0, rel=1e-10)
 
     def test_overflow_is_tolerance_error(self, capsys):
-        # E_{1/2}(40) = exp(1600) erfc(-40) overflows a double
-        with pytest.warns(RuntimeWarning):
+        # E_{1/2}(40) = exp(1600) erfc(-40) overflows a double; the exit-3
+        # message is the only report, with no numpy RuntimeWarning before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             assert run(["ml", "--alpha", "0.5", "--z", "40"]) == 3
-        assert "non-finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "non-finite" in err
+        assert "alpha=0.5, beta=1.0, z=(40+0j)" in err
 
 
 class TestSymbol:
@@ -188,3 +193,11 @@ class TestPlumbing:
     def test_missing_config_file(self):
         assert run(["validate", "--config", "/nonexistent/x.cfg",
                     "--alpha", "1", "--beta", "2"]) == 1
+
+    def test_import_loads_numpy_only(self, run_python):
+        # scipy and mpmath load on first use, so a cold CLI process that
+        # needs neither never pays for importing them
+        out = run_python("import sys, fracgreen.cli; print(sorted(m for m in "
+                         "sys.modules if m.split('.')[0] in "
+                         "('scipy', 'mpmath')))")
+        assert out.strip() == "[]"

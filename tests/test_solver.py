@@ -234,6 +234,19 @@ class TestSolve:
         with pytest.warns(UserWarning, match="mass outside"):
             solve(spec, f, self._zero(), self._zero(), grid)
 
+    def test_under_resolved_grid_asks_for_more_points(self):
+        # |G_hat| at the largest wavenumber is 0.13 of |G_hat(0)| here: the
+        # far "mass" is ringing, so widening the grid would make it worse
+        spec = ProblemSpec(alpha=1.0, beta=1.5, theta=0.2)
+        grid = SpaceTimeGrid(-60.0, 60.0, 64, (1.0,))
+        f = SourceDescriptor.gaussian(0.0, 1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve(spec, f, self._zero(), self._zero(), grid)
+        text = " ".join(str(w.message) for w in caught)
+        assert "increase nx" in text and "1.3e-01" in text
+        assert "widen the grid" not in text
+
     def test_no_warning_on_wide_grid(self):
         spec = ProblemSpec(alpha=1.0, beta=2.0)
         grid = SpaceTimeGrid(-20.0, 20.0, 128, (0.5,))
