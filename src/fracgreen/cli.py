@@ -202,8 +202,7 @@ def _cmd_green(args):
     def eval_time(t):
         if args.method in ("auto", "closed"):
             try:
-                vals = [green_point_closed(kind, x, t, spec) for x in xs]
-                return vals, "closed"
+                return green_point_closed(kind, xs, t, spec), "closed"
             except (FourierOnlyError, RegimeError, ValueError,
                     HAccuracyError):
                 if args.method == "closed":

@@ -1,4 +1,4 @@
-"""Special-function kernel: complex gamma, Mittag-Leffler function, and
+"""Special-function kernel: reciprocal gamma, Mittag-Leffler function, and
 Mellin-Barnes evaluation of the H-function family used by the Green kernels.
 
 Everything here is pure and stateless apart from read-only caches, so
@@ -26,10 +26,6 @@ def quad(*args, **kwargs):
     return _quad(*args, **kwargs)
 
 
-class GammaPoleError(ZeroDivisionError):
-    """Gamma evaluated at a non-positive integer."""
-
-
 class MLConvergenceError(ArithmeticError):
     """No evaluation region could meet its own error estimate."""
 
@@ -40,68 +36,6 @@ class ContourPlacementError(ValueError):
 
 class HAccuracyError(ArithmeticError):
     """Mellin-Barnes quadrature failed to reach the requested tolerance."""
-
-
-# Lanczos rational approximation, g = 607/128 with 15 coefficients
-# (Godfrey's set, ~1e-14 relative accuracy in double precision).
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def _lanczos_core(z):
-    # valid for Re z >= 0.5; returns Gamma(z)
-    w = z - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    return _SQRT_2PI * t ** (w + 0.5) * cmath.exp(-t) * acc
-
-
-def gamma_complex(z) -> complex:
-    """Gamma(z) for complex z via a Lanczos approximation with reflection.
-
-    Raises GammaPoleError at the non-positive integers.
-    """
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):
-        raise GammaPoleError(f"gamma pole at z={z.real:g}")
-    if z.real < 0.5:
-        # reflection; sin(pi z) is safe for the |z| <= ~700 range we use
-        s = cmath.sin(cmath.pi * z)
-        if s == 0:
-            raise GammaPoleError(f"gamma pole at z={z}")
-        return cmath.pi / (s * _lanczos_core(1.0 - z))
-    return _lanczos_core(z)
-
-
-def rgamma(z) -> complex:
-    """1/Gamma(z); exactly zero at the non-positive integers."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):
-        return 0.0 + 0.0j
-    try:
-        return 1.0 / gamma_complex(z)
-    except OverflowError:
-        return 0.0 + 0.0j
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +65,9 @@ _OPC_MAX_NODES = 200
 _OPC_BLOCK = 4096
 
 
-def _rgamma_real(x: float) -> float:
-    """1/Gamma(x) for real x from math.gamma (a few ulp, against ~1e-12
-    for the Lanczos rgamma at negative x); 0 at the poles and past the
-    double range."""
+def rgamma(x: float) -> float:
+    """1/Gamma(x) for real x from math.gamma; exactly zero at the
+    non-positive integers and past the double range."""
     if x <= 0.0 and x == math.floor(x):
         return 0.0
     try:
@@ -153,11 +86,11 @@ def _ml_coeffs(alpha: float, beta: float):
     smallest-term truncation rule, while the reflection bound
     Gamma(1 - y)/pi is monotone there.
     """
-    series = np.array([_rgamma_real(alpha * j + beta)
+    series = np.array([rgamma(alpha * j + beta)
                        for j in range(_SERIES_CAP)])
     ys = [beta - alpha * (j + 1) for j in range(_ASYMPTOTIC_TERMS)]
-    asym = np.array([_rgamma_real(y) for y in ys])
-    env = np.array([abs(_rgamma_real(y)) if y >= 0.5
+    asym = np.array([rgamma(y) for y in ys])
+    env = np.array([abs(rgamma(y)) if y >= 0.5
                     else math.gamma(1.0 - y) / math.pi for y in ys])
     for row in (series, asym, env):
         row.flags.writeable = False
@@ -426,7 +359,7 @@ def _ml_array(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
         return np.exp(z)
     out = np.empty(z.shape, dtype=complex)
     done = z == 0
-    out[done] = _rgamma_real(beta)
+    out[done] = rgamma(beta)
     az = np.abs(z)
     radius = _SERIES_RADIUS if alpha <= 1.0 else _SERIES_RADIUS_HIGH
     for region, batch in ((az <= radius, _ml_series_batch),
@@ -609,58 +542,113 @@ class HFunctionParams:
         return acc
 
 
-def _h_residue_series(params: HFunctionParams, z: float, tol: float):
-    """Left-pole residue expansion, valid for small z; None when poles clash."""
-    poles = []
+# Points below _RESIDUE_Z take the residue series over the left poles xi
+# with z^(-xi) >= _RESIDUE_TOL.  Its pole list is built for z = _RESIDUE_Z,
+# so it holds every pole any smaller z keeps and does not depend on the
+# batch.  The contour trapezoid stops when two step levels agree to
+# _H_ABS_TOL or _H_REL_TOL.
+_RESIDUE_Z = 0.1
+_RESIDUE_TOL = 1e-18
+_H_ABS_TOL = 1e-12
+_H_REL_TOL = 1e-9
+
+
+def _h_left_poles(params: HFunctionParams):
+    """Left poles of the residue series and their z-free coefficients.
+
+    Returns (xi, coef, clash): the residue at xi[i] is coef[i] z^(-xi[i]),
+    and clash marks a pole within 1e-8 of another one or on a pole of a
+    numerator gamma, where the simple-pole residue does not hold (its
+    coef is 0).
+    """
+    xi, coef, on_pole = [], [], []
     for j in range(params.m):
         b, B = params.lower[j]
-        for k in range(0, 200):
+        for k in range(200):
             xi0 = -(b + k) / B
-            if z > 0 and z ** (-xi0) < tol:
+            if _RESIDUE_Z ** (-xi0) < _RESIDUE_TOL:
                 break
-            poles.append((xi0, j, k))
-    locs = sorted(p[0] for p in poles)
-    for u, v in zip(locs, locs[1:]):
-        if abs(u - v) < 1e-8:
-            return None
-    total = 0.0 + 0.0j
-    for xi0, j, k in poles:
-        b, B = params.lower[j]
-        try:
-            term = ((-1.0) ** k / (math.factorial(k) * B)) * z ** (-xi0)
-            for jj in range(params.m):
-                if jj == j:
-                    continue
-                bb, BB = params.lower[jj]
-                term *= gamma_complex(bb + BB * xi0)
-            for jj in range(params.n):
-                a, A = params.upper[jj]
-                term *= gamma_complex(1.0 - a - A * xi0)
-            for jj in range(params.m, params.q):
-                bb, BB = params.lower[jj]
+            num = [bb + BB * xi0 for jj, (bb, BB)
+                   in enumerate(params.lower[:params.m]) if jj != j]
+            num += [1.0 - a - A * xi0 for a, A in params.upper[:params.n]]
+            hit = any(g <= 0.0 and g == math.floor(g) for g in num)
+            term = (-1.0) ** k / (math.factorial(k) * B)
+            if not hit:
+                for g in num:
+                    term *= math.gamma(g)
+            for bb, BB in params.lower[params.m:]:
                 term *= rgamma(1.0 - bb - BB * xi0)
-            for jj in range(params.n, params.p):
-                a, A = params.upper[jj]
+            for a, A in params.upper[params.n:]:
                 term *= rgamma(a + A * xi0)
-        except GammaPoleError:
-            return None
-        total += term
-    return total
+            xi.append(xi0)
+            coef.append(term)
+            on_pole.append(hit)
+    xi = np.array(xi)
+    near = np.abs(xi[:, None] - xi[None, :]) < 1e-8
+    clash = np.array(on_pole) | (near.sum(axis=1) > 1)
+    return xi, np.where(clash, 0.0, coef), clash
 
 
-def h_function(params: HFunctionParams, z: float, cfg=None) -> float:
-    """Numerical Mellin-Barnes contour integral of the H-function at z > 0.
+def _h_contour(params: HFunctionParams, c: float, zs: np.ndarray):
+    """Trapezoid values of the contour integral on Re xi = c at each z.
 
-    Integrates along a vertical line separating the two pole families with
-    an adaptive trapezoid rule; for z < 0.1 a residue series over the left
-    poles is preferred.
+    The gamma ratio on the contour does not depend on z, so each step
+    level 0.25 2^-j is evaluated once for all of zs; each z starts at the
+    first level that resolves its z^(-xi) oscillation and halves its own
+    step until two levels agree.
     """
-    if z <= 0:
-        raise ValueError("z must be positive")
-    abs_tol = getattr(cfg, "abs_tol", 1e-12)
-    rel_tol = getattr(cfg, "rel_tol", 1e-9)
-    height_cap = getattr(cfg, "mb_contour_height", 0.0) or 0.0
+    # pick the height from the observed decay rate of the gamma ratio
+    g50 = params.theta_log(c + 50j).real
+    g150 = params.theta_log(c + 150j).real
+    rate = max((g50 - g150) / 100.0, 1e-4)
+    height = min(max(200.0, 45.0 / rate + 100.0), 5e4)
+    levels = {}
+    out = np.empty(zs.shape)
+    for i, z in enumerate(zs):
+        lnz = math.log(z)
+        j0 = 0
+        while 0.25 * 0.5 ** j0 > 0.5 / max(1.0, abs(lnz)):
+            j0 += 1
+        prev = None
+        for j in range(j0, j0 + 8):
+            if j not in levels:
+                xi = c + 1j * np.arange(0.0, height, 0.25 * 0.5 ** j)
+                levels[j] = xi, params.theta_log(xi)
+            xi, theta = levels[j]
+            f = np.exp(theta - xi * lnz)
+            mag = np.abs(f)
+            peak = mag.max()
+            if peak == 0.0 or not np.isfinite(peak):
+                raise HAccuracyError("degenerate contour integrand")
+            keep = np.nonzero(mag > 1e-18 * peak)[0]
+            if keep[-1] == len(xi) - 1 and mag[-1] > _H_ABS_TOL:
+                raise HAccuracyError(
+                    "contour integrand not decayed at the probed height"
+                )
+            f = f[: keep[-1] + 1]
+            val = (0.25 * 0.5 ** j / math.pi) * (f.real.sum() - 0.5 * f.real[0])
+            if prev is not None and abs(val - prev) <= max(
+                    _H_ABS_TOL, _H_REL_TOL * abs(val)):
+                out[i] = val
+                break
+            prev = val
+        else:
+            raise HAccuracyError("Mellin-Barnes trapezoid did not converge")
+    return out
 
+
+def h_function(params: HFunctionParams, z):
+    """Mellin-Barnes integral of the H-function at z > 0.
+
+    z is a scalar, giving a float, or an array, giving an array of its
+    shape; each value depends on z alone.  A z below 0.1 takes the
+    residue series over the left poles unless two of the poles it keeps
+    clash; every other z is integrated along a vertical line separating
+    the two pole families with an adaptive trapezoid rule.
+    """
+    zs = np.asarray(z, dtype=float)
+    if not np.all(zs > 0):
+        raise ValueError("z must be positive")
     if not params.check_pole_separation():
         raise ContourPlacementError("pole families coincide (condition 2.14)")
     cl, cr = params.left_abscissa(), params.right_abscissa()
@@ -668,42 +656,19 @@ def h_function(params: HFunctionParams, z: float, cfg=None) -> float:
         raise ContourPlacementError(
             f"no separating vertical line: left {cl:g} >= right {cr:g}"
         )
-
-    if z < 0.1:
-        res = _h_residue_series(params, z, tol=1e-18)
-        if res is not None:
-            return float(res.real)
-
-    c = 0.5 * (cl + min(cr, cl + 2.0))
-    lnz = math.log(z)
-
-    height = height_cap
-    if height <= 0.0:
-        # pick the height from the observed decay rate of the gamma ratio
-        g50 = params.theta_log(c + 50j).real
-        g150 = params.theta_log(c + 150j).real
-        rate = max((g50 - g150) / 100.0, 1e-4)
-        height = min(max(200.0, 45.0 / rate + 100.0), 5e4)
-
-    # resolve both the gamma-ratio variation and the z^{-xi} oscillation
-    h = min(0.25, 0.5 / max(1.0, abs(lnz)))
-    prev = None
-    for _ in range(8):
-        y = np.arange(0.0, height, h)
-        f = np.exp(params.theta_log(c + 1j * y) - (c + 1j * y) * lnz)
-        mag = np.abs(f)
-        peak = mag.max()
-        if peak == 0.0 or not np.isfinite(peak):
-            raise HAccuracyError("degenerate contour integrand")
-        keep = np.nonzero(mag > 1e-18 * peak)[0]
-        if keep[-1] == len(y) - 1 and mag[-1] > abs_tol:
-            raise HAccuracyError(
-                "contour integrand not decayed at the configured height"
-            )
-        f = f[: keep[-1] + 1]
-        val = (h / math.pi) * (f.real.sum() - 0.5 * f.real[0])
-        if prev is not None and abs(val - prev) <= max(abs_tol, rel_tol * abs(val)):
-            return float(val)
-        prev = val
-        h *= 0.5
-    raise HAccuracyError("Mellin-Barnes trapezoid did not converge")
+    flat = zs.ravel()
+    out = np.empty(flat.shape)
+    todo = np.ones(flat.shape, dtype=bool)
+    small = np.flatnonzero(flat < _RESIDUE_Z)
+    if small.size:
+        xi, coef, clash = _h_left_poles(params)
+        power = flat[small, None] ** -xi
+        kept = power >= _RESIDUE_TOL
+        # one row sum per z over the same pole list
+        out[small] = np.where(kept, coef * power, 0.0).sum(axis=1)
+        todo[small] = (kept & clash).any(axis=1)
+    rest = np.flatnonzero(todo)
+    if rest.size:
+        out[rest] = _h_contour(params, 0.5 * (cl + min(cr, cl + 2.0)),
+                               flat[rest])
+    return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)

@@ -16,13 +16,7 @@ from enum import Enum
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .fracmath import (
-    HFunctionParams,
-    gamma_complex,
-    h_function,
-    mittag_leffler_array,
-    rgamma,
-)
+from .fracmath import HFunctionParams, h_function, mittag_leffler_array, rgamma
 from .operators import SymbolParams, riesz_feller_symbol
 
 
@@ -121,10 +115,8 @@ class ProblemSpec:
 @dataclass(frozen=True)
 class QuadratureConfig:
     k_max: float = 5000.0
-    nodes_per_unit: int = 16
     abs_tol: float = 1e-9
     rel_tol: float = 1e-8
-    mb_contour_height: float = 0.0  # 0 = automatic
 
 
 def _ml_argument(spec: ProblemSpec, k, t: float, self_coupled: bool):
@@ -193,13 +185,9 @@ def _wynn(s):
     return best
 
 
-_GAUSS_CACHE = {}
-
-
-def _gauss(n):
-    if n not in _GAUSS_CACHE:
-        _GAUSS_CACHE[n] = leggauss(n)
-    return _GAUSS_CACHE[n]
+# Gauss-Legendre nodes and weights of every k panel; green_points sizes
+# its panels for 16 nodes
+_GAUSS_X, _GAUSS_W = leggauss(16)
 
 
 def green_point(kind: GreenKind, x: float, t: float, spec: ProblemSpec,
@@ -324,7 +312,7 @@ def _expint_cf(s: float, z: complex) -> complex:
 
 def _expint_series(s: float, z: complex) -> complex:
     """E_s(z) for small |z| and non-integer s by the ascending series."""
-    acc = gamma_complex(1.0 - s) * z ** (s - 1.0)
+    acc = math.gamma(1.0 - s) * z ** (s - 1.0)
     term = 1.0 + 0.0j
     for n in range(0, 200):
         acc -= term / (n - s + 1.0)
@@ -348,7 +336,7 @@ def _oscillatory_tail(x: float, K: float, s: float) -> complex:
         else:
             raise ToleranceNotMetError("integer order, small argument")
         return K ** (1.0 - s) * e
-    except (ToleranceNotMetError, ZeroDivisionError, OverflowError):
+    except (ToleranceNotMetError, OverflowError):
         import mpmath as mp
         with mp.workdps(25):
             val = (1j * mp.mpf(x)) ** (mp.mpf(s) - 1) \
@@ -407,17 +395,16 @@ def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec,
         edges.append(e + width)
     edges = np.asarray(edges)
 
-    gx, gw = _gauss(cfg.nodes_per_unit)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    knodes = mid[:, None] + half[:, None] * gx[None, :]
+    knodes = mid[:, None] + half[:, None] * _GAUSS_X[None, :]
     kflat = knodes.ravel()
     fup = green_hat(kind, kflat, t, spec).reshape(knodes.shape)
     fdn = green_hat(kind, -kflat, t, spec).reshape(knodes.shape)
 
     n_pan = len(mid)
     S = np.empty((n_pan, xs.size), dtype=complex)
-    w2 = half[:, None] * gw[None, :]
+    w2 = half[:, None] * _GAUSS_W[None, :]
     xr = xs.ravel()
     for lo in range(0, n_pan, 512):
         hi = min(lo + 512, n_pan)
@@ -460,17 +447,19 @@ def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec,
     return out.reshape(xs.shape)
 
 
-def green_point_closed(kind: GreenKind, x: float, t: float,
-                       spec: ProblemSpec) -> float:
+def green_point_closed(kind: GreenKind, x, t: float, spec: ProblemSpec):
     """Closed-form kernel value through the Mellin-Barnes representation.
 
     Defined for G and (in the high regime) G2, real positive lam, x != 0.
-    The x < 0 value is the mirror kernel with the skew negated.
+    x is a scalar, giving a float, or an array, giving an array of its
+    shape; each value depends on x alone.  The x < 0 values are the
+    mirror kernel with the skew negated.
     """
     kind = GreenKind(kind)
     if kind not in (GreenKind.G, GreenKind.G2):
         raise ValueError("closed form available for G and G2 only")
-    if x == 0.0:
+    xs = np.asarray(x, dtype=float)
+    if np.any(xs == 0.0):
         raise ValueError("closed form has a 1/|x| prefactor; x must be nonzero")
     if abs(complex(spec.lam).imag) > 0 or complex(spec.lam).real <= 0:
         raise ValueError("closed form requires real positive lam")
@@ -480,17 +469,21 @@ def green_point_closed(kind: GreenKind, x: float, t: float,
     a, b = spec.alpha, spec.beta
     if kind == GreenKind.G2 and a <= 1.0:
         raise RegimeError(f"G2 requires 1 < alpha <= 2, got {a}")
-    theta_eff = spec.theta if x > 0 else -spec.theta
-    rho = (b - theta_eff) / (2.0 * b)
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"rho = {rho} outside (0, 1)")
     shift = 0 if kind == GreenKind.G else 1
-    params = HFunctionParams.green_kernel(a, b, rho, index_shift=shift)
     lam = complex(spec.lam).real
-    z = abs(x) / (lam * t ** a) ** (1.0 / b)
-    h = h_function(params, z)
+    ax = np.abs(xs)
+    h = np.empty(xs.shape)
+    pos = xs > 0
+    for side, theta_eff in ((pos, spec.theta), (~pos, -spec.theta)):
+        if side.any():
+            rho = (b - theta_eff) / (2.0 * b)
+            if not 0.0 < rho < 1.0:
+                raise ValueError(f"rho = {rho} outside (0, 1)")
+            params = HFunctionParams.green_kernel(a, b, rho, index_shift=shift)
+            h[side] = h_function(params, ax[side] / (lam * t ** a) ** (1.0 / b))
     tpow = a - 1.0 if kind == GreenKind.G else a - 2.0
-    return t ** tpow / (b * abs(x)) * float(np.real(h))
+    out = t ** tpow / (b * ax) * h
+    return float(out) if xs.ndim == 0 else out
 
 
 def green_mass(kind: GreenKind, t: float, spec: ProblemSpec):

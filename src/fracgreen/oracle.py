@@ -6,14 +6,14 @@ touches the Mittag-Leffler or Fox-function machinery, so agreement with
 the closed-form path is a genuine cross-check.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .green import ProblemSpec
 from .operators import gl_weights, riesz_feller_symbol
-from .solver import Field, SourceDescriptor, SpaceTimeGrid
+from .solver import (Field, SourceDescriptor, SpaceTimeGrid,
+                     _padded_wavenumbers)
 
 
 class OracleInstabilityError(Exception):
@@ -24,7 +24,6 @@ class OracleInstabilityError(Exception):
 class OracleConfig:
     dt: float
     n_steps: int
-    modes: np.ndarray = None  # optional wavenumbers for mode evolution
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -68,28 +67,22 @@ def oracle_mode_evolve(alpha: float, coeffs, init, cfg: OracleConfig):
 
 
 def oracle_solve(spec: ProblemSpec, f: SourceDescriptor,
-                 grid: SpaceTimeGrid, cfg: OracleConfig = None,
-                 padded: bool = True) -> Field:
+                 grid: SpaceTimeGrid, cfg: OracleConfig = None) -> Field:
     """Reference field for the pure initial-value problem (g = 0, U = 0).
 
     Works mode by mode: FFT the initial datum, run the GL recursion for
     every wavenumber at once, inverse-FFT at the requested output times.
-    Output times must sit on the dt lattice.  padded uses the same
-    4x-extended mode set as solve, so differences against it measure the
+    Output times must sit on the dt lattice.  The modes are the same
+    4x-extended set as solve's, so differences against it measure the
     time discretization alone.
     """
     if cfg is None:
         cfg = OracleConfig(dt=grid.dt_oracle,
                            n_steps=int(round(grid.times[-1] / grid.dt_oracle)))
-    nx, dx = grid.nx, grid.dx
-    if padded:
-        from .solver import _padded_wavenumbers
-        M, k = _padded_wavenumbers(grid)
-    else:
-        M = nx
-        k = -2.0 * math.pi * np.fft.fftfreq(nx, d=dx)
+    nx = grid.nx
+    M, k = _padded_wavenumbers(grid)
     col = np.zeros(M, dtype=complex)
-    col[:nx] = f.render(grid.x, dx)
+    col[:nx] = f.render(grid.x, grid.dx)
     fhat = np.fft.fft(col)
     c = spec.lam * riesz_feller_symbol(spec.space_symbol(), k)
     if spec.source_coupling == "self":

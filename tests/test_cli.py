@@ -78,6 +78,20 @@ class TestGreen:
         lines = out.read_text().splitlines()[1:]
         assert all(l.endswith(",closed") for l in lines)
 
+    def test_x_zero_on_the_grid(self, tmp_path, capsys):
+        # the closed form has a 1/|x| prefactor: auto answers the whole
+        # time by quadrature, closed refuses
+        args = ["green", "--kind", "G", "--alpha", "0.8", "--beta", "1.6",
+                "--theta", "0.1", "--t", "1", "--x-range", "-2", "2",
+                "--nx", "5"]
+        out = tmp_path / "g.csv"
+        assert run(args + ["--method", "auto", "-o", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 5
+        assert all(r.endswith(",quadrature") for r in rows)
+        assert run(args + ["--method", "closed", "-o", str(out)]) == 2
+        assert "x must be nonzero" in capsys.readouterr().err
+
     def test_multi_time_output_is_deterministic(self, tmp_path):
         args = ["green", "--kind", "G", "--alpha", "0.8", "--beta", "1.6",
                 "--theta", "0.1", "--t", "0.5,1,2",

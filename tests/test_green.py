@@ -126,6 +126,28 @@ class TestClosedForm:
         q = green_point(GreenKind.G2, 0.8, 1.0, spec)
         assert c == pytest.approx(q.real, rel=1e-6)
 
+    def test_array_matches_one_point_calls(self):
+        spec = ProblemSpec(alpha=0.8, beta=1.6, theta=0.1)
+        xs = np.array([-7.0, -0.05, 0.03, 0.4, -1.2, 2.5, 30.0])
+        got = green_point_closed(GreenKind.G, xs, 1.5, spec)
+        assert np.array_equal(
+            got, [green_point_closed(GreenKind.G, float(x), 1.5, spec)
+                  for x in xs])
+        with pytest.raises(ValueError):
+            green_point_closed(GreenKind.G, np.array([1.0, 0.0]), 1.0, spec)
+
+    @pytest.mark.parametrize("alpha, beta, theta",
+                             [(0.8, 1.7, 0.1), (0.6, 1.3, 0.0),
+                              (1.4, 1.7, -0.1)])
+    def test_residue_series_matches_quadrature(self, alpha, beta, theta):
+        # lam = 1 and t = 1 make z = |x| < 0.1: the residue series of
+        # h_function
+        spec = ProblemSpec(alpha=alpha, beta=beta, theta=theta)
+        xs = np.array([0.01, 0.03, 0.06, -0.04])
+        closed = green_point_closed(GreenKind.G, xs, 1.0, spec)
+        quad = green_points(GreenKind.G, xs, 1.0, spec)
+        assert np.max(np.abs(closed - quad.real) / np.abs(closed)) <= 1e-7
+
     def test_rejects_x_zero_and_complex_lam(self):
         spec = ProblemSpec(alpha=0.5, beta=1.5)
         with pytest.raises(ValueError):
