@@ -9,12 +9,11 @@ from .fracmath import (HAccuracyError, HFunctionParams, h_function,
 from .operators import (GLWeights, SymbolParams, gl_weights,
                         riesz_feller_apply, riesz_feller_symbol)
 from .green import (FourierOnlyError, GreenKind, ProblemSpec,
-                    QuadratureConfig, RegimeError, ToleranceNotMetError,
-                    green_hat, green_mass, green_point, green_point_closed,
-                    green_points)
+                    QuadratureConfig, RegimeError, SpecValidationError,
+                    ToleranceNotMetError, green_hat, green_mass, green_point,
+                    green_point_closed, green_points)
 from .solver import (Field, SourceDescriptor, SpaceTimeGrid,
-                     SpecValidationError, convolve_space,
-                     convolve_time_singular, solve, validate_spec)
+                     convolve_time_singular, solve)
 from .oracle import (OracleConfig, OracleInstabilityError,
                      oracle_mode_evolve, oracle_solve)
 
@@ -28,7 +27,7 @@ __all__ = [
     "RegimeError", "ToleranceNotMetError", "green_hat", "green_mass",
     "green_point", "green_point_closed", "green_points",
     "Field", "SourceDescriptor", "SpaceTimeGrid", "SpecValidationError",
-    "convolve_space", "convolve_time_singular", "solve", "validate_spec",
+    "convolve_time_singular", "solve",
     "OracleConfig", "OracleInstabilityError", "oracle_mode_evolve",
     "oracle_solve",
 ]

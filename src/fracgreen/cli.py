@@ -16,11 +16,11 @@ import numpy as np
 from . import __version__
 from .fracmath import HAccuracyError, MLConvergenceError, mittag_leffler
 from .green import (FourierOnlyError, GreenKind, ProblemSpec, RegimeError,
-                    ToleranceNotMetError, green_point_closed, green_points)
+                    SpecValidationError, ToleranceNotMetError,
+                    green_point_closed, green_points)
 from .operators import SymbolParams, riesz_feller_symbol
 from .oracle import OracleConfig, OracleInstabilityError, oracle_solve
-from .solver import (SourceDescriptor, SpaceTimeGrid, SpecValidationError,
-                     solve)
+from .solver import SourceDescriptor, SpaceTimeGrid, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -83,8 +83,6 @@ def _add_spec_args(p, need_beta=True):
                    default="riesz_feller")
     p.add_argument("--source-coupling", choices=("external", "self"),
                    default="external")
-    p.add_argument("--regime", choices=("auto", "low", "high"),
-                   default="auto")
 
 
 def _spec_from_args(args) -> ProblemSpec:
@@ -95,8 +93,7 @@ def _spec_from_args(args) -> ProblemSpec:
     return ProblemSpec(alpha=args.alpha, beta=args.beta, gamma=args.gamma,
                        theta=args.theta, phi=args.phi, lam=lam, mu=args.mu,
                        source_mode=args.source_mode,
-                       source_coupling=args.source_coupling,
-                       regime=args.regime)
+                       source_coupling=args.source_coupling)
 
 
 def _add_grid_args(p):
@@ -115,7 +112,6 @@ def _spec_echo(spec: ProblemSpec) -> dict:
         "mu": [spec.mu.real, spec.mu.imag],
         "source_mode": spec.source_mode,
         "source_coupling": spec.source_coupling,
-        "regime": spec.regime,
     }
 
 
@@ -189,9 +185,6 @@ def _cmd_symbol(args):
 
 def _cmd_green(args):
     spec = _spec_from_args(args)
-    probs = spec.violations()
-    if probs:
-        raise SpecValidationError(probs)
     if any(t <= 0.0 for t in args.t):
         raise ValueError("times must start above 0 (kernels are singular "
                          "at t = 0)")
@@ -222,8 +215,7 @@ def _cmd_green(args):
 def _cmd_solve(args):
     spec = _spec_from_args(args)
     grid = SpaceTimeGrid(args.x_range[0], args.x_range[1], args.nx, args.t)
-    field = solve(spec, args.f, args.g, args.U, grid,
-                  fundamental=args.fundamental)
+    field = solve(spec, args.f, args.g, args.U, grid)
     peak = float(np.max(np.abs(field.values)))
     _write_lines(args.output, _field_lines(grid, field.values))
     if args.manifest:
@@ -273,10 +265,10 @@ def _cmd_compare(args):
 
 
 def _cmd_validate(args):
-    spec = _spec_from_args(args)
-    probs = spec.violations()
-    if probs:
-        for p in probs:
+    try:
+        _spec_from_args(args)
+    except SpecValidationError as exc:
+        for p in exc.problems:
             print(p, file=sys.stderr)
         return EXIT_CONSTRAINT
     print("ok")
@@ -324,8 +316,6 @@ def _build_parser():
                    default=SourceDescriptor.zero())
     p.add_argument("--U", type=_parse_source,
                    default=SourceDescriptor.zero())
-    p.add_argument("--fundamental", action="store_true",
-                   help="use a unit impulse as f")
     p.add_argument("-o", "--output", default="-")
     p.add_argument("--manifest", default=None,
                    help="write a JSON run manifest to this path")

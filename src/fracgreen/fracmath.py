@@ -7,7 +7,6 @@ concurrent use is safe.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -52,6 +51,10 @@ _SERIES_RADIUS_HIGH = 25.0
 _ASYMPTOTIC_RADIUS = 15.0
 _SERIES_CAP = 500
 _ASYMPTOTIC_TERMS = 40
+# error estimate / |value| the asymptotic expansion accepts; the contour
+# takes the rest to about 1e-15 (1e-11 let errors of 5e-12 through at
+# |z| = 25-27 for alpha near 1)
+_ASYMPTOTIC_TOL = 1e-13
 # largest term / |sum| the series accepts: its rounding error is about
 # this ratio times (number of terms) * eps, so 1e2 keeps it near 1e-13
 _CANCELLATION_LIMIT = 1e2
@@ -159,7 +162,7 @@ def _ml_asymptotic_batch(alpha: float, beta: float, z: np.ndarray):
             vals = vals + np.where(np.abs(ph) < alpha * np.pi, expterm, 0.0)
             edge = near & (np.abs(ph) >= 0.75 * alpha * np.pi)
             best_err = best_err + np.where(edge, np.abs(expterm), 0.0)
-    ok = best_err <= 1e-11 * (np.abs(vals) + 1e-300)
+    ok = best_err <= _ASYMPTOTIC_TOL * (np.abs(vals) + 1e-300)
     return vals, ok
 
 
@@ -378,27 +381,18 @@ def _ml_array(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
 def mittag_leffler_array(alpha: float, beta: float, z) -> np.ndarray:
     """Vectorized E_{alpha,beta} over an array of complex arguments.
 
-    Each point takes the Taylor series (small |z|) or the asymptotic
-    expansion (|z| >= 15) when that passes its own error estimate, and
-    the optimal parabolic contour otherwise; alpha > 2 is first reduced to
-    order alpha/m <= 2.  A value depends on (alpha, beta, z) alone, not on
-    the rest of the batch.  Raises MLConvergenceError, naming the first
-    such z, where the value is not finite.
+    Takes 0 < alpha <= 2, the time orders of the equation.  Each point
+    takes the Taylor series (small |z|) or the asymptotic expansion
+    (|z| >= 15) when that passes its own error estimate, and the optimal
+    parabolic contour otherwise.  A value depends on (alpha, beta, z)
+    alone, not on the rest of the batch.  Raises MLConvergenceError,
+    naming the first such z, where the value is not finite.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha <= 2.0:
+        raise ValueError(f"alpha = {alpha} outside (0, 2]")
     z = np.asarray(z, dtype=complex)
     shape = z.shape
     z = z.ravel()
-    if alpha > 2.0:
-        # E_{a,b}(z) = (1/m) sum_j E_{a/m,b}(z^(1/m) exp(2 pi i j/m))
-        m = math.ceil(alpha / 2.0)
-        root = np.where(z != 0, z, 1.0) ** (1.0 / m)
-        root = np.where(z != 0, root, 0.0)
-        vals = sum(mittag_leffler_array(alpha / m, beta,
-                                        root * cmath.exp(2j * math.pi * j / m))
-                   for j in range(m)) / m
-        return vals.reshape(shape)
     # E(conj z) = conj E(z): evaluate on the upper half plane
     flip = np.signbit(z.imag)
     vals = _ml_array(alpha, beta, np.where(flip, z.conjugate(), z))
@@ -483,14 +477,17 @@ class HFunctionParams:
 
     @classmethod
     def green_kernel(
-        cls, alpha: float, beta: float, rho: float, index_shift: int = 0
+        cls, alpha: float, beta: float, rho: float, index: float = None
     ) -> "HFunctionParams":
         """H^{2,1}_{3,3} parameter rows of the fractional-diffusion kernels.
 
-        The second upper slot reads (alpha - index_shift, alpha/beta):
-        index_shift 0 for the first-kind kernel, 1 for the second-kind
-        (wave-regime) kernel.  Requires 0 < rho < 1.
+        The second upper slot reads (index, alpha/beta), index the second
+        Mittag-Leffler index of the kernel's Fourier transform: alpha (the
+        default) for the first-kind kernel, alpha - 1 for the second-kind
+        kernel of the wave range 1 < alpha <= 2.  Requires 0 < rho < 1.
         """
+        if index is None:
+            index = alpha
         if not (0.0 < rho < 1.0):
             raise ValueError(f"rho={rho:g} outside (0, 1)")
         if beta <= 0:
@@ -500,7 +497,7 @@ class HFunctionParams:
             n=1,
             p=3,
             q=3,
-            upper=((1.0, 1.0 / beta), (alpha - index_shift, alpha / beta), (1.0, rho)),
+            upper=((1.0, 1.0 / beta), (index, alpha / beta), (1.0, rho)),
             lower=((1.0, 1.0), (1.0, 1.0 / beta), (1.0, rho)),
         )
 

@@ -17,7 +17,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .fracmath import HFunctionParams, h_function, mittag_leffler_array, rgamma
-from .operators import SymbolParams, riesz_feller_symbol
+from .operators import (SymbolParams, order_skew_problems,
+                        riesz_feller_symbol)
 
 
 class FourierOnlyError(Exception):
@@ -29,7 +30,7 @@ class ToleranceNotMetError(Exception):
 
 
 class RegimeError(Exception):
-    """Kernel requested outside its time-order regime."""
+    """Kernel requested outside its range of the time order alpha."""
 
 
 class GreenKind(Enum):
@@ -40,6 +41,15 @@ class GreenKind(Enum):
     G4 = "G4"
 
 
+class SpecValidationError(ValueError):
+    """A ProblemSpec outside the admissible domain; problems lists every
+    violated constraint."""
+
+    def __init__(self, problems):
+        self.problems = list(problems)
+        super().__init__("; ".join(self.problems))
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """All parameters of the fractional evolution equation.
@@ -48,8 +58,8 @@ class ProblemSpec:
     gamma/phi the same for the source-side operator, lam and mu the two
     coefficients.  source_mode chooses whether the source enters through
     the gamma-operator or bare; source_coupling "self" switches to the
-    two-operator equation (kernels G3/G4).  regime may be pinned to
-    "low" (0 < alpha <= 1) or "high" (1 < alpha <= 2) for cross-checking.
+    two-operator equation (kernels G3/G4).  Construction raises
+    SpecValidationError listing every constraint the parameters break.
     """
 
     alpha: float
@@ -61,55 +71,34 @@ class ProblemSpec:
     mu: complex = 0.0 + 0.0j
     source_mode: str = "riesz_feller"
     source_coupling: str = "external"
-    regime: str = "auto"
 
-    def violations(self):
-        """List of violated constraints, empty when the spec is valid."""
-        out = []
+    def __post_init__(self):
+        problems = []
         if not 0.0 < self.alpha <= 2.0:
-            out.append(f"alpha = {self.alpha} outside (0, 2]")
-        if not 0.0 < self.beta <= 2.0:
-            out.append(f"beta = {self.beta} outside (0, 2]")
-        else:
-            bound = min(self.beta, 2.0 - self.beta)
-            if abs(self.theta) > bound + 1e-15:
-                out.append(
-                    f"|theta| = {abs(self.theta)} exceeds "
-                    f"min(beta, 2-beta) = {bound}"
-                )
-        if not 0.0 < self.gamma <= 2.0:
-            out.append(f"gamma = {self.gamma} outside (0, 2]")
-        else:
-            bound = min(self.gamma, 2.0 - self.gamma)
-            if abs(self.phi) > bound + 1e-15:
-                out.append(
-                    f"|phi| = {abs(self.phi)} exceeds "
-                    f"min(gamma, 2-gamma) = {bound}"
-                )
+            problems.append(f"alpha = {self.alpha} outside (0, 2]")
+        problems += order_skew_problems(self.beta, self.theta, "beta", "theta")
+        problems += order_skew_problems(self.gamma, self.phi, "gamma", "phi")
         if self.source_mode not in ("riesz_feller", "identity"):
-            out.append(f"unknown source_mode {self.source_mode!r}")
+            problems.append(f"unknown source_mode {self.source_mode!r}")
         if self.source_coupling not in ("external", "self"):
-            out.append(f"unknown source_coupling {self.source_coupling!r}")
-        if self.regime not in ("auto", "low", "high"):
-            out.append(f"unknown regime {self.regime!r}")
-        elif self.regime != "auto" and 0.0 < self.alpha <= 2.0:
-            actual = "low" if self.alpha <= 1.0 else "high"
-            if actual != self.regime:
-                out.append(
-                    f"regime marked {self.regime!r} but alpha = {self.alpha} "
-                    f"is in the {actual!r} regime"
-                )
-        return out
-
-    @property
-    def resolved_regime(self) -> str:
-        return "low" if self.alpha <= 1.0 else "high"
+            problems.append(
+                f"unknown source_coupling {self.source_coupling!r}")
+        if problems:
+            raise SpecValidationError(problems)
 
     def space_symbol(self) -> SymbolParams:
         return SymbolParams(self.beta, self.theta)
 
     def source_symbol(self) -> SymbolParams:
         return SymbolParams(self.gamma, self.phi)
+
+    def rate(self, k, self_coupled: bool = False):
+        """lam Psi_beta(k), plus mu Psi_gamma(k) when self-coupled: mode k
+        relaxes as E_alpha(-rate t^alpha)."""
+        r = self.lam * riesz_feller_symbol(self.space_symbol(), k)
+        if self_coupled:
+            r = r + self.mu * riesz_feller_symbol(self.source_symbol(), k)
+        return r
 
 
 @dataclass(frozen=True)
@@ -119,32 +108,42 @@ class QuadratureConfig:
     rel_tol: float = 1e-8
 
 
-def _ml_argument(spec: ProblemSpec, k, t: float, self_coupled: bool):
-    psi = riesz_feller_symbol(spec.space_symbol(), k)
-    arg = spec.lam * psi
-    if self_coupled:
-        arg = arg + spec.mu * riesz_feller_symbol(spec.source_symbol(), k)
-    return -arg * t ** spec.alpha
+@dataclass(frozen=True)
+class _Kernel:
+    """G_hat(k, t) = t^tpow E_{alpha,ml_index}(-rate(k) t^alpha), times
+    Psi_gamma(k) when mult_order > 0; the rate is self-coupled for G3/G4."""
+
+    ml_index: float
+    tpow: float
+    mult_order: float
+    self_coupled: bool
+
+
+def _kernel(kind: GreenKind, spec: ProblemSpec) -> _Kernel:
+    """The kernel table; G2/G4 exist only for 1 < alpha <= 2."""
+    kind = GreenKind(kind)
+    a = spec.alpha
+    if kind in (GreenKind.G2, GreenKind.G4):
+        if a <= 1.0:
+            raise RegimeError(f"{kind.value} requires 1 < alpha <= 2, got {a}")
+        return _Kernel(a - 1.0, a - 2.0, 0.0, kind == GreenKind.G4)
+    if kind == GreenKind.G1:
+        mult = spec.gamma if spec.source_mode == "riesz_feller" else 0.0
+        return _Kernel(a, 0.0, mult, False)
+    return _Kernel(a, a - 1.0, 0.0, kind == GreenKind.G3)
 
 
 def green_hat(kind: GreenKind, k, t: float, spec: ProblemSpec):
     """Fourier transform of the requested kernel at wavenumber(s) k, time t."""
-    kind = GreenKind(kind)
+    kern = _kernel(kind, spec)
     a = spec.alpha
-    if kind in (GreenKind.G2, GreenKind.G4) and a <= 1.0:
-        raise RegimeError(f"{kind.value} requires 1 < alpha <= 2, got {a}")
-    self_coupled = kind in (GreenKind.G3, GreenKind.G4)
     arr = np.asarray(k, dtype=float)
     scalar = arr.ndim == 0
-    arg = _ml_argument(spec, np.atleast_1d(arr), t, self_coupled)
-    if kind in (GreenKind.G, GreenKind.G3):
-        out = t ** (a - 1.0) * mittag_leffler_array(a, a, arg)
-    elif kind == GreenKind.G1:
-        out = mittag_leffler_array(a, a, arg)
-        if spec.source_mode == "riesz_feller":
-            out = out * riesz_feller_symbol(spec.source_symbol(), np.atleast_1d(arr))
-    else:  # G2 / G4
-        out = t ** (a - 2.0) * mittag_leffler_array(a, a - 1.0, arg)
+    k1d = np.atleast_1d(arr)
+    arg = -spec.rate(k1d, kern.self_coupled) * t ** a
+    out = t ** kern.tpow * mittag_leffler_array(a, kern.ml_index, arg)
+    if kern.mult_order:
+        out = out * riesz_feller_symbol(spec.source_symbol(), k1d)
     return complex(out[0]) if scalar else out
 
 
@@ -196,7 +195,7 @@ def green_point(kind: GreenKind, x: float, t: float, spec: ProblemSpec,
     return complex(green_points(kind, [x], t, spec, cfg)[0])
 
 
-def _kernel_tail_data(kind: GreenKind, spec: ProblemSpec, t: float,
+def _kernel_tail_data(kern: _Kernel, spec: ProblemSpec, t: float,
                       abs_tol: float):
     """Where the second asymptotic ML term starts dominating green_hat.
 
@@ -206,14 +205,13 @@ def _kernel_tail_data(kind: GreenKind, spec: ProblemSpec, t: float,
     (alpha = 2, or the self-coupled kernels, which fall back to
     acceleration).  The exponential ML term sets the scale near alpha = 2.
     """
-    if kind in (GreenKind.G3, GreenKind.G4):
+    if kern.self_coupled:
         return None
     a = spec.alpha
-    bt = a - 1.0 if kind in (GreenKind.G2, GreenKind.G4) else a
-    pref = abs(t ** (a - 2.0)) if kind in (GreenKind.G2, GreenKind.G4) \
-        else (1.0 if kind == GreenKind.G1 else abs(t ** (a - 1.0)))
-    p_mul = spec.gamma if (kind == GreenKind.G1
-                           and spec.source_mode == "riesz_feller") else 0.0
+    bt = kern.ml_index
+    tpow = t ** kern.tpow
+    pref = abs(tpow)
+    p_mul = kern.mult_order
     beta = spec.beta
     if 3.0 * beta - p_mul <= 1.0:
         return None
@@ -272,8 +270,6 @@ def _kernel_tail_data(kind: GreenKind, spec: ProblemSpec, t: float,
     c_dn = complex(spec.lam) * cmath.exp(-1j * spec.theta * math.pi / 2.0) * t ** a
     m_up = cmath.exp(1j * spec.phi * math.pi / 2.0) if p_mul else 1.0
     m_dn = cmath.exp(-1j * spec.phi * math.pi / 2.0) if p_mul else 1.0
-    tpow = t ** (a - 2.0) if kind in (GreenKind.G2, GreenKind.G4) \
-        else (1.0 if kind == GreenKind.G1 else t ** (a - 1.0))
     amp_up = -tpow * complex(rg2) / c_up ** 2 * m_up
     amp_dn = -tpow * complex(rg2) / c_dn ** 2 * m_dn
     s = 2.0 * beta - p_mul
@@ -354,25 +350,21 @@ def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec,
     added analytically per point.  Parameter corners with no usable
     asymptote fall back to epsilon acceleration of the panel sums.
     """
-    kind = GreenKind(kind)
+    kern = _kernel(kind, spec)
     cfg = cfg or QuadratureConfig()
     if t <= 0:
         raise ValueError("t must be positive")
-    probs = spec.violations()
-    if probs:
-        raise ValueError("; ".join(probs))
     xs = np.asarray(xs, dtype=float)
-    self_coupled = kind in (GreenKind.G3, GreenKind.G4)
-    _check_dissipative(spec, self_coupled)
+    _check_dissipative(spec, kern.self_coupled)
 
     coeff_scale = abs(spec.lam)
-    if self_coupled:
+    if kern.self_coupled:
         coeff_scale += abs(spec.mu)
     k1 = (coeff_scale * t ** spec.alpha) ** (-1.0 / spec.beta)
     xmax = float(np.max(np.abs(xs))) if xs.size else 0.0
     halfper = math.pi / xmax if xmax > 0 else math.inf
 
-    tail = _kernel_tail_data(kind, spec, t, cfg.abs_tol)
+    tail = _kernel_tail_data(kern, spec, t, cfg.abs_tol)
     if tail is not None and xmax > 0:
         # 16-node Gauss panels resolve ~3 oscillation cycles, so the
         # half-period cap is only needed when acceleration may be used
@@ -450,7 +442,7 @@ def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec,
 def green_point_closed(kind: GreenKind, x, t: float, spec: ProblemSpec):
     """Closed-form kernel value through the Mellin-Barnes representation.
 
-    Defined for G and (in the high regime) G2, real positive lam, x != 0.
+    Defined for G and (for 1 < alpha <= 2) G2, real positive lam, x != 0.
     x is a scalar, giving a float, or an array, giving an array of its
     shape; each value depends on x alone.  The x < 0 values are the
     mirror kernel with the skew negated.
@@ -463,13 +455,8 @@ def green_point_closed(kind: GreenKind, x, t: float, spec: ProblemSpec):
         raise ValueError("closed form has a 1/|x| prefactor; x must be nonzero")
     if abs(complex(spec.lam).imag) > 0 or complex(spec.lam).real <= 0:
         raise ValueError("closed form requires real positive lam")
-    probs = spec.violations()
-    if probs:
-        raise ValueError("; ".join(probs))
+    kern = _kernel(kind, spec)
     a, b = spec.alpha, spec.beta
-    if kind == GreenKind.G2 and a <= 1.0:
-        raise RegimeError(f"G2 requires 1 < alpha <= 2, got {a}")
-    shift = 0 if kind == GreenKind.G else 1
     lam = complex(spec.lam).real
     ax = np.abs(xs)
     h = np.empty(xs.shape)
@@ -477,12 +464,9 @@ def green_point_closed(kind: GreenKind, x, t: float, spec: ProblemSpec):
     for side, theta_eff in ((pos, spec.theta), (~pos, -spec.theta)):
         if side.any():
             rho = (b - theta_eff) / (2.0 * b)
-            if not 0.0 < rho < 1.0:
-                raise ValueError(f"rho = {rho} outside (0, 1)")
-            params = HFunctionParams.green_kernel(a, b, rho, index_shift=shift)
+            params = HFunctionParams.green_kernel(a, b, rho, kern.ml_index)
             h[side] = h_function(params, ax[side] / (lam * t ** a) ** (1.0 / b))
-    tpow = a - 1.0 if kind == GreenKind.G else a - 2.0
-    out = t ** tpow / (b * ax) * h
+    out = t ** kern.tpow / (b * ax) * h
     return float(out) if xs.ndim == 0 else out
 
 
@@ -491,9 +475,5 @@ def green_mass(kind: GreenKind, t: float, spec: ProblemSpec):
     kind = GreenKind(kind)
     if kind not in (GreenKind.G, GreenKind.G2):
         raise ValueError("mass defined for G and G2")
-    a = spec.alpha
-    if kind == GreenKind.G:
-        return t ** (a - 1.0) * rgamma(a)
-    if a <= 1.0:
-        raise RegimeError(f"G2 requires 1 < alpha <= 2, got {a}")
-    return t ** (a - 2.0) * rgamma(a - 1.0)
+    kern = _kernel(kind, spec)
+    return t ** kern.tpow * rgamma(kern.ml_index)

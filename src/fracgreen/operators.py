@@ -13,6 +13,23 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 
+def order_skew_problems(order: float, skew: float, order_name: str = "order",
+                        skew_name: str = "skew") -> list:
+    """Violations of 0 < order <= 2, |skew| <= min(order, 2 - order).
+
+    The admissible order/skewness pairs of a Riesz-Feller operator (the
+    Feller-Takayasu diamond); the names label the two values in the
+    messages.  Empty when the pair is admissible.
+    """
+    if not 0.0 < order <= 2.0:
+        return [f"{order_name} = {order} outside (0, 2]"]
+    bound = min(order, 2.0 - order)
+    if not abs(skew) <= bound + 1e-15:
+        return [f"|{skew_name}| = {abs(skew)} exceeds "
+                f"min({order_name}, 2-{order_name}) = {bound}"]
+    return []
+
+
 @dataclass(frozen=True)
 class SymbolParams:
     """Order/skewness pair of the space-fractional operator."""
@@ -21,13 +38,9 @@ class SymbolParams:
     skew: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.order <= 2.0:
-            raise ValueError(f"order must lie in (0, 2], got {self.order}")
-        bound = min(self.order, 2.0 - self.order)
-        if abs(self.skew) > bound + 1e-15:
-            raise ValueError(
-                f"|skew| = {abs(self.skew)} exceeds min(order, 2-order) = {bound}"
-            )
+        problems = order_skew_problems(self.order, self.skew)
+        if problems:
+            raise ValueError(problems[0])
 
 
 @dataclass(frozen=True)
@@ -76,7 +89,7 @@ def _log_panels(h: float, span: float, per_efold: int = 4, nodes: int = 8):
     return pts, wts
 
 
-def riesz_feller_apply(samples, dx: float, p: SymbolParams, cfg=None):
+def riesz_feller_apply(samples, dx: float, p: SymbolParams):
     """Riesz-Feller derivative of grid samples via the one-sided integrals.
 
     Evaluates Gamma(1+a)/pi * [c+ I+ + c- I-] with c(+/-) = sin((a+/-skew)pi/2)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .green import ProblemSpec
-from .operators import gl_weights, riesz_feller_symbol
+from .operators import gl_weights
 from .solver import (Field, SourceDescriptor, SpaceTimeGrid,
                      _padded_wavenumbers)
 
@@ -84,10 +84,8 @@ def oracle_solve(spec: ProblemSpec, f: SourceDescriptor,
     col = np.zeros(M, dtype=complex)
     col[:nx] = f.render(grid.x, grid.dx)
     fhat = np.fft.fft(col)
-    c = spec.lam * riesz_feller_symbol(spec.space_symbol(), k)
-    if spec.source_coupling == "self":
-        c = c + spec.mu * riesz_feller_symbol(spec.source_symbol(), k)
-    modes = oracle_mode_evolve(spec.alpha, c, fhat, cfg)
+    rate = spec.rate(k, spec.source_coupling == "self")
+    modes = oracle_mode_evolve(spec.alpha, rate, fhat, cfg)
     out = np.empty((len(grid.times), nx), dtype=complex)
     for it, t in enumerate(grid.times):
         n = int(round(t / cfg.dt)) - 1

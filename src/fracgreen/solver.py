@@ -13,14 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .green import GreenKind, ProblemSpec, green_hat
+from .green import GreenKind, ProblemSpec, SpecValidationError, green_hat
 from .fracmath import mittag_leffler_array
-
-
-class SpecValidationError(Exception):
-    def __init__(self, problems):
-        self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
+from .operators import riesz_feller_symbol
 
 
 @dataclass(frozen=True)
@@ -132,24 +127,6 @@ class Field:
             raise ValueError("field shape does not match grid")
 
 
-def validate_spec(spec: ProblemSpec) -> ProblemSpec:
-    """Return the spec unchanged, or raise with every violated constraint."""
-    probs = spec.violations()
-    if probs:
-        raise SpecValidationError(probs)
-    return spec
-
-
-def convolve_space(a, b, dx: float) -> np.ndarray:
-    """Linear convolution scaled by dx, origin at index 0, output length n."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("sequences must be 1-d and of equal length")
-    from scipy.signal import fftconvolve
-    return fftconvolve(a, b)[: a.size] * dx
-
-
 def convolve_time_singular(kernel_values, alpha: float, t_index: int,
                            dt: float) -> np.ndarray:
     """Int_0^t (t - tau)^(alpha - 1) S(tau) dtau by product integration.
@@ -223,32 +200,26 @@ def _window_mass_warning(ghat, M, nx):
 
 
 def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
-          U: SourceDescriptor, grid: SpaceTimeGrid,
-          fundamental: bool = False) -> Field:
+          U: SourceDescriptor, grid: SpaceTimeGrid) -> Field:
     """Solution field from initial data f (and g for alpha > 1) plus source U.
 
     U is read as a fixed spatial profile switched on at t = 0; mode k
     receives s mu t^a E_{a,a+1}(-lam Psi_beta(k) t^a) m_S(k) U_hat(k), the
     exact time integral of the source kernel.  The riesz_feller source
     mode has s = -1 and m_S the gamma-operator symbol; the identity mode
-    has s = 1 and m_S = 1.  fundamental replaces f by a unit impulse so
-    the output is the Green function itself.
+    has s = 1 and m_S = 1.  f = SourceDescriptor.delta() makes the output
+    the Green function itself.
     """
-    validate_spec(spec)
     a = spec.alpha
-    high = a > 1.0
-    if g.kind != "zero" and not high:
+    if g.kind != "zero" and a <= 1.0:
         raise SpecValidationError(
-            ["second initial datum g requires the 1 < alpha <= 2 regime"])
+            ["second initial datum g requires 1 < alpha <= 2"])
     self_coupled = spec.source_coupling == "self"
     if self_coupled and U.kind != "zero":
         raise SpecValidationError(
             ["self-coupled (two-operator) problems admit no external source"])
     if U.kind == "dirac_delta":
         raise SpecValidationError(["delta source U is not supported"])
-
-    if fundamental:
-        f = SourceDescriptor.delta(center=0.0)
 
     M, k = _padded_wavenumbers(grid)
     nx, dx = grid.nx, grid.dx
@@ -269,13 +240,12 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
     out = np.empty((len(grid.times), nx), dtype=complex)
 
     if uhat is not None:
-        from .operators import riesz_feller_symbol
         if spec.source_mode == "riesz_feller":
             src_hat = -spec.mu * riesz_feller_symbol(spec.source_symbol(), k) \
                 * uhat
         else:
             src_hat = spec.mu * uhat
-        lam_psi = spec.lam * riesz_feller_symbol(spec.space_symbol(), k)
+        rate = spec.rate(k)
 
     for it, t in enumerate(grid.times):
         gh = green_hat(kind_f, k, t, spec)
@@ -289,6 +259,6 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
         if uhat is not None:
             ta = t ** a
             nhat = nhat + ta * mittag_leffler_array(
-                a, a + 1.0, -ta * lam_psi) * src_hat
+                a, a + 1.0, -ta * rate) * src_hat
         out[it] = np.fft.ifft(nhat)[:nx]
     return Field(grid=grid, values=out)

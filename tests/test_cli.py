@@ -37,6 +37,10 @@ class TestMl:
         assert "non-finite" in err
         assert "alpha=0.5, beta=1.0, z=(40+0j)" in err
 
+    def test_order_above_two_is_constraint_error(self, capsys):
+        assert run(["ml", "--alpha", "3", "--z", "1"]) == 2
+        assert "alpha = 3.0 outside (0, 2]" in capsys.readouterr().err
+
 
 class TestSymbol:
     def test_tabulates(self, tmp_path):
@@ -137,6 +141,7 @@ class TestSolveCompare:
         assert doc["checks"][0][1] is True
         assert "version" in doc
         assert "quadrature" not in doc
+        assert "regime" not in doc["spec"]
 
     def test_zero_width_source_is_usage_error(self, tmp_path, capsys):
         args = self._solve_args(tmp_path / "f.csv") + ["--U", "gaussian:0,0"]
@@ -187,6 +192,33 @@ class TestValidate:
         # lambda = i hbar/(2m); pure imaginary coefficient is accepted
         assert run(["validate", "--alpha", "1", "--beta", "2",
                     "--schrodinger", "1", "1"]) == 0
+
+
+_BAD_SPECS = {
+    "alpha": ["--alpha", "2.5", "--beta", "1.5"],
+    "theta": ["--alpha", "0.8", "--beta", "1.5", "--theta", "0.6"],
+}
+
+
+class TestInadmissibleSpec:
+    @pytest.mark.parametrize("command", ["green", "solve", "oracle",
+                                         "validate"])
+    @pytest.mark.parametrize("name", sorted(_BAD_SPECS))
+    def test_rejected_before_any_work(self, command, name, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        grid = [] if command == "validate" else [
+            "--x-range", "-5", "5", "--nx", "16", "--t", "0.25",
+            "-o", str(out)]
+        assert run([command] + _BAD_SPECS[name] + grid) == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_validate_prints_one_problem_per_line(self, capsys):
+        assert run(["validate", "--alpha", "2.5", "--beta", "1.5",
+                    "--theta", "0.6", "--gamma", "0"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split()[0] for line in lines] == [
+            "alpha", "|theta|", "gamma"]
 
 
 class TestPlumbing:

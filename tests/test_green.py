@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fracgreen.fracmath import mittag_leffler_array
 from fracgreen.green import (FourierOnlyError, GreenKind, ProblemSpec,
-                             QuadratureConfig, RegimeError, green_hat,
+                             QuadratureConfig, RegimeError,
+                             SpecValidationError, green_hat,
                              green_mass, green_point, green_point_closed,
                              green_points)
 from fracgreen.operators import riesz_feller_symbol
@@ -15,25 +17,65 @@ from fracgreen.operators import riesz_feller_symbol
 
 class TestProblemSpec:
     def test_valid_spec_has_no_violations(self):
-        assert ProblemSpec(alpha=0.7, beta=1.4, theta=0.2).violations() == []
+        spec = ProblemSpec(alpha=0.7, beta=1.4, theta=0.2)
+        assert (spec.alpha, spec.beta, spec.theta) == (0.7, 1.4, 0.2)
 
     def test_collects_all_violations(self):
-        probs = ProblemSpec(alpha=3.0, beta=2.0, theta=0.5,
-                            gamma=-1.0).violations()
-        assert len(probs) == 3
+        with pytest.raises(SpecValidationError) as err:
+            ProblemSpec(alpha=3.0, beta=2.0, theta=0.5, gamma=-1.0)
+        assert len(err.value.problems) == 3
+        assert isinstance(err.value, ValueError)
 
-    def test_regime_mismatch(self):
-        probs = ProblemSpec(alpha=1.5, beta=1.0, regime="low").violations()
-        assert any("regime" in p for p in probs)
-        assert ProblemSpec(alpha=1.5, beta=1.0,
-                           regime="high").violations() == []
+    @given(st.floats(-0.5, 2.5), st.floats(-0.5, 2.5), st.floats(-1.5, 1.5),
+           st.floats(-0.5, 2.5), st.floats(-1.5, 1.5))
+    def test_constructs_exactly_on_the_admissible_domain(
+            self, alpha, beta, theta, gamma, phi):
+        def diamond(order, skew, order_name, skew_name):
+            # 0 < order <= 2 and |skew| <= min(order, 2 - order)
+            if not 0.0 < order <= 2.0:
+                return {order_name}
+            if abs(skew) > min(order, 2.0 - order) + 1e-15:
+                return {skew_name}
+            return set()
 
-    def test_resolved_regime(self):
-        assert ProblemSpec(alpha=1.0, beta=1.0).resolved_regime == "low"
-        assert ProblemSpec(alpha=1.1, beta=1.0).resolved_regime == "high"
+        broken = diamond(beta, theta, "beta", "theta") \
+            | diamond(gamma, phi, "gamma", "phi")
+        if not 0.0 < alpha <= 2.0:
+            broken.add("alpha")
+        kw = dict(alpha=alpha, beta=beta, theta=theta, gamma=gamma, phi=phi)
+        if not broken:
+            ProblemSpec(**kw)
+            return
+        with pytest.raises(SpecValidationError) as err:
+            ProblemSpec(**kw)
+        named = {p.split()[0].strip("|") for p in err.value.problems}
+        assert named == broken
+
+
+@st.composite
+def _admissible(draw):
+    """(alpha, beta, theta) inside the admissible domain, |theta| up to
+    its bound min(beta, 2 - beta)."""
+    alpha = draw(st.floats(0.0, 2.0, exclude_min=True))
+    beta = draw(st.floats(0.0, 2.0, exclude_min=True))
+    theta = draw(st.floats(-1.0, 1.0)) * min(beta, 2.0 - beta)
+    return alpha, beta, theta
 
 
 class TestGreenHat:
+    @given(_admissible(), st.sampled_from(list(GreenKind)),
+           st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=8))
+    def test_mirror_symmetry_is_exact(self, abt, kind, ks):
+        # G(x; theta) = G(-x; -theta), i.e. G_hat(-k; theta) = G_hat(k; -theta)
+        alpha, beta, theta = abt
+        if kind in (GreenKind.G2, GreenKind.G4) and alpha <= 1.0:
+            return
+        k = np.asarray(ks)
+        kw = dict(alpha=alpha, beta=beta, gamma=1.3, phi=0.0, mu=0.4)
+        pos = green_hat(kind, -k, 0.8, ProblemSpec(theta=theta, **kw))
+        neg = green_hat(kind, k, 0.8, ProblemSpec(theta=-theta, **kw))
+        assert np.array_equal(pos, neg)
+
     def test_heat_kernel_transform(self):
         spec = ProblemSpec(alpha=1.0, beta=2.0)
         k = np.linspace(-5.0, 5.0, 41)

@@ -6,6 +6,7 @@ asymptotic expansion is accurate enough and the contour evaluation does
 the work.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -42,6 +43,21 @@ class TestAccuracy:
             ref = np.array([_ml_mpmath(alpha, beta, complex(v)) for v in z])
             worst = max(worst, float(np.max(_rel(got, ref))))
         assert worst <= 1e-12
+
+    @pytest.mark.parametrize("alpha, beta, r, turn",
+                             [(1.2, 1.2, 27.1, 0.385),
+                              (0.95, 1.0, 25.6, 0.64)])
+    def test_asymptotic_region_edge(self, alpha, beta, r, turn):
+        # just past |z| = 15 the asymptotic expansion's error estimate
+        # lies between 1e-12 and 1e-11 here; such points go to the contour
+        z = r * cmath.exp(1j * math.pi * turn)
+        got = mittag_leffler(alpha, beta, z)
+        assert _rel(got, _ml_mpmath(alpha, beta, z)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.0, 2.5])
+    def test_order_outside_zero_two_rejected(self, alpha):
+        with pytest.raises(ValueError, match=r"outside \(0, 2\]"):
+            mittag_leffler_array(alpha, 1.0, [0.5, 2.0])
 
 
 _PURITY_SCRIPT = """

@@ -10,8 +10,8 @@ from fracgreen.fracmath import mittag_leffler, mittag_leffler_array
 from fracgreen.green import ProblemSpec
 from fracgreen.operators import riesz_feller_symbol
 from fracgreen.solver import (Field, SourceDescriptor, SpaceTimeGrid,
-                              SpecValidationError, convolve_space,
-                              convolve_time_singular, solve, validate_spec)
+                              SpecValidationError, convolve_time_singular,
+                              solve)
 
 
 class TestDescriptors:
@@ -74,25 +74,13 @@ def test_malformed_inputs_rejected(build):
 
 
 class TestValidateSpec:
-    def test_passthrough(self):
-        spec = ProblemSpec(alpha=0.5, beta=1.5)
-        assert validate_spec(spec) is spec
-
     def test_raises_with_all_problems(self):
         with pytest.raises(SpecValidationError) as err:
-            validate_spec(ProblemSpec(alpha=5.0, beta=2.0, theta=1.0))
+            ProblemSpec(alpha=5.0, beta=2.0, theta=1.0)
         assert len(err.value.problems) == 2
 
 
 class TestConvolutions:
-    def test_convolve_space_matches_numpy(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=32)
-        b = rng.normal(size=32)
-        got = convolve_space(a, b, 0.1)
-        ref = np.convolve(a, b)[:32] * 0.1
-        assert np.allclose(got, ref, atol=1e-12)
-
     def test_time_singular_constant_exact(self):
         # S = 1: integral is t^alpha / alpha, reproduced exactly
         alpha, dt, n = 0.6, 1.0 / 64, 64
@@ -144,15 +132,6 @@ class TestSolve:
             exact = np.exp(-grid.x ** 2 / (2.0 * s2)) \
                 / math.sqrt(2.0 * math.pi * s2)
             assert np.max(np.abs(fld.values[it] - exact)) < 1e-12
-
-    def test_fundamental_matches_delta_data(self):
-        spec = ProblemSpec(alpha=0.7, beta=1.5)
-        grid = SpaceTimeGrid(-30.0, 30.0, 128, (1.0,))
-        a = solve(spec, SourceDescriptor.delta(0.0), self._zero(),
-                  self._zero(), grid)
-        b = solve(spec, SourceDescriptor.gaussian(3.0, 9.0), self._zero(),
-                  self._zero(), grid, fundamental=True)
-        assert np.allclose(a.values, b.values)
 
     def test_g_datum_needs_high_regime(self):
         spec = ProblemSpec(alpha=0.7, beta=1.5)
