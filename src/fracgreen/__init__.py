@@ -6,8 +6,7 @@ __version__ = "0.1.0"
 
 from .fracmath import (HAccuracyError, HFunctionParams, h_function,
                        mittag_leffler, mittag_leffler_array)
-from .operators import (GLWeights, SymbolParams, gl_weights,
-                        riesz_feller_apply, riesz_feller_symbol)
+from .operators import SymbolParams, gl_weights, riesz_feller_symbol
 from .green import (FourierOnlyError, GreenKind, ProblemSpec,
                     QuadratureConfig, RegimeError, SpecValidationError,
                     ToleranceNotMetError, green_hat, green_mass, green_point,
@@ -21,8 +20,7 @@ __all__ = [
     "__version__",
     "HAccuracyError", "HFunctionParams", "h_function",
     "mittag_leffler", "mittag_leffler_array",
-    "GLWeights", "SymbolParams", "gl_weights",
-    "riesz_feller_apply", "riesz_feller_symbol",
+    "SymbolParams", "gl_weights", "riesz_feller_symbol",
     "FourierOnlyError", "GreenKind", "ProblemSpec", "QuadratureConfig",
     "RegimeError", "ToleranceNotMetError", "green_hat", "green_mass",
     "green_point", "green_point_closed", "green_points",

@@ -130,7 +130,7 @@ def _write_manifest(path, command, spec, grid, checks, extra=None):
         "version": __version__,
         "spec": _spec_echo(spec),
         "grid": {"x_min": grid.x_min, "x_max": grid.x_max, "nx": grid.nx,
-                 "times": list(grid.times), "dt_oracle": grid.dt_oracle},
+                 "times": list(grid.times)},
         "checks": checks,
     }
     if extra:
@@ -230,8 +230,7 @@ def _cmd_solve(args):
 
 def _cmd_oracle(args):
     spec = _spec_from_args(args)
-    grid = SpaceTimeGrid(args.x_range[0], args.x_range[1], args.nx, args.t,
-                         dt_oracle=args.dt)
+    grid = SpaceTimeGrid(args.x_range[0], args.x_range[1], args.nx, args.t)
     n = int(round(grid.times[-1] / args.dt))
     field = oracle_solve(spec, args.f, grid, OracleConfig(args.dt, n))
     _write_lines(args.output, _field_lines(grid, field.values))

@@ -103,9 +103,15 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    k_max: float = 5000.0
+    """Absolute error target of green_points."""
+
     abs_tol: float = 1e-9
-    rel_tol: float = 1e-8
+
+
+# green_points integrates panels out to at most _K_MAX, and accepts an
+# accelerated sum whose two last estimates agree to abs_tol or _REL_TOL
+_K_MAX = 5000.0
+_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -147,8 +153,33 @@ def green_hat(kind: GreenKind, k, t: float, spec: ProblemSpec):
     return complex(out[0]) if scalar else out
 
 
+def _growing_phase(spec: ProblemSpec, self_coupled: bool):
+    """The argument phase on a half line where G_hat grows with |k|, else
+    None.
+
+    On each half line the Mittag-Leffler argument -rate(k) t^alpha has,
+    for large |k|, the phase pi + arg(lam) +- theta pi/2 (the argument of
+    the leading coefficient of a self-coupled rate in place of lam).
+    Reduced to (-pi, pi] and strictly inside alpha pi/2, its exponential
+    term grows without bound.
+    """
+    terms = [(spec.lam, spec.theta, spec.beta)]
+    if self_coupled and abs(spec.mu) > 0:
+        terms.append((spec.mu, spec.phi, spec.gamma))
+    top = max(order for _, _, order in terms)
+    for sgn in (1.0, -1.0):
+        lead = sum(c * cmath.exp(1j * sgn * skew * math.pi / 2.0)
+                   for c, skew, order in terms if order == top)
+        ph = math.remainder(math.pi + cmath.phase(lead), 2.0 * math.pi)
+        if abs(ph) < spec.alpha * math.pi / 2.0:
+            return ph
+    return None
+
+
 def _check_dissipative(spec: ProblemSpec, kinds_self: bool):
-    """Re(lam Psi) must be strictly positive off k=0, else no real-space kernel."""
+    """Raise FourierOnlyError where the real-space kernel does not exist:
+    Re(coeff * symbol) not strictly positive off k = 0, or G_hat growing
+    with |k|."""
     pairs = [(spec.lam, spec.theta)]
     if kinds_self and abs(spec.mu) > 0:
         pairs.append((spec.mu, spec.phi))
@@ -160,6 +191,14 @@ def _check_dissipative(spec: ProblemSpec, kinds_self: bool):
                     "Re(coefficient * symbol) is not positive; the real-space "
                     "kernel does not decay (Fourier-space evaluation only)"
                 )
+    ph = _growing_phase(spec, kinds_self)
+    if ph is not None:
+        raise FourierOnlyError(
+            f"Mittag-Leffler argument phase {ph / math.pi:.6g} pi lies "
+            f"inside alpha pi/2 = {spec.alpha / 2.0:.6g} pi, so G_hat grows "
+            f"with |k| and the real-space kernel does not exist "
+            f"(Fourier-space evaluation only)"
+        )
 
 
 def _wynn(s):
@@ -306,38 +345,67 @@ def _expint_cf(s: float, z: complex) -> complex:
     raise ToleranceNotMetError("exponential-integral CF did not converge")
 
 
+# Euler's constant and zeta(3), for the polygamma values at integers
+_EULER = 0.5772156649015329
+_ZETA3 = 1.2020569031595942
+
+
 def _expint_series(s: float, z: complex) -> complex:
-    """E_s(z) for small |z| and non-integer s by the ascending series."""
-    acc = math.gamma(1.0 - s) * z ** (s - 1.0)
+    """E_s(z) for small |z| by the ascending series.
+
+    E_s(z) = Gamma(1 - s) z^(s-1) - sum_m (-z)^m / ((m - s + 1) m!).  Within
+    1e-3 of an integer n >= 1 the Gamma term and the m = n - 1 term have
+    poles that cancel, so the two are summed as one,
+    -(-z)^(n-1) / (n-1)! * expm1(e d) / e with e = s - n and d the
+    expansion of log z - psi(n + e) + log(pi e / sin(pi e)) / e to O(e^3),
+    the psi^(j)(n) written through H_j = sum_{k<n} k^-j.  At e = 0 this is
+    Abramowitz & Stegun 5.1.12.
+    """
+    n = round(s)
+    e = s - n
+    skip = n - 1 if n >= 1 and abs(e) <= 1e-3 else -1
+    if skip < 0:
+        acc = math.gamma(1.0 - s) * z ** (s - 1.0)
+    else:
+        h1, h2, h3, h4 = (sum(k ** -j for k in range(1, n))
+                          for j in (1, 2, 3, 4))
+        d = (cmath.log(z) + _EULER - h1
+             + e * (math.pi ** 2 / 12.0 + h2 / 2.0)
+             + e * e * (_ZETA3 - h3) / 3.0
+             + e ** 3 * (math.pi ** 4 / 360.0 + h4 / 4.0))
+        if e == 0.0:
+            ratio = d
+        else:
+            a, b = (e * d).real, (e * d).imag
+            ratio = complex(math.expm1(a) * math.cos(b)
+                            - 2.0 * math.sin(0.5 * b) ** 2,
+                            math.exp(a) * math.sin(b)) / e
+        acc = -(-z) ** skip / math.factorial(skip) * ratio
     term = 1.0 + 0.0j
-    for n in range(0, 200):
-        acc -= term / (n - s + 1.0)
-        term *= -z / (n + 1.0)
-        if abs(term) < 1e-17 * (1.0 + abs(acc)):
+    for m in range(200):
+        if m != skip:
+            acc -= term / (m - s + 1.0)
+        term *= -z / (m + 1.0)
+        if m >= skip and abs(term) < 1e-17 * (1.0 + abs(acc)):
             return acc
     raise ToleranceNotMetError("exponential-integral series did not converge")
 
 
 def _oscillatory_tail(x: float, K: float, s: float) -> complex:
-    """Int_K^inf exp(-ikx) k^(-s) dk = K^(1-s) E_s(i K x)."""
+    """Int_K^inf exp(-ikx) k^(-s) dk = K^(1-s) E_s(i K x).
+
+    E_s takes the continued fraction for |K x| >= 3 and the ascending
+    series below.
+    """
     if x == 0.0:
         return K ** (1.0 - s) / (s - 1.0)
     z = 1j * K * x
     try:
-        if abs(z) >= 3.0:
-            e = _expint_cf(s, z)
-        elif abs(s - round(s)) > 1e-6:
-            # ascending series needs non-integer s (Gamma(1-s) pole)
-            e = _expint_series(s, z)
-        else:
-            raise ToleranceNotMetError("integer order, small argument")
-        return K ** (1.0 - s) * e
-    except (ToleranceNotMetError, OverflowError):
-        import mpmath as mp
-        with mp.workdps(25):
-            val = (1j * mp.mpf(x)) ** (mp.mpf(s) - 1) \
-                * mp.gammainc(1 - mp.mpf(s), 1j * K * mp.mpf(x))
-        return complex(val)
+        e = _expint_cf(s, z) if abs(z) >= 3.0 else _expint_series(s, z)
+    except ToleranceNotMetError as exc:
+        raise ToleranceNotMetError(
+            f"{exc} for the tail at x = {x}, K = {K}, s = {s}") from None
+    return K ** (1.0 - s) * e
 
 
 def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec,
@@ -375,9 +443,9 @@ def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec,
             raise ToleranceNotMetError(
                 f"kernel diverges at x = 0: Fourier decay exponent {s} <= 1"
             )
-        K_stop = min(K_stop, cfg.k_max)
+        K_stop = min(K_stop, _K_MAX)
     else:
-        K_stop = cfg.k_max
+        K_stop = _K_MAX
 
     edges = [0.0]
     max_panels = 60000
@@ -430,7 +498,7 @@ def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec,
         acc1 = _wynn(seq[-17:-1])
         acc2 = _wynn(seq[-16:])
         if abs(acc2 - acc1) > max(cfg.abs_tol,
-                                  cfg.rel_tol * abs(acc2)) * 2.0 * math.pi:
+                                  _REL_TOL * abs(acc2)) * 2.0 * math.pi:
             raise ToleranceNotMetError(
                 f"acceleration stalled at x = {xi}: "
                 f"residual {abs(acc2 - acc1) / (2.0 * math.pi):.2e}"
@@ -442,7 +510,8 @@ def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec,
 def green_point_closed(kind: GreenKind, x, t: float, spec: ProblemSpec):
     """Closed-form kernel value through the Mellin-Barnes representation.
 
-    Defined for G and (for 1 < alpha <= 2) G2, real positive lam, x != 0.
+    Defined for G and (for 1 < alpha <= 2) G2, real positive lam, x != 0,
+    and refused with FourierOnlyError where G_hat grows with |k|.
     x is a scalar, giving a float, or an array, giving an array of its
     shape; each value depends on x alone.  The x < 0 values are the
     mirror kernel with the skew negated.
@@ -455,6 +524,7 @@ def green_point_closed(kind: GreenKind, x, t: float, spec: ProblemSpec):
         raise ValueError("closed form has a 1/|x| prefactor; x must be nonzero")
     if abs(complex(spec.lam).imag) > 0 or complex(spec.lam).real <= 0:
         raise ValueError("closed form requires real positive lam")
+    _check_dissipative(spec, False)
     kern = _kernel(kind, spec)
     a, b = spec.alpha, spec.beta
     lam = complex(spec.lam).real

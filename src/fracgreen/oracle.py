@@ -46,7 +46,7 @@ def oracle_mode_evolve(alpha: float, coeffs, init, cfg: OracleConfig):
     if c.shape != v.shape:
         raise ValueError("coeffs and init must have matching shapes")
     dt, n = cfg.dt, cfg.n_steps
-    w = gl_weights(alpha, n).weights
+    w = gl_weights(alpha, n)
     denom = 1.0 + c * dt ** alpha
     if np.any(np.abs(denom) < 1e-12):
         raise OracleInstabilityError(
@@ -67,7 +67,7 @@ def oracle_mode_evolve(alpha: float, coeffs, init, cfg: OracleConfig):
 
 
 def oracle_solve(spec: ProblemSpec, f: SourceDescriptor,
-                 grid: SpaceTimeGrid, cfg: OracleConfig = None) -> Field:
+                 grid: SpaceTimeGrid, cfg: OracleConfig) -> Field:
     """Reference field for the pure initial-value problem (g = 0, U = 0).
 
     Works mode by mode: FFT the initial datum, run the GL recursion for
@@ -76,9 +76,6 @@ def oracle_solve(spec: ProblemSpec, f: SourceDescriptor,
     4x-extended set as solve's, so differences against it measure the
     time discretization alone.
     """
-    if cfg is None:
-        cfg = OracleConfig(dt=grid.dt_oracle,
-                           n_steps=int(round(grid.times[-1] / grid.dt_oracle)))
     nx = grid.nx
     M, k = _padded_wavenumbers(grid)
     col = np.zeros(M, dtype=complex)

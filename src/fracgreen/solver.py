@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .green import GreenKind, ProblemSpec, SpecValidationError, green_hat
+from .green import (GreenKind, ProblemSpec, SpecValidationError,
+                    _growing_phase, green_hat)
 from .fracmath import mittag_leffler_array
 from .operators import riesz_feller_symbol
 
@@ -91,7 +92,6 @@ class SpaceTimeGrid:
     x_max: float
     nx: int
     times: tuple
-    dt_oracle: float = 1.0 / 1024.0
 
     def __post_init__(self):
         if self.nx < 8:
@@ -247,11 +247,21 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
             src_hat = spec.mu * uhat
         rate = spec.rate(k)
 
+    grows = _growing_phase(spec, self_coupled)
+    if grows is not None:
+        # refining the grid only admits larger |G_hat|
+        warnings.warn(
+            f"G_hat grows with |k|: Mittag-Leffler argument phase "
+            f"{grows / math.pi:.4g} pi inside alpha pi/2 = "
+            f"{spec.alpha / 2.0:.4g} pi; the kernel has no real-space "
+            f"form and the field does not converge in nx", stacklevel=2)
+
     for it, t in enumerate(grid.times):
         gh = green_hat(kind_f, k, t, spec)
         # the localization heuristic only makes sense for dissipative
         # kernels; dispersive (imaginary-coefficient) ones never localize
-        if it == len(grid.times) - 1 and spec.lam.real > 0.0:
+        if (it == len(grid.times) - 1 and spec.lam.real > 0.0
+                and grows is None):
             _window_mass_warning(gh, M, nx)
         nhat = fhat * gh
         if ghat_data is not None:

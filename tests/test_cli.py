@@ -106,6 +106,13 @@ class TestGreen:
         assert len(a.read_text().splitlines()) == 1 + 3 * 7
         assert a.read_bytes() == b.read_bytes()
 
+    def test_growing_kernel_is_tolerance_error(self, capsys):
+        # |theta| > 2 - alpha: G_hat grows with |k|, no real-space kernel
+        assert run(["green", "--alpha", "1.8", "--beta", "1.2", "--theta",
+                    "0.5", "--x-range", "-3", "5", "--nx", "5",
+                    "--t", "0.9"]) == 3
+        assert "inside alpha pi/2" in capsys.readouterr().err
+
     def test_nonpositive_time_is_constraint_error(self, capsys):
         assert run(["green", "--alpha", "0.5", "--beta", "1.5", "--t", "0",
                     "--x-range", "-1", "1", "--nx", "3"]) == 2
@@ -142,6 +149,7 @@ class TestSolveCompare:
         assert "version" in doc
         assert "quadrature" not in doc
         assert "regime" not in doc["spec"]
+        assert "dt_oracle" not in doc["grid"]
 
     def test_zero_width_source_is_usage_error(self, tmp_path, capsys):
         args = self._solve_args(tmp_path / "f.csv") + ["--U", "gaussian:0,0"]
@@ -247,3 +255,48 @@ class TestPlumbing:
                          "sys.modules if m.split('.')[0] in "
                          "('scipy', 'mpmath')))")
         assert out.strip() == "[]"
+
+    def test_runtime_needs_neither_scipy_nor_mpmath(self, run_python):
+        # the same requests in two fresh interpreters, one of which cannot
+        # import scipy or mpmath: every exit code is 0 and every byte agrees
+        requests = [
+            ["green", "--alpha", "0.8", "--beta", "1.6", "--theta", "0.1",
+             "--x-range", "0.5", "3", "--nx", "6", "--t", "1",
+             "--method", "closed"],
+            ["green", "--kind", "G2", "--alpha", "1.4", "--beta", "1.7",
+             "--x-range", "-2", "2", "--nx", "4", "--t", "1",
+             "--method", "closed"],
+            # K x below 3 at s = 2 beta = 3: the integer-order tail series
+            ["green", "--alpha", "0.8", "--beta", "1.5", "--x-range",
+             "-0.008", "0.008", "--nx", "5", "--t", "1",
+             "--method", "quadrature"],
+            ["solve", "--alpha", "0.8", "--beta", "1.6", "--x-range", "-20",
+             "20", "--nx", "32", "--t", "1", "--f", "gaussian:0,1",
+             "--U", "box:-1,1", "--mu", "0.5"],
+            ["oracle", "--alpha", "0.8", "--beta", "1.6", "--x-range", "-20",
+             "20", "--nx", "32", "--t", "0.5", "--f", "gaussian:0,1",
+             "--dt", "0.015625"],
+        ]
+        code = (
+            "import contextlib, io, json, sys\n"
+            "class Block:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] in ('scipy', 'mpmath'):\n"
+            "            raise ImportError(name + ' is blocked')\n"
+            "if {block}:\n"
+            "    sys.meta_path.insert(0, Block())\n"
+            "from fracgreen import cli\n"
+            "out = []\n"
+            "for argv in {requests!r}:\n"
+            "    buf = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(buf):\n"
+            "        rc = cli.run(argv)\n"
+            "    out.append([rc, buf.getvalue()])\n"
+            "print(json.dumps(out))\n")
+        blocked = json.loads(run_python(code.format(block=True,
+                                                    requests=requests)))
+        free = json.loads(run_python(code.format(block=False,
+                                                 requests=requests)))
+        assert [rc for rc, _ in blocked] == [0] * len(requests)
+        assert all(text.count("\n") > 4 for _, text in blocked)
+        assert blocked == free

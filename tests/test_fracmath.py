@@ -5,10 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erfcx
+from scipy.special import erfcx, loggamma as scipy_loggamma
 
 from fracgreen.fracmath import (HAccuracyError, HFunctionParams,
-                                h_function, mittag_leffler,
+                                h_function, loggamma, mittag_leffler,
                                 mittag_leffler_array, rgamma)
 
 
@@ -28,6 +28,42 @@ class TestGamma:
                 ref = mp.rgamma(mp.mpf(float(x)))
                 worst = max(worst, float(abs((rgamma(float(x)) - ref) / ref)))
         assert worst <= 1e-14
+
+    @pytest.mark.parametrize("alpha, beta, theta, index", [
+        (0.5, 1.5, 0.2, None), (0.8, 1.6, 0.1, None), (1.4, 1.7, 0.0, 0.4),
+        (1.9, 1.1, 0.1, None), (0.3, 0.5, -0.2, None), (1.0, 2.0, 0.0, None)])
+    def test_loggamma_on_h_function_arguments(self, alpha, beta, theta,
+                                              index):
+        # every gamma argument of theta_log on the line Re xi = c that
+        # h_function integrates along, and at the left poles of its residue
+        # series; the imaginary part counts mod 2 pi
+        params = HFunctionParams.green_kernel(alpha, beta,
+                                              (beta - theta) / (2.0 * beta),
+                                              index)
+        cl, cr = params.left_abscissa(), params.right_abscissa()
+        c = 0.5 * (cl + min(cr, cl + 2.0))
+        y = np.concatenate([np.linspace(-30.0, 30.0, 6001),
+                            np.linspace(-5e4, 5e4, 20001)])
+        poles = [-(b + k) / B for b, B in params.lower[:params.m]
+                 for k in range(40)]
+        xi = np.concatenate([c + 1j * y, poles])
+        z = np.concatenate([w for b, B in params.upper + params.lower
+                            for w in (b + B * xi, 1.0 - b - B * xi)])
+        # log Gamma has no condition to speak of within 1e-6 of its poles
+        near_pole = (z.imag == 0.0) & (z.real < 0.5) \
+            & (np.abs(z.real - np.round(z.real)) < 1e-6)
+        z = z[~near_pole]
+        ref = scipy_loggamma(z)
+        d = loggamma(z) - ref
+        d = d.real + 1j * np.remainder(d.imag + math.pi, 2.0 * math.pi) \
+            - 1j * math.pi
+        assert np.max(np.abs(d) / np.maximum(1.0, np.abs(ref))) <= 1e-13
+
+    def test_loggamma_keeps_the_shape(self):
+        assert loggamma(0.3 + 50j).shape == ()
+        assert loggamma(np.ones((2, 3))).shape == (2, 3)
+        assert np.allclose(loggamma(np.arange(1.0, 6.0)),
+                           np.log([1.0, 1.0, 2.0, 6.0, 24.0]), atol=1e-14)
 
 
 class TestMittagLeffler:

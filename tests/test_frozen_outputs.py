@@ -77,7 +77,7 @@ def outputs():
         vals["solve-id"] = solve(ident, zero, zero,
                                  SourceDescriptor.gaussian(0.0, 2.0),
                                  grid).values[1, 30]
-    ogrid = SpaceTimeGrid(-20.0, 20.0, 64, (0.125, 0.25), dt_oracle=1 / 256)
+    ogrid = SpaceTimeGrid(-20.0, 20.0, 64, (0.125, 0.25))
     vals["oracle"] = oracle_solve(LOW, SourceDescriptor.gaussian(0.0, 1.0),
                                   ogrid, OracleConfig(1 / 256, 64)
                                   ).values[1, 34]

@@ -1,5 +1,6 @@
 """Unit tests for kernels: Fourier side, quadrature, closed form, mass."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,9 +10,10 @@ from hypothesis import given, strategies as st
 from fracgreen.fracmath import mittag_leffler_array
 from fracgreen.green import (FourierOnlyError, GreenKind, ProblemSpec,
                              QuadratureConfig, RegimeError,
-                             SpecValidationError, green_hat,
-                             green_mass, green_point, green_point_closed,
-                             green_points)
+                             SpecValidationError, ToleranceNotMetError,
+                             _expint_series, _growing_phase,
+                             _oscillatory_tail, green_hat, green_mass,
+                             green_point, green_point_closed, green_points)
 from fracgreen.operators import riesz_feller_symbol
 
 
@@ -153,6 +155,42 @@ class TestGreenPoint:
         with pytest.raises(FourierOnlyError):
             green_point(GreenKind.G, 1.0, 1.0, spec)
 
+    def test_growing_transform_refused(self):
+        # admissible, but |theta| > 2 - alpha puts the Mittag-Leffler
+        # argument phase -0.75 pi inside alpha pi/2 = 0.9 pi
+        spec = ProblemSpec(alpha=1.8, beta=1.2, theta=0.5)
+        assert abs(green_hat(GreenKind.G, 500.0, 0.9, spec)) > 1e4
+        with pytest.raises(FourierOnlyError, match=r"-0\.75 pi .* 0\.9 pi"):
+            green_points(GreenKind.G, [-3.0, -0.7, 0.4, 1.1, 5.0], 0.9, spec)
+        with pytest.raises(FourierOnlyError, match="inside alpha pi/2"):
+            green_point_closed(GreenKind.G, [0.4, 1.1], 0.9, spec)
+        with pytest.raises(FourierOnlyError, match="inside alpha pi/2"):
+            green_points(GreenKind.G, [0.5], 0.9, ProblemSpec(
+                alpha=1.8, beta=1.2, theta=0.5, lam=0.8 + 0.3j))
+
+    @pytest.mark.parametrize("spec, grows", [
+        (ProblemSpec(alpha=1.8, beta=1.2, theta=0.15), False),
+        (ProblemSpec(alpha=1.8, beta=1.2, theta=-0.25), True),
+        # on the boundary alpha pi/2 itself: no refusal from this rule
+        (ProblemSpec(alpha=2.0, beta=1.2), False),
+        (ProblemSpec(alpha=1.0, beta=2.0, lam=1j), False),
+        # self-coupled: the higher order sets the phase at large |k|
+        (ProblemSpec(alpha=1.8, beta=1.2, theta=0.5, gamma=1.5, mu=1.0,
+                     source_coupling="self"), False),
+    ])
+    def test_growth_rule(self, spec, grows):
+        self_coupled = spec.source_coupling == "self"
+        assert (_growing_phase(spec, self_coupled) is not None) == grows
+
+    def test_schrodinger_coefficient_keeps_its_refusal(self):
+        spec = ProblemSpec(alpha=1.0, beta=2.0, lam=1j)
+        with pytest.raises(FourierOnlyError, match="not positive"):
+            green_points(GreenKind.G, [1.0], 1.0, spec)
+
+    def test_quadrature_config_holds_only_the_tolerance(self):
+        assert [f.name for f in dataclasses.fields(QuadratureConfig)] == [
+            "abs_tol"]
+
 
 class TestClosedForm:
     def test_matches_quadrature(self):
@@ -216,3 +254,50 @@ class TestMass:
     def test_g2_mass_low_regime_rejected(self):
         with pytest.raises(RegimeError):
             green_mass(GreenKind.G2, 1.0, ProblemSpec(alpha=0.5, beta=1.5))
+
+
+class TestExponentialIntegral:
+    @staticmethod
+    def _reference(s, z):
+        # E_s(z) = z^(s-1) Gamma(1-s, z)
+        import mpmath as mp
+        with mp.workdps(30):
+            zz = mp.mpc(z)
+            return complex(zz ** (mp.mpf(s) - 1) * mp.gammainc(1 - mp.mpf(s),
+                                                              zz))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_integer_order_series(self, n):
+        r = np.concatenate([[1e-8, 1e-3], np.linspace(0.05, 3.0, 60)])
+        for z in np.concatenate([1j * r, -1j * r]):
+            ref = self._reference(n, z)
+            assert abs(_expint_series(float(n), z) - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("s", [3.0 + 1e-9, 2.0 * 1.15 - 0.3,
+                                   3.0 - 4e-4, 1.0 + 1e-6, 2.5, 0.9])
+    def test_near_integer_and_fractional_orders(self, s):
+        # the G1 tail exponent 2 beta - gamma is 2 - 2e-16 at beta 1.15,
+        # gamma 0.3: the Gamma term and one series term have cancelling
+        # poles there
+        for z in (0.01j, 0.7j, -2.9j):
+            ref = self._reference(s, z)
+            assert abs(_expint_series(s, z) - ref) <= 1e-12 * abs(ref)
+
+    def test_tail_matches_reference_on_both_routes(self):
+        # |K x| below and above 3: the series and the continued fraction
+        K = 300.0
+        for x in (-0.004, 0.009, 0.02, -0.5):
+            ref = K ** -2.0 * self._reference(3.0, 1j * K * x)
+            got = _oscillatory_tail(x, K, 3.0)
+            assert abs(got - ref) <= 1e-13 * abs(ref)
+
+    def test_failure_names_the_tail(self, monkeypatch):
+        import fracgreen.green as green
+
+        def stalled(s, z):
+            raise ToleranceNotMetError("exponential-integral CF did not "
+                                       "converge")
+        monkeypatch.setattr(green, "_expint_cf", stalled)
+        with pytest.raises(ToleranceNotMetError,
+                           match=r"x = 0\.5, K = 300\.0, s = 3\.0"):
+            _oscillatory_tail(0.5, 300.0, 3.0)

@@ -1,6 +1,6 @@
 """Accuracy, purity and properties of the Mittag-Leffler evaluator.
 
-The reference is the extended-precision Taylor series `_ml_mpmath`.  The
+The reference is the extended-precision Taylor series `ml_mpmath`.  The
 annulus 5 < |z| < 15 is where neither the Taylor series nor the
 asymptotic expansion is accurate enough and the contour evaluation does
 the work.
@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fracgreen.fracmath import (_ml_mpmath, mittag_leffler,
-                                mittag_leffler_array)
+from fracgreen.fracmath import mittag_leffler, mittag_leffler_array
+
+from _reference import ml_mpmath
 
 
 def _rel(got, ref):
@@ -40,7 +41,7 @@ class TestAccuracy:
             z = rng.uniform(5.0, r_hi, n) * np.exp(
                 1j * rng.uniform(-math.pi, math.pi, n))
             got = mittag_leffler_array(alpha, beta, z)
-            ref = np.array([_ml_mpmath(alpha, beta, complex(v)) for v in z])
+            ref = np.array([ml_mpmath(alpha, beta, complex(v)) for v in z])
             worst = max(worst, float(np.max(_rel(got, ref))))
         assert worst <= 1e-12
 
@@ -52,7 +53,7 @@ class TestAccuracy:
         # lies between 1e-12 and 1e-11 here; such points go to the contour
         z = r * cmath.exp(1j * math.pi * turn)
         got = mittag_leffler(alpha, beta, z)
-        assert _rel(got, _ml_mpmath(alpha, beta, z)) <= 1e-12
+        assert _rel(got, ml_mpmath(alpha, beta, z)) <= 1e-12
 
     @pytest.mark.parametrize("alpha", [0.0, 2.5])
     def test_order_outside_zero_two_rejected(self, alpha):

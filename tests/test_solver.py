@@ -226,6 +226,18 @@ class TestSolve:
         assert "increase nx" in text and "1.3e-01" in text
         assert "widen the grid" not in text
 
+    def test_growing_kernel_warning_names_the_growth(self):
+        # G_hat grows with |k| here, so a finer grid is no remedy
+        spec = ProblemSpec(alpha=1.8, beta=1.2, theta=0.5)
+        grid = SpaceTimeGrid(-10.0, 10.0, 64, (0.9,))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve(spec, SourceDescriptor.delta(), self._zero(), self._zero(),
+                  grid)
+        text = " ".join(str(w.message) for w in caught)
+        assert "grows with |k|" in text and "-0.75 pi" in text
+        assert "increase nx" not in text
+
     def test_no_warning_on_wide_grid(self):
         spec = ProblemSpec(alpha=1.0, beta=2.0)
         grid = SpaceTimeGrid(-20.0, 20.0, 128, (0.5,))
