@@ -66,10 +66,9 @@ def _parse_times(text: str):
     return tuple(float(v) for v in text.split(","))
 
 
-def _add_spec_args(p, need_beta=True):
+def _add_spec_args(p):
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=need_beta,
-                   default=None if need_beta else 2.0)
+    p.add_argument("--beta", type=float, required=True)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--phi", type=float, default=0.0)
@@ -124,7 +123,7 @@ def _write_lines(path, lines):
             fh.write(data)
 
 
-def _write_manifest(path, command, spec, grid, checks, extra=None):
+def _write_manifest(path, command, spec, grid, checks):
     doc = {
         "command": command,
         "version": __version__,
@@ -133,8 +132,6 @@ def _write_manifest(path, command, spec, grid, checks, extra=None):
                  "times": list(grid.times)},
         "checks": checks,
     }
-    if extra:
-        doc.update(extra)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -185,9 +182,6 @@ def _cmd_symbol(args):
 
 def _cmd_green(args):
     spec = _spec_from_args(args)
-    if any(t <= 0.0 for t in args.t):
-        raise ValueError("times must start above 0 (kernels are singular "
-                         "at t = 0)")
     kind = GreenKind[args.kind]
     xs = np.linspace(args.x_range[0], args.x_range[1], args.nx)
     lines = ["t,x,re,im,method"]

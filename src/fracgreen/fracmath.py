@@ -1,12 +1,12 @@
 """Special-function kernel: reciprocal and complex log-gamma, the
-Mittag-Leffler function, and Mellin-Barnes evaluation of the H-function
-family used by the Green kernels.  numpy is the only dependency.
+Mittag-Leffler function, and the one Fox function the closed-form Green
+kernels need, H^{2,1}_{3,3}, by its Mellin-Barnes integral (residue
+series for small arguments, contour trapezoid otherwise).  numpy is the
+only dependency.
 
 Everything here is pure and stateless apart from read-only caches, so
 concurrent use is safe.
 """
-
-from __future__ import annotations
 
 import functools
 import math
@@ -28,10 +28,6 @@ def quad(*args, **kwargs):
 
 class MLConvergenceError(ArithmeticError):
     """No evaluation region could meet its own error estimate."""
-
-
-class ContourPlacementError(ValueError):
-    """No vertical line separates the two pole families."""
 
 
 class HAccuracyError(ArithmeticError):
@@ -95,9 +91,8 @@ def loggamma(z) -> np.ndarray:
     Points with Re z >= 1/2 take the Stirling series, after the upward
     shift Gamma(w) = Gamma(w + n) / (w (w + 1) ... (w + n - 1)) where
     |w| < 10; the others take the reflection Gamma(z) Gamma(1 - z) =
-    pi / sin(pi z), with log sin(pi z) written through exp(2 i pi z) so
-    that it does not overflow at large |Im z| (Hare, J. Algorithms 25(2),
-    1997).  The imaginary part is not the principal branch: callers use
+    pi / sin(pi z), with _log_sin_pi (Hare, J. Algorithms 25(2), 1997).
+    The imaginary part is not the principal branch: callers use
     exp(loggamma) and its real part only.
     """
     z = np.asarray(z, dtype=complex)
@@ -124,18 +119,23 @@ def loggamma(z) -> np.ndarray:
         out[small] -= np.log(prod)
     refl = np.flatnonzero(left)
     if refl.size:
-        zl = z[refl]
-        # sin(pi z) has period 2 in Re z; on the upper half plane
-        # log sin(pi z) = -i pi z + log(i/2) + log(1 - exp(2 i pi z)), and
-        # sin(pi conj z) = conj sin(pi z)
-        zr = zl.real - 2.0 * np.round(0.5 * zl.real) + 1j * np.abs(zl.imag)
-        with np.errstate(divide="ignore"):
-            log_sin = (-1j * np.pi * zr
-                       + complex(-math.log(2.0), 0.5 * math.pi)
-                       + np.log(1.0 - np.exp(2j * np.pi * zr)))
-        log_sin = np.where(zl.imag >= 0.0, log_sin, log_sin.conjugate())
-        out[refl] = math.log(math.pi) - log_sin - out[refl]
+        out[refl] = math.log(math.pi) - _log_sin_pi(z[refl]) - out[refl]
     return out.reshape(shape)
+
+
+def _log_sin_pi(u) -> np.ndarray:
+    """log sin(pi u) for a complex array, up to a multiple of 2 pi i.
+
+    sin(pi u) has period 2 in Re u; on the upper half plane
+    log sin(pi u) = -i pi u + log(i/2) + log(1 - exp(2 i pi u)), which
+    does not overflow at large |Im u|, and sin(pi conj u) = conj sin(pi u).
+    """
+    u = np.asarray(u, dtype=complex)
+    ur = u.real - 2.0 * np.round(0.5 * u.real) + 1j * np.abs(u.imag)
+    with np.errstate(divide="ignore"):
+        out = (-1j * np.pi * ur + complex(-math.log(2.0), 0.5 * math.pi)
+               + np.log(1.0 - np.exp(2j * np.pi * ur)))
+    return np.where(u.imag >= 0.0, out, out.conjugate())
 
 
 @functools.lru_cache(maxsize=64)
@@ -475,99 +475,43 @@ def mittag_leffler(alpha: float, beta: float, z) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Fox H-function, H^{m,n}_{p,q}, by Mellin-Barnes contour quadrature
+# The kernels' H-function, H^{2,1}_{3,3}, by Mellin-Barnes integration
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class HFunctionParams:
-    """Parameter set of the Mellin-Barnes gamma-ratio integrand.
+    """The H^{2,1}_{3,3} of the fractional-diffusion kernels.
 
-    upper holds the (a_j, A_j) pairs (length p, first n in the numerator),
-    lower the (b_j, B_j) pairs (length q, first m in the numerator).
+    Its Mellin-Barnes integrand (Mainardi, Luchko & Pagnini, FCAA 4(2),
+    2001), the six-gamma ratio
+    Gamma(1 + xi) Gamma(1 + xi/beta) Gamma(-xi/beta)
+    / (Gamma(-rho xi) Gamma(index + alpha xi/beta) Gamma(1 + rho xi)),
+    is by the reflection formula Gamma(1 + xi) sin(pi rho xi)
+    / (sin(pi xi/beta) Gamma(index + alpha xi/beta)).
+    index is the second Mittag-Leffler index of the kernel's Fourier
+    transform: alpha for the first-kind kernel, alpha - 1 for the
+    second-kind kernel of the wave range 1 < alpha <= 2.  The poles of
+    Gamma(1 + xi) and sin(pi xi/beta) below 0 and those of sin(pi xi/beta)
+    at 0 and above lie on either side of the line Re xi = -min(1, beta)/2.
     """
 
-    m: int
-    n: int
-    p: int
-    q: int
-    upper: tuple
-    lower: tuple
+    alpha: float
+    beta: float
+    rho: float
+    index: float
 
     def __post_init__(self):
-        if not (0 <= self.n <= self.p):
-            raise ValueError("need 0 <= n <= p")
-        if not (1 <= self.m <= self.q):
-            raise ValueError("need 1 <= m <= q")
-        if len(self.upper) != self.p or len(self.lower) != self.q:
-            raise ValueError("row lengths must match p and q")
-        for _, A in self.upper:
-            if A <= 0:
-                raise ValueError("A_j must be positive")
-        for _, B in self.lower:
-            if B <= 0:
-                raise ValueError("B_j must be positive")
+        if not (0.0 < self.rho < 1.0 and self.beta > 0.0):
+            raise ValueError(f"need 0 < rho < 1 and beta > 0, got "
+                             f"rho={self.rho:g}, beta={self.beta:g}")
 
-    @classmethod
-    def green_kernel(
-        cls, alpha: float, beta: float, rho: float, index: float = None
-    ) -> "HFunctionParams":
-        """H^{2,1}_{3,3} parameter rows of the fractional-diffusion kernels.
-
-        The second upper slot reads (index, alpha/beta), index the second
-        Mittag-Leffler index of the kernel's Fourier transform: alpha (the
-        default) for the first-kind kernel, alpha - 1 for the second-kind
-        kernel of the wave range 1 < alpha <= 2.  Requires 0 < rho < 1.
-        """
-        if index is None:
-            index = alpha
-        if not (0.0 < rho < 1.0):
-            raise ValueError(f"rho={rho:g} outside (0, 1)")
-        if beta <= 0:
-            raise ValueError("beta must be positive")
-        return cls(
-            m=2,
-            n=1,
-            p=3,
-            q=3,
-            upper=((1.0, 1.0 / beta), (index, alpha / beta), (1.0, rho)),
-            lower=((1.0, 1.0), (1.0, 1.0 / beta), (1.0, rho)),
-        )
-
-    def left_abscissa(self) -> float:
-        return max(-b / B for b, B in self.lower[: self.m])
-
-    def right_abscissa(self) -> float:
-        return min((1.0 - a) / A for a, A in self.upper[: self.n]) if self.n else math.inf
-
-    def check_pole_separation(self, max_index: int = 24, tol: float = 1e-9) -> bool:
-        """Numerical check of the pole non-coincidence condition."""
-        for i in range(self.n):
-            a, A = self.upper[i]
-            for j in range(self.m):
-                b, B = self.lower[j]
-                for k in range(max_index):
-                    for s in range(max_index):
-                        if abs(A * (b + k) - B * (a - s - 1.0)) < tol:
-                            return False
-        return True
-
-    def theta_log(self, xi: np.ndarray) -> np.ndarray:
-        """log of the gamma-ratio integrand at contour points xi."""
-        acc = np.zeros_like(xi, dtype=complex)
-        for j in range(self.m):
-            b, B = self.lower[j]
-            acc += loggamma(b + B * xi)
-        for j in range(self.n):
-            a, A = self.upper[j]
-            acc += loggamma(1.0 - a - A * xi)
-        for j in range(self.m, self.q):
-            b, B = self.lower[j]
-            acc -= loggamma(1.0 - b - B * xi)
-        for j in range(self.n, self.p):
-            a, A = self.upper[j]
-            acc -= loggamma(a + A * xi)
-        return acc
+    def theta_log(self, xi) -> np.ndarray:
+        """log of the integrand at xi, up to a multiple of 2 pi i."""
+        xi = np.asarray(xi, dtype=complex)
+        return (loggamma(1.0 + xi)
+                - loggamma(self.index + self.alpha / self.beta * xi)
+                + _log_sin_pi(self.rho * xi) - _log_sin_pi(xi / self.beta))
 
 
 # Points below _RESIDUE_Z take the residue series over the left poles xi
@@ -584,48 +528,42 @@ _H_REL_TOL = 1e-9
 def _h_left_poles(params: HFunctionParams):
     """Left poles of the residue series and their z-free coefficients.
 
-    Returns (xi, coef, clash): the residue at xi[i] is coef[i] z^(-xi[i]),
-    and clash marks a pole within 1e-8 of another one or on a pole of a
-    numerator gamma, where the simple-pole residue does not hold (its
+    The two pole families are those of Gamma(1 + xi), at -(1 + k), and of
+    1/sin(pi xi/beta), at -(1 + k) beta.  Returns (xi, coef, clash): the
+    residue at xi[i] is coef[i] z^(-xi[i]), and clash marks a pole within
+    1e-8 of another one, where the simple-pole residue does not hold (its
     coef is 0).
     """
-    xi, coef, on_pole = [], [], []
-    for j in range(params.m):
-        b, B = params.lower[j]
-        for k in range(200):
-            xi0 = -(b + k) / B
-            if _RESIDUE_Z ** (-xi0) < _RESIDUE_TOL:
-                break
-            num = [bb + BB * xi0 for jj, (bb, BB)
-                   in enumerate(params.lower[:params.m]) if jj != j]
-            num += [1.0 - a - A * xi0 for a, A in params.upper[:params.n]]
-            hit = any(g <= 0.0 and g == math.floor(g) for g in num)
-            term = (-1.0) ** k / (math.factorial(k) * B)
-            if not hit:
-                for g in num:
-                    term *= math.gamma(g)
-            for bb, BB in params.lower[params.m:]:
-                term *= rgamma(1.0 - bb - BB * xi0)
-            for a, A in params.upper[params.n:]:
-                term *= rgamma(a + A * xi0)
-            xi.append(xi0)
-            coef.append(term)
-            on_pole.append(hit)
-    xi = np.array(xi)
-    near = np.abs(xi[:, None] - xi[None, :]) < 1e-8
-    clash = np.array(on_pole) | (near.sum(axis=1) > 1)
-    return xi, np.where(clash, 0.0, coef), clash
+    a, b, rho = params.alpha, params.beta, params.rho
+    k = np.arange(200.0)
+    xi = np.concatenate([-(1.0 + k), -(1.0 + k) * b])
+    pole = np.flatnonzero(_RESIDUE_Z ** -xi >= _RESIDUE_TOL)
+    xi = xi[pole]
+    clash = (np.abs(xi[:, None] - xi[None, :]) < 1e-8).sum(axis=1) > 1
+    coef = np.zeros(xi.size)
+    for i in np.flatnonzero(~clash):
+        family, n = divmod(int(pole[i]), k.size)
+        x = float(xi[i])
+        rest = math.sin(math.pi * rho * x) * rgamma(params.index + a / b * x)
+        if family == 0:  # Gamma(1 + xi): residue (-1)^n / n!
+            coef[i] = (-1.0) ** n / math.factorial(n) * rest \
+                / math.sin(math.pi * x / b)
+        else:  # 1/sin(pi xi/beta): residue (-1)^(n+1) beta/pi
+            coef[i] = (-1.0) ** (n + 1) * b / math.pi * math.gamma(1.0 + x) \
+                * rest
+    return xi, coef, clash
 
 
-def _h_contour(params: HFunctionParams, c: float, zs: np.ndarray):
-    """Trapezoid values of the contour integral on Re xi = c at each z.
+def _h_contour(params: HFunctionParams, zs: np.ndarray):
+    """Trapezoid values of the contour integral at each z.
 
-    The gamma ratio on the contour does not depend on z, so each step
-    level 0.25 2^-j is evaluated once for all of zs; each z starts at the
-    first level that resolves its z^(-xi) oscillation and halves its own
-    step until two levels agree.
+    The integrand on the contour, z^(-xi) aside, does not depend on z, so
+    each step level 0.25 2^-j is evaluated once for all of zs; each z
+    starts at the first level that resolves its z^(-xi) oscillation and
+    halves its own step until two levels agree.
     """
-    # pick the height from the observed decay rate of the gamma ratio
+    c = -0.5 * min(1.0, params.beta)
+    # pick the height from the observed decay rate of the integrand
     g50 = params.theta_log(c + 50j).real
     g150 = params.theta_log(c + 150j).real
     rate = max((g50 - g150) / 100.0, 1e-4)
@@ -666,28 +604,23 @@ def _h_contour(params: HFunctionParams, c: float, zs: np.ndarray):
 
 
 def h_function(params: HFunctionParams, z):
-    """Mellin-Barnes integral of the H-function at z > 0.
+    """Mellin-Barnes integral of the kernels' H-function at z > 0.
 
     z is a scalar, giving a float, or an array, giving an array of its
-    shape; each value depends on z alone.  A z below 0.1 takes the
-    residue series over the left poles unless two of the poles it keeps
-    clash; every other z is integrated along a vertical line separating
-    the two pole families with an adaptive trapezoid rule.
+    shape; each value depends on z alone.  For alpha < beta a z below
+    0.1 takes the residue series over the left poles unless two of the
+    poles it keeps clash; every other z is integrated along the line
+    Re xi = -min(1, beta)/2 with an adaptive trapezoid rule.
     """
     zs = np.asarray(z, dtype=float)
-    if not np.all(zs > 0):
-        raise ValueError("z must be positive")
-    if not params.check_pole_separation():
-        raise ContourPlacementError("pole families coincide (condition 2.14)")
-    cl, cr = params.left_abscissa(), params.right_abscissa()
-    if not (cl < cr):
-        raise ContourPlacementError(
-            f"no separating vertical line: left {cl:g} >= right {cr:g}"
-        )
+    if not np.all(np.isfinite(zs) & (zs > 0)):
+        raise ValueError("z must be finite and positive")
     flat = zs.ravel()
     out = np.empty(flat.shape)
     todo = np.ones(flat.shape, dtype=bool)
-    small = np.flatnonzero(flat < _RESIDUE_Z)
+    # the series converges for alpha < beta only; for alpha >= beta its
+    # coefficients grow factorially and a cut at _RESIDUE_TOL is no bound
+    small = np.flatnonzero((flat < _RESIDUE_Z) & (params.alpha < params.beta))
     if small.size:
         xi, coef, clash = _h_left_poles(params)
         power = flat[small, None] ** -xi
@@ -697,6 +630,5 @@ def h_function(params: HFunctionParams, z):
         todo[small] = (kept & clash).any(axis=1)
     rest = np.flatnonzero(todo)
     if rest.size:
-        out[rest] = _h_contour(params, 0.5 * (cl + min(cr, cl + 2.0)),
-                               flat[rest])
+        out[rest] = _h_contour(params, flat[rest])
     return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)

@@ -83,6 +83,9 @@ class ProblemSpec:
         if self.source_coupling not in ("external", "self"):
             problems.append(
                 f"unknown source_coupling {self.source_coupling!r}")
+        for name, coeff in (("lam", self.lam), ("mu", self.mu)):
+            if not cmath.isfinite(coeff):
+                problems.append(f"{name} = {coeff} is not finite")
         if problems:
             raise SpecValidationError(problems)
 
@@ -139,9 +142,26 @@ def _kernel(kind: GreenKind, spec: ProblemSpec) -> _Kernel:
     return _Kernel(a, a - 1.0, 0.0, kind == GreenKind.G3)
 
 
+def _check_time(t: float):
+    """Raise ValueError unless t is finite and above 0."""
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError(f"times must start above 0 (kernels are singular "
+                         f"at t = 0) and be finite, got t = {t}")
+
+
+def _finite_xs(x) -> np.ndarray:
+    """x as a float array; raises ValueError naming a non-finite x."""
+    xs = np.asarray(x, dtype=float)
+    bad = ~np.isfinite(xs)
+    if bad.any():
+        raise ValueError(f"x = {xs[bad][0]} is not finite")
+    return xs
+
+
 def green_hat(kind: GreenKind, k, t: float, spec: ProblemSpec):
     """Fourier transform of the requested kernel at wavenumber(s) k, time t."""
     kern = _kernel(kind, spec)
+    _check_time(t)
     a = spec.alpha
     arr = np.asarray(k, dtype=float)
     scalar = arr.ndim == 0
@@ -420,9 +440,8 @@ def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec,
     """
     kern = _kernel(kind, spec)
     cfg = cfg or QuadratureConfig()
-    if t <= 0:
-        raise ValueError("t must be positive")
-    xs = np.asarray(xs, dtype=float)
+    _check_time(t)
+    xs = _finite_xs(xs)
     _check_dissipative(spec, kern.self_coupled)
 
     coeff_scale = abs(spec.lam)
@@ -508,7 +527,9 @@ def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec,
 
 
 def green_point_closed(kind: GreenKind, x, t: float, spec: ProblemSpec):
-    """Closed-form kernel value through the Mellin-Barnes representation.
+    """Closed-form kernel value through the Mellin-Barnes representation
+    t^(alpha-1) / (beta |x|) H^{2,1}_{3,3}(|x| / (lam t^alpha)^(1/beta)),
+    with t^(alpha-2) in front for G2.
 
     Defined for G and (for 1 < alpha <= 2) G2, real positive lam, x != 0,
     and refused with FourierOnlyError where G_hat grows with |k|.
@@ -519,7 +540,8 @@ def green_point_closed(kind: GreenKind, x, t: float, spec: ProblemSpec):
     kind = GreenKind(kind)
     if kind not in (GreenKind.G, GreenKind.G2):
         raise ValueError("closed form available for G and G2 only")
-    xs = np.asarray(x, dtype=float)
+    _check_time(t)
+    xs = _finite_xs(x)
     if np.any(xs == 0.0):
         raise ValueError("closed form has a 1/|x| prefactor; x must be nonzero")
     if abs(complex(spec.lam).imag) > 0 or complex(spec.lam).real <= 0:
@@ -534,7 +556,7 @@ def green_point_closed(kind: GreenKind, x, t: float, spec: ProblemSpec):
     for side, theta_eff in ((pos, spec.theta), (~pos, -spec.theta)):
         if side.any():
             rho = (b - theta_eff) / (2.0 * b)
-            params = HFunctionParams.green_kernel(a, b, rho, kern.ml_index)
+            params = HFunctionParams(a, b, rho, kern.ml_index)
             h[side] = h_function(params, ax[side] / (lam * t ** a) ** (1.0 / b))
     out = t ** kern.tpow / (b * ax) * h
     return float(out) if xs.ndim == 0 else out
@@ -546,4 +568,5 @@ def green_mass(kind: GreenKind, t: float, spec: ProblemSpec):
     if kind not in (GreenKind.G, GreenKind.G2):
         raise ValueError("mass defined for G and G2")
     kern = _kernel(kind, spec)
+    _check_time(t)
     return t ** kern.tpow * rgamma(kern.ml_index)

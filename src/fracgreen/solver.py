@@ -96,14 +96,15 @@ class SpaceTimeGrid:
     def __post_init__(self):
         if self.nx < 8:
             raise ValueError("nx must be at least 8")
-        if not self.x_max > self.x_min:
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)
+                and self.x_max > self.x_min):
             raise ValueError(f"x_max = {self.x_max} must exceed "
-                             f"x_min = {self.x_min}")
+                             f"x_min = {self.x_min}, both finite")
         ts = tuple(float(t) for t in self.times)
         object.__setattr__(self, "times", ts)
-        if not ts or ts[0] <= 0.0:
-            raise ValueError("times must start above 0 (kernels are singular "
-                             "at t = 0)")
+        if not ts or ts[0] <= 0.0 or not all(map(math.isfinite, ts)):
+            raise ValueError(f"times must start above 0 (kernels are singular "
+                             f"at t = 0) and be finite, got {ts}")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("times must be strictly increasing")
 

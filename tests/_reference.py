@@ -1,7 +1,8 @@
 """Reference implementations that the tests compare the package against.
 
 They use scipy and mpmath, which are test dependencies only: the
-extended-precision Mittag-Leffler Taylor series, and the Riesz-Feller
+extended-precision Mittag-Leffler Taylor series, the six-gamma
+Mellin-Barnes integrand of the kernels' H-function, and the Riesz-Feller
 derivative from its real-space integral representation.
 """
 
@@ -11,6 +12,7 @@ import mpmath as mp
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import CubicSpline
+from scipy.special import loggamma
 
 from fracgreen.fracmath import MLConvergenceError
 from fracgreen.operators import SymbolParams
@@ -38,6 +40,20 @@ def ml_mpmath(alpha: float, beta: float, z: complex) -> complex:
             if n > 4 and abs(term) < term_floor * (1 + abs(acc)):
                 break
         return complex(acc)
+
+
+def h_integrand_log(alpha: float, beta: float, rho: float, index: float,
+                    xi) -> np.ndarray:
+    """log of the H^{2,1}_{3,3} Mellin-Barnes integrand of the kernels as
+    the six-gamma ratio
+    Gamma(1 + xi) Gamma(1 + xi/beta) Gamma(-xi/beta)
+    / (Gamma(-rho xi) Gamma(index + alpha xi/beta) Gamma(1 + rho xi)),
+    on scipy's log-gamma."""
+    xi = np.asarray(xi, dtype=complex)
+    u = xi / beta
+    return (loggamma(1.0 + xi) + loggamma(1.0 + u) + loggamma(-u)
+            - loggamma(-rho * xi) - loggamma(index + alpha * u)
+            - loggamma(1.0 + rho * xi))
 
 
 def log_panels(h: float, span: float, per_efold: int = 4, nodes: int = 8):

@@ -118,6 +118,12 @@ class TestGreen:
                     "--x-range", "-1", "1", "--nx", "3"]) == 2
         assert "times must start above 0" in capsys.readouterr().err
 
+    def test_non_finite_lambda_is_constraint_error(self, capsys):
+        assert run(["green", "--alpha", "0.5", "--beta", "1.5", "--t", "1",
+                    "--lambda", "nan", "--x-range", "-1", "1",
+                    "--nx", "3"]) == 2
+        assert "lam = (nan+0j) is not finite" in capsys.readouterr().err
+
     def test_invalid_theta_is_constraint_error(self):
         assert run(["green", "--alpha", "0.5", "--beta", "2",
                     "--theta", "0.1", "--t", "1",

@@ -7,9 +7,39 @@ import numpy as np
 import pytest
 from scipy.special import erfcx, loggamma as scipy_loggamma
 
-from fracgreen.fracmath import (HAccuracyError, HFunctionParams,
-                                h_function, loggamma, mittag_leffler,
+from fracgreen.fracmath import (HFunctionParams, _h_contour, h_function,
+                                loggamma, mittag_leffler,
                                 mittag_leffler_array, rgamma)
+
+from _reference import h_integrand_log
+
+
+# (alpha, beta, theta, index) of the H-function checks; index None is
+# the first-kind kernel's index alpha
+_H_PARAMS = [
+    (0.5, 1.5, 0.2, None), (0.8, 1.6, 0.1, None), (1.4, 1.7, 0.0, 0.4),
+    (1.9, 1.1, 0.1, None), (0.3, 0.5, -0.2, None), (1.0, 2.0, 0.0, None)]
+
+
+def _h_params(alpha, beta, theta, index):
+    return HFunctionParams(alpha, beta, (beta - theta) / (2.0 * beta),
+                           alpha if index is None else index)
+
+
+def _contour(beta, height, n):
+    """n points of the line h_function integrates along, |Im xi| <= height."""
+    return -0.5 * min(1.0, beta) + 1j * np.linspace(-height, height, n)
+
+
+def _left_poles(beta):
+    k = np.arange(40.0)
+    return np.concatenate([-(1.0 + k), -(1.0 + k) * beta])
+
+
+def _mod_2pi_i(d):
+    """d with its imaginary part reduced to [-pi, pi)."""
+    return d.real + 1j * (np.remainder(d.imag + math.pi, 2.0 * math.pi)
+                          - math.pi)
 
 
 class TestGamma:
@@ -29,34 +59,24 @@ class TestGamma:
                 worst = max(worst, float(abs((rgamma(float(x)) - ref) / ref)))
         assert worst <= 1e-14
 
-    @pytest.mark.parametrize("alpha, beta, theta, index", [
-        (0.5, 1.5, 0.2, None), (0.8, 1.6, 0.1, None), (1.4, 1.7, 0.0, 0.4),
-        (1.9, 1.1, 0.1, None), (0.3, 0.5, -0.2, None), (1.0, 2.0, 0.0, None)])
+    @pytest.mark.parametrize("alpha, beta, theta, index", _H_PARAMS)
     def test_loggamma_on_h_function_arguments(self, alpha, beta, theta,
                                               index):
-        # every gamma argument of theta_log on the line Re xi = c that
-        # h_function integrates along, and at the left poles of its residue
+        # the two gamma arguments of theta_log, 1 + xi and
+        # index + alpha xi/beta, on the line Re xi = -min(1, beta)/2 that
+        # h_function integrates along and at the left poles of its residue
         # series; the imaginary part counts mod 2 pi
-        params = HFunctionParams.green_kernel(alpha, beta,
-                                              (beta - theta) / (2.0 * beta),
-                                              index)
-        cl, cr = params.left_abscissa(), params.right_abscissa()
-        c = 0.5 * (cl + min(cr, cl + 2.0))
-        y = np.concatenate([np.linspace(-30.0, 30.0, 6001),
-                            np.linspace(-5e4, 5e4, 20001)])
-        poles = [-(b + k) / B for b, B in params.lower[:params.m]
-                 for k in range(40)]
-        xi = np.concatenate([c + 1j * y, poles])
-        z = np.concatenate([w for b, B in params.upper + params.lower
-                            for w in (b + B * xi, 1.0 - b - B * xi)])
+        params = _h_params(alpha, beta, theta, index)
+        xi = np.concatenate([_contour(beta, 30.0, 6001),
+                             _contour(beta, 5e4, 20001),
+                             _left_poles(beta)])
+        z = np.concatenate([1.0 + xi, params.index + alpha / beta * xi])
         # log Gamma has no condition to speak of within 1e-6 of its poles
         near_pole = (z.imag == 0.0) & (z.real < 0.5) \
             & (np.abs(z.real - np.round(z.real)) < 1e-6)
         z = z[~near_pole]
         ref = scipy_loggamma(z)
-        d = loggamma(z) - ref
-        d = d.real + 1j * np.remainder(d.imag + math.pi, 2.0 * math.pi) \
-            - 1j * math.pi
+        d = _mod_2pi_i(loggamma(z) - ref)
         assert np.max(np.abs(d) / np.maximum(1.0, np.abs(ref))) <= 1e-13
 
     def test_loggamma_keeps_the_shape(self):
@@ -151,7 +171,7 @@ class TestMittagLeffler:
 class TestHFunction:
     def test_gaussian_collapse(self):
         # alpha=1, beta=2 kernel: H at rho=1/2 reproduces the heat kernel
-        params = HFunctionParams.green_kernel(1.0, 2.0, 0.5)
+        params = HFunctionParams(1.0, 2.0, 0.5, 1.0)
         for x in (0.3, 1.0, 2.5):
             t = 1.0
             z = x / t ** 0.5
@@ -163,7 +183,7 @@ class TestHFunction:
     def test_symmetric_stable_density(self):
         # alpha=1 (exponential time factor gone), beta=1 similarity law:
         # the H value equals beta*x times the Cauchy density at unit time
-        params = HFunctionParams.green_kernel(1.0, 1.0, 0.5)
+        params = HFunctionParams(1.0, 1.0, 0.5, 1.0)
         for x in (0.5, 2.0):
             h = float(np.real(h_function(params, x))) / x
             cauchy = 1.0 / (math.pi * (1.0 + x * x))
@@ -179,7 +199,7 @@ class TestHFunction:
                              np.exp(rng.uniform(math.log(1e-4),
                                                 math.log(40.0), 12))])
         rho = 0.5 if beta == 2.0 else 0.45
-        params = HFunctionParams.green_kernel(alpha, beta, rho)
+        params = HFunctionParams(alpha, beta, rho, alpha)
         batch = h_function(params, zs)
         assert np.array_equal(batch, [h_function(params, z) for z in zs])
         perm = rng.permutation(zs.size)
@@ -188,6 +208,22 @@ class TestHFunction:
         with pytest.raises(ValueError):
             h_function(params, np.array([0.5, 0.0]))
 
-    def test_pole_separation_guard(self):
-        params = HFunctionParams.green_kernel(1.0, 2.0, 0.5)
-        assert params.check_pole_separation()
+    @pytest.mark.parametrize("alpha, beta, theta, index", _H_PARAMS)
+    def test_integrand_is_the_six_gamma_ratio(self, alpha, beta, theta,
+                                              index):
+        # the reflection formula turns the six gamma factors into two and
+        # two sines; their logs agree mod 2 pi i
+        params = _h_params(alpha, beta, theta, index)
+        xi = _contour(beta, 200.0, 8001)
+        ref = h_integrand_log(alpha, beta, params.rho, params.index, xi)
+        d = _mod_2pi_i(params.theta_log(xi) - ref)
+        assert np.max(np.abs(d) / np.maximum(1.0, np.abs(ref))) <= 1e-12
+
+    @pytest.mark.parametrize("beta", [1.7, 1.9])
+    def test_residue_series_matches_the_contour(self, beta):
+        # no two left poles clash at these beta, so every z below 0.1
+        # takes the residue series
+        params = HFunctionParams(0.8, beta, 0.45, 0.8)
+        zs = np.geomspace(0.03, 0.0999, 15)
+        assert np.max(np.abs(h_function(params, zs)
+                             - _h_contour(params, zs))) <= 1e-12

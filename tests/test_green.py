@@ -28,6 +28,12 @@ class TestProblemSpec:
         assert len(err.value.problems) == 3
         assert isinstance(err.value, ValueError)
 
+    @pytest.mark.parametrize("name", ["lam", "mu"])
+    def test_non_finite_coefficient_named(self, name):
+        with pytest.raises(SpecValidationError) as err:
+            ProblemSpec(alpha=0.8, beta=1.5, **{name: complex(math.nan)})
+        assert [p.split()[0] for p in err.value.problems] == [name]
+
     @given(st.floats(-0.5, 2.5), st.floats(-0.5, 2.5), st.floats(-1.5, 1.5),
            st.floats(-0.5, 2.5), st.floats(-1.5, 1.5))
     def test_constructs_exactly_on_the_admissible_domain(
@@ -218,10 +224,11 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("alpha, beta, theta",
                              [(0.8, 1.7, 0.1), (0.6, 1.3, 0.0),
-                              (1.4, 1.7, -0.1)])
+                              (1.4, 1.7, -0.1), (1.45, 0.76, 0.02)])
     def test_residue_series_matches_quadrature(self, alpha, beta, theta):
         # lam = 1 and t = 1 make z = |x| < 0.1: the residue series of
-        # h_function
+        # h_function where alpha < beta; at alpha > beta the series
+        # diverges and these z take the contour
         spec = ProblemSpec(alpha=alpha, beta=beta, theta=theta)
         xs = np.array([0.01, 0.03, 0.06, -0.04])
         closed = green_point_closed(GreenKind.G, xs, 1.0, spec)
@@ -240,6 +247,31 @@ class TestClosedForm:
         spec = ProblemSpec(alpha=0.5, beta=1.5)
         with pytest.raises(RegimeError):
             green_point_closed(GreenKind.G2, 1.0, 1.0, spec)
+
+
+_KERNEL_ENTRY_POINTS = {
+    "green_hat": lambda t, spec: green_hat(GreenKind.G, 1.0, t, spec),
+    "green_mass": lambda t, spec: green_mass(GreenKind.G, t, spec),
+    "green_points": lambda t, spec: green_points(GreenKind.G, [1.0], t, spec),
+    "green_point_closed":
+        lambda t, spec: green_point_closed(GreenKind.G, 1.0, t, spec),
+}
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", sorted(_KERNEL_ENTRY_POINTS))
+def test_every_kernel_entry_point_checks_the_time(entry, t):
+    spec = ProblemSpec(alpha=0.8, beta=1.6, theta=0.1)
+    with pytest.raises(ValueError, match="times must start above 0"):
+        _KERNEL_ENTRY_POINTS[entry](t, spec)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("evaluate", [green_points, green_point_closed])
+def test_non_finite_x_named(evaluate, x):
+    spec = ProblemSpec(alpha=0.8, beta=1.6, theta=0.1)
+    with pytest.raises(ValueError, match=f"x = {x} is not finite"):
+        evaluate(GreenKind.G, [0.5, x], 1.0, spec)
 
 
 class TestMass:

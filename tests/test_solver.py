@@ -62,11 +62,16 @@ class TestGrid:
 @pytest.mark.parametrize("build", [
     lambda: SpaceTimeGrid(5.0, -5.0, 16, (1.0,)),
     lambda: SpaceTimeGrid(2.0, 2.0, 16, (1.0,)),
+    lambda: SpaceTimeGrid(0.0, 1.0, 16, (math.nan,)),
+    lambda: SpaceTimeGrid(0.0, 1.0, 16, (1.0, math.inf)),
+    lambda: SpaceTimeGrid(0.0, math.inf, 16, (1.0,)),
+    lambda: SpaceTimeGrid(-math.inf, 1.0, 16, (1.0,)),
     lambda: SourceDescriptor.gaussian(0.0, 0.0),
     lambda: SourceDescriptor.gaussian(0.0, -1.0),
     lambda: SourceDescriptor.box(1.0, 1.0),
     lambda: SourceDescriptor.box(2.0, -2.0),
-], ids=["grid_reversed", "grid_empty", "gaussian_zero_width",
+], ids=["grid_reversed", "grid_empty", "grid_time_nan", "grid_time_inf",
+        "grid_x_max_inf", "grid_x_min_inf", "gaussian_zero_width",
         "gaussian_negative_width", "box_empty", "box_reversed"])
 def test_malformed_inputs_rejected(build):
     with pytest.raises(ValueError):
