@@ -1,8 +1,7 @@
 """Special-function kernel: reciprocal and complex log-gamma, the
 Mittag-Leffler function, and the one Fox function the closed-form Green
-kernels need, H^{2,1}_{3,3}, by its Mellin-Barnes integral (residue
-series for small arguments, contour trapezoid otherwise).  numpy is the
-only dependency.
+kernels need, H^{2,1}_{3,3}, by a trapezoid rule on its Mellin-Barnes
+contour.  numpy is the only dependency.
 
 Everything here is pure and stateless apart from read-only caches, so
 concurrent use is safe.
@@ -40,18 +39,11 @@ class HAccuracyError(ArithmeticError):
 
 # Evaluation regions.  The Taylor series takes |z| <= 1 for alpha <= 1 and
 # |z| <= 25 for alpha > 1, where it costs less than the contour (measured
-# on warm solves), and the asymptotic expansion |z| >= 15; each keeps a
-# point only when it passes its own error estimate, and the optimal
-# parabolic contour takes every other point.
+# on warm solves), and keeps a point only when it passes its own error
+# estimate; the optimal parabolic contour takes every other point.
 _SERIES_RADIUS = 1.0
 _SERIES_RADIUS_HIGH = 25.0
-_ASYMPTOTIC_RADIUS = 15.0
 _SERIES_CAP = 500
-_ASYMPTOTIC_TERMS = 40
-# error estimate / |value| the asymptotic expansion accepts; the contour
-# takes the rest to about 1e-15 (1e-11 let errors of 5e-12 through at
-# |z| = 25-27 for alpha near 1)
-_ASYMPTOTIC_TOL = 1e-13
 # largest term / |sum| the series accepts: its rounding error is about
 # this ratio times (number of terms) * eps, so 1e2 keeps it near 1e-13
 _CANCELLATION_LIMIT = 1e2
@@ -67,13 +59,15 @@ _OPC_BLOCK = 4096
 
 def rgamma(x: float) -> float:
     """1/Gamma(x) for real x from math.gamma; exactly zero at the
-    non-positive integers and past the double range."""
+    non-positive integers and past the double range on the positive axis,
+    and a signed infinity where Gamma underflows on the negative axis."""
     if x <= 0.0 and x == math.floor(x):
         return 0.0
     try:
-        return 1.0 / math.gamma(x)
+        g = math.gamma(x)
     except OverflowError:
         return 0.0
+    return 1.0 / g if g != 0.0 else math.copysign(math.inf, g)
 
 
 # Stirling series of log Gamma: B_2k / (2k (2k - 1)), k = 1..8.  With
@@ -139,29 +133,16 @@ def _log_sin_pi(u) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _ml_coeffs(alpha: float, beta: float):
-    """Read-only coefficient rows for (alpha, beta).
-
-    1/Gamma(alpha j + beta) for the Taylor series, 1/Gamma(beta - alpha
-    (j + 1)) for the asymptotic expansion, and a smooth envelope of the
-    latter: |1/Gamma(y)| dips to zero near the poles, which would fool a
-    smallest-term truncation rule, while the reflection bound
-    Gamma(1 - y)/pi is monotone there.
-    """
-    series = np.array([rgamma(alpha * j + beta)
-                       for j in range(_SERIES_CAP)])
-    ys = [beta - alpha * (j + 1) for j in range(_ASYMPTOTIC_TERMS)]
-    asym = np.array([rgamma(y) for y in ys])
-    env = np.array([abs(rgamma(y)) if y >= 0.5
-                    else math.gamma(1.0 - y) / math.pi for y in ys])
-    for row in (series, asym, env):
-        row.flags.writeable = False
-    return series, asym, env
+def _ml_coeffs(alpha: float, beta: float) -> np.ndarray:
+    """Read-only Taylor coefficients 1/Gamma(alpha j + beta)."""
+    coeffs = np.array([rgamma(alpha * j + beta) for j in range(_SERIES_CAP)])
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def _ml_series_batch(alpha: float, beta: float, z: np.ndarray):
     """Taylor series on an array; returns (values, ok_mask)."""
-    coeffs = _ml_coeffs(alpha, beta)[0]
+    coeffs = _ml_coeffs(alpha, beta)
     acc = np.full(z.shape, coeffs[0], dtype=complex)
     power = np.ones_like(acc)
     maxmag = np.abs(acc)
@@ -181,48 +162,6 @@ def _ml_series_batch(alpha: float, beta: float, z: np.ndarray):
     converged = ~active
     safe = maxmag <= _CANCELLATION_LIMIT * (np.abs(acc) + 1e-300)
     return acc, converged & safe
-
-
-def _ml_asymptotic_batch(alpha: float, beta: float, z: np.ndarray):
-    """Algebraic expansion (plus exponential term in-sector); (values, ok)."""
-    _, coeffs, env = _ml_coeffs(alpha, beta)
-    zinv = 1.0 / z
-    acc = np.zeros(z.shape, dtype=complex)
-    power = np.ones_like(acc)
-    best_err = np.full(z.shape, np.inf)
-    frozen = np.zeros(z.shape, dtype=bool)
-    for n in range(_ASYMPTOTIC_TERMS):
-        power = power * zinv
-        term = coeffs[n] * power
-        tm = env[n] * np.abs(power)
-        growing = tm > best_err
-        frozen |= growing
-        acc += np.where(frozen, 0.0, -term)
-        best_err = np.where(frozen, best_err, np.minimum(best_err, tm + 1e-300))
-    vals = acc
-    phase = np.angle(z)
-    mag = np.abs(z)
-    # the pole terms (1/alpha) r^(1-beta) exp(r), r = z^(1/alpha) on a sheet
-    # with |arg| < alpha pi; for alpha > 1 a neighbouring sheet can hold one
-    # too.  Near the Stokes line |arg| = alpha pi the weight of a term moves
-    # from 1 to 0, so there its size counts as error.
-    ks = (0,) if alpha <= 1.0 else (-1, 0, 1)
-    for k in ks:
-        ph = phase + 2.0 * np.pi * k
-        near = np.abs(ph) <= 1.25 * alpha * np.pi
-        if near.any():
-            # a value beyond the double range stays inf here and is
-            # reported as MLConvergenceError by the caller
-            with np.errstate(over="ignore", invalid="ignore"):
-                root = np.where(near, mag, 1.0) ** (1.0 / alpha) * np.exp(
-                    1j * ph / alpha
-                )
-                expterm = (1.0 / alpha) * root ** (1.0 - beta) * np.exp(root)
-            vals = vals + np.where(np.abs(ph) < alpha * np.pi, expterm, 0.0)
-            edge = near & (np.abs(ph) >= 0.75 * alpha * np.pi)
-            best_err = best_err + np.where(edge, np.abs(expterm), 0.0)
-    ok = best_err <= _ASYMPTOTIC_TOL * (np.abs(vals) + 1e-300)
-    return vals, ok
 
 
 def _opc_bounded(phi0, phi1, p, log_tol):
@@ -422,15 +361,12 @@ def _ml_array(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     out = np.empty(z.shape, dtype=complex)
     done = z == 0
     out[done] = rgamma(beta)
-    az = np.abs(z)
     radius = _SERIES_RADIUS if alpha <= 1.0 else _SERIES_RADIUS_HIGH
-    for region, batch in ((az <= radius, _ml_series_batch),
-                          (az >= _ASYMPTOTIC_RADIUS, _ml_asymptotic_batch)):
-        idx = np.flatnonzero(region & ~done)
-        if idx.size:
-            vals, ok = batch(alpha, beta, z[idx])
-            out[idx[ok]] = vals[ok]
-            done[idx[ok]] = True
+    idx = np.flatnonzero((np.abs(z) <= radius) & ~done)
+    if idx.size:
+        vals, ok = _ml_series_batch(alpha, beta, z[idx])
+        out[idx[ok]] = vals[ok]
+        done[idx[ok]] = True
     rest = np.flatnonzero(~done)
     if rest.size:
         out[rest] = _ml_opc(alpha, beta, z[rest])
@@ -441,9 +377,8 @@ def mittag_leffler_array(alpha: float, beta: float, z) -> np.ndarray:
     """Vectorized E_{alpha,beta} over an array of complex arguments.
 
     Takes 0 < alpha <= 2, the time orders of the equation.  Each point
-    takes the Taylor series (small |z|) or the asymptotic expansion
-    (|z| >= 15) when that passes its own error estimate, and the optimal
-    parabolic contour otherwise.  A value depends on (alpha, beta, z)
+    takes the Taylor series (small |z|) when that passes its own error
+    estimate, and the optimal parabolic contour otherwise.  A value depends on (alpha, beta, z)
     alone, not on the rest of the batch.  Raises MLConvergenceError,
     naming the first such z, where the value is not finite.
     """
@@ -514,44 +449,10 @@ class HFunctionParams:
                 + _log_sin_pi(self.rho * xi) - _log_sin_pi(xi / self.beta))
 
 
-# Points below _RESIDUE_Z take the residue series over the left poles xi
-# with z^(-xi) >= _RESIDUE_TOL.  Its pole list is built for z = _RESIDUE_Z,
-# so it holds every pole any smaller z keeps and does not depend on the
-# batch.  The contour trapezoid stops when two step levels agree to
-# _H_ABS_TOL or _H_REL_TOL.
-_RESIDUE_Z = 0.1
-_RESIDUE_TOL = 1e-18
+# The contour trapezoid stops when two step levels agree to _H_ABS_TOL or
+# _H_REL_TOL.
 _H_ABS_TOL = 1e-12
 _H_REL_TOL = 1e-9
-
-
-def _h_left_poles(params: HFunctionParams):
-    """Left poles of the residue series and their z-free coefficients.
-
-    The two pole families are those of Gamma(1 + xi), at -(1 + k), and of
-    1/sin(pi xi/beta), at -(1 + k) beta.  Returns (xi, coef, clash): the
-    residue at xi[i] is coef[i] z^(-xi[i]), and clash marks a pole within
-    1e-8 of another one, where the simple-pole residue does not hold (its
-    coef is 0).
-    """
-    a, b, rho = params.alpha, params.beta, params.rho
-    k = np.arange(200.0)
-    xi = np.concatenate([-(1.0 + k), -(1.0 + k) * b])
-    pole = np.flatnonzero(_RESIDUE_Z ** -xi >= _RESIDUE_TOL)
-    xi = xi[pole]
-    clash = (np.abs(xi[:, None] - xi[None, :]) < 1e-8).sum(axis=1) > 1
-    coef = np.zeros(xi.size)
-    for i in np.flatnonzero(~clash):
-        family, n = divmod(int(pole[i]), k.size)
-        x = float(xi[i])
-        rest = math.sin(math.pi * rho * x) * rgamma(params.index + a / b * x)
-        if family == 0:  # Gamma(1 + xi): residue (-1)^n / n!
-            coef[i] = (-1.0) ** n / math.factorial(n) * rest \
-                / math.sin(math.pi * x / b)
-        else:  # 1/sin(pi xi/beta): residue (-1)^(n+1) beta/pi
-            coef[i] = (-1.0) ** (n + 1) * b / math.pi * math.gamma(1.0 + x) \
-                * rest
-    return xi, coef, clash
 
 
 def _h_contour(params: HFunctionParams, zs: np.ndarray):
@@ -607,28 +508,11 @@ def h_function(params: HFunctionParams, z):
     """Mellin-Barnes integral of the kernels' H-function at z > 0.
 
     z is a scalar, giving a float, or an array, giving an array of its
-    shape; each value depends on z alone.  For alpha < beta a z below
-    0.1 takes the residue series over the left poles unless two of the
-    poles it keeps clash; every other z is integrated along the line
-    Re xi = -min(1, beta)/2 with an adaptive trapezoid rule.
+    shape; each value depends on z alone.  Every z is integrated along
+    the line Re xi = -min(1, beta)/2 with an adaptive trapezoid rule.
     """
     zs = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(zs) & (zs > 0)):
         raise ValueError("z must be finite and positive")
-    flat = zs.ravel()
-    out = np.empty(flat.shape)
-    todo = np.ones(flat.shape, dtype=bool)
-    # the series converges for alpha < beta only; for alpha >= beta its
-    # coefficients grow factorially and a cut at _RESIDUE_TOL is no bound
-    small = np.flatnonzero((flat < _RESIDUE_Z) & (params.alpha < params.beta))
-    if small.size:
-        xi, coef, clash = _h_left_poles(params)
-        power = flat[small, None] ** -xi
-        kept = power >= _RESIDUE_TOL
-        # one row sum per z over the same pole list
-        out[small] = np.where(kept, coef * power, 0.0).sum(axis=1)
-        todo[small] = (kept & clash).any(axis=1)
-    rest = np.flatnonzero(todo)
-    if rest.size:
-        out[rest] = _h_contour(params, flat[rest])
+    out = _h_contour(params, zs.ravel())
     return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)

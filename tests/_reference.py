@@ -1,9 +1,10 @@
 """Reference implementations that the tests compare the package against.
 
 They use scipy and mpmath, which are test dependencies only: the
-extended-precision Mittag-Leffler Taylor series, the six-gamma
-Mellin-Barnes integrand of the kernels' H-function, and the Riesz-Feller
-derivative from its real-space integral representation.
+extended-precision Mittag-Leffler Taylor series and large-|z| asymptotic
+expansion, the six-gamma Mellin-Barnes integrand of the kernels'
+H-function and its residue series, and the Riesz-Feller derivative from
+its real-space integral representation.
 """
 
 import math
@@ -40,6 +41,85 @@ def ml_mpmath(alpha: float, beta: float, z: complex) -> complex:
             if n > 4 and abs(term) < term_floor * (1 + abs(acc)):
                 break
         return complex(acc)
+
+
+def ml_asymptotic_mpmath(alpha: float, beta: float, z: complex):
+    """Large-|z| asymptotic expansion of E_{alpha,beta}(z) in extended
+    precision, with its own error estimate; returns (value, error).
+
+    The algebraic series -sum_k z^(-k) / Gamma(beta - alpha k) is cut at
+    its smallest term, bounded by the reflection envelope Gamma(1 - y)/pi
+    of 1/Gamma(y), which does not dip to zero near the poles, or once that
+    bound falls below 1e-20 / |z|.  Each pole
+    r = z^(1/alpha) of the Laplace transform on a sheet with
+    |arg r| < pi adds (1/alpha) r^(1-beta) exp(r).  Near the Stokes line
+    |arg| = alpha pi the weight of such a term moves from 1 to 0, so there
+    its size counts as error.
+    """
+    # digits enough for the phase of exp(r), |r| = |z|^(1/alpha)
+    with mp.workdps(30 + int(math.log10(abs(z)) / alpha)):
+        zz, a, b = mp.mpc(z), mp.mpf(alpha), mp.mpf(beta)
+        acc = mp.mpc(0)
+        err = mp.inf
+        for k in range(1, 400):
+            y = b - a * k
+            env = abs(mp.rgamma(y)) if y >= 0.5 else mp.gamma(1 - y) / mp.pi
+            size = env * abs(zz) ** -k
+            if size > err:
+                break
+            err = size
+            acc -= mp.rgamma(y) * zz ** -k
+            if size < 1e-20 / abs(zz):
+                break
+        for sheet in ((0,) if alpha <= 1.0 else (-1, 0, 1)):
+            ph = mp.arg(zz) + 2 * mp.pi * sheet
+            if abs(ph) >= 1.25 * a * mp.pi:
+                continue
+            r = abs(zz) ** (1 / a) * mp.expj(ph / a)
+            term = r ** (1 - b) * mp.exp(r) / a
+            if abs(ph) < a * mp.pi:
+                acc += term
+            if abs(ph) >= 0.75 * a * mp.pi:
+                err += abs(term)
+        return complex(acc), float(err)
+
+
+def h_residue_series(alpha: float, beta: float, rho: float, index: float,
+                     zs) -> np.ndarray:
+    """H^{2,1}_{3,3} of the kernels at each z of zs as the residue series
+    over the left poles of its Mellin-Barnes integrand, in extended
+    precision; converges for alpha < beta.
+
+    The two pole families are those of Gamma(1 + xi), at -(1 + k), with
+    residue (-1)^k / k!, and of 1/sin(pi xi/beta), at -(1 + k) beta, with
+    residue (-1)^(k+1) beta/pi.  The sum keeps the poles with
+    z^(-xi) >= 1e-16 at the largest z, which leaves out less than 1e-16
+    times a coefficient.  Raises ValueError where two poles it keeps lie
+    within 1e-8 of each other, since the simple-pole residues do not hold
+    there.
+    """
+    if not alpha < beta:
+        raise ValueError("the residue series converges for alpha < beta")
+    zs = np.asarray(zs, dtype=float)
+    x_max = 16.0 * math.log(10.0) / -math.log(float(zs.max()))
+    poles = [(0, k) for k in range(int(x_max))] \
+        + [(1, k) for k in range(int(x_max / beta))]
+    xs = np.array([-(1.0 + k) * (1.0 if f == 0 else beta) for f, k in poles])
+    if (np.abs(xs[:, None] - xs[None, :]) < 1e-8).sum() > xs.size:
+        raise ValueError(f"left poles clash at beta = {beta}")
+    with mp.workdps(30):
+        a, b, r, ix = (mp.mpf(v) for v in (alpha, beta, rho, index))
+        terms = []
+        for family, k in poles:
+            x = -(1 + k) * (1 if family == 0 else b)
+            rest = mp.sin(mp.pi * r * x) * mp.rgamma(ix + a / b * x)
+            if family == 0:
+                coef = (-1) ** k / mp.factorial(k) * rest / mp.sin(mp.pi * x / b)
+            else:
+                coef = (-1) ** (k + 1) * b / mp.pi * mp.gamma(1 + x) * rest
+            terms.append((x, coef))
+        return np.array([float(mp.fsum(c * mp.mpf(float(z)) ** -x
+                                       for x, c in terms)) for z in zs])
 
 
 def h_integrand_log(alpha: float, beta: float, rho: float, index: float,

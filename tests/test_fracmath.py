@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 from scipy.special import erfcx, loggamma as scipy_loggamma
 
-from fracgreen.fracmath import (HFunctionParams, _h_contour, h_function,
-                                loggamma, mittag_leffler,
-                                mittag_leffler_array, rgamma)
+from fracgreen.fracmath import (HFunctionParams, h_function, loggamma,
+                                mittag_leffler, mittag_leffler_array, rgamma)
 
-from _reference import h_integrand_log
+from _reference import h_integrand_log, h_residue_series
 
 
 # (alpha, beta, theta, index) of the H-function checks; index None is
@@ -48,8 +47,8 @@ class TestGamma:
             assert rgamma(float(n)) == 0.0
 
     def test_rgamma_on_the_negative_axis(self):
-        # the asymptotic Mittag-Leffler coefficients and the residue
-        # series of h_function take 1/Gamma at negative arguments
+        # the algebraic tails of green_points take 1/Gamma at negative
+        # arguments
         import mpmath as mp
 
         worst = 0.0
@@ -59,13 +58,22 @@ class TestGamma:
                 worst = max(worst, float(abs((rgamma(float(x)) - ref) / ref)))
         assert worst <= 1e-14
 
+    @pytest.mark.parametrize("x", [-171.5, -172.5, -180.5, -1000.5])
+    def test_rgamma_overflows_to_a_signed_infinity(self, x):
+        # Gamma(x) underflows here, so 1/Gamma(x) is past the double range
+        import mpmath as mp
+
+        got = rgamma(x)
+        assert math.isinf(got)
+        assert math.copysign(1.0, got) == float(mp.sign(mp.rgamma(x)))
+
     @pytest.mark.parametrize("alpha, beta, theta, index", _H_PARAMS)
     def test_loggamma_on_h_function_arguments(self, alpha, beta, theta,
                                               index):
         # the two gamma arguments of theta_log, 1 + xi and
         # index + alpha xi/beta, on the line Re xi = -min(1, beta)/2 that
-        # h_function integrates along and at the left poles of its residue
-        # series; the imaginary part counts mod 2 pi
+        # h_function integrates along and at the integrand's left poles;
+        # the imaginary part counts mod 2 pi
         params = _h_params(alpha, beta, theta, index)
         xi = np.concatenate([_contour(beta, 30.0, 6001),
                              _contour(beta, 5e4, 20001),
@@ -192,8 +200,8 @@ class TestHFunction:
     @pytest.mark.parametrize("alpha, beta",
                              [(0.8, 1.7), (0.8, 1.5), (1.4, 1.6), (1.0, 2.0)])
     def test_array_matches_one_point_calls(self, alpha, beta):
-        # beta = 1.5 and 2 have coinciding left poles, which send small z
-        # to the contour; the others take the residue series below 0.1
+        # every z takes the contour; small z need the finest step levels,
+        # which one-point calls build on their own
         rng = np.random.default_rng(7)
         zs = np.concatenate([[1e-4, 0.02, 0.09, 0.1, 0.5, 3.0, 40.0],
                              np.exp(rng.uniform(math.log(1e-4),
@@ -221,9 +229,27 @@ class TestHFunction:
 
     @pytest.mark.parametrize("beta", [1.7, 1.9])
     def test_residue_series_matches_the_contour(self, beta):
-        # no two left poles clash at these beta, so every z below 0.1
-        # takes the residue series
+        # for alpha < beta the residue series over the left poles converges
+        # and is an independent reference for small z
         params = HFunctionParams(0.8, beta, 0.45, 0.8)
-        zs = np.geomspace(0.03, 0.0999, 15)
-        assert np.max(np.abs(h_function(params, zs)
-                             - _h_contour(params, zs))) <= 1e-12
+        zs = np.geomspace(1e-8, 0.0999, 15)
+        ref = h_residue_series(0.8, beta, 0.45, 0.8, zs)
+        assert np.max(np.abs(h_function(params, zs) - ref)) <= 1e-12
+
+    def test_residue_series_on_drawn_sets(self):
+        # alpha < beta over the kernels' parameter domain, both indices, and
+        # h_function's own tolerance; a drawn set whose kept left poles
+        # clash would make the reference raise
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            beta = rng.uniform(0.1, 2.0)
+            alpha = rng.uniform(0.05, beta)
+            theta = 0.999 * rng.uniform(-1.0, 1.0) * min(beta, 2.0 - beta)
+            index = alpha if alpha <= 1.0 or rng.random() < 0.5 \
+                else alpha - 1.0
+            rho = (beta - theta) / (2.0 * beta)
+            zs = np.exp(rng.uniform(math.log(1e-8), math.log(0.1), 8))
+            got = h_function(HFunctionParams(alpha, beta, rho, index), zs)
+            ref = h_residue_series(alpha, beta, rho, index, zs)
+            assert np.all(np.abs(got - ref)
+                          <= np.maximum(1e-12, 1e-9 * np.abs(ref)))

@@ -226,9 +226,8 @@ class TestClosedForm:
                              [(0.8, 1.7, 0.1), (0.6, 1.3, 0.0),
                               (1.4, 1.7, -0.1), (1.45, 0.76, 0.02)])
     def test_residue_series_matches_quadrature(self, alpha, beta, theta):
-        # lam = 1 and t = 1 make z = |x| < 0.1: the residue series of
-        # h_function where alpha < beta; at alpha > beta the series
-        # diverges and these z take the contour
+        # lam = 1 and t = 1 make z = |x| < 0.1, small H arguments on the
+        # contour, against the independent quadrature
         spec = ProblemSpec(alpha=alpha, beta=beta, theta=theta)
         xs = np.array([0.01, 0.03, 0.06, -0.04])
         closed = green_point_closed(GreenKind.G, xs, 1.0, spec)

@@ -1,9 +1,10 @@
 """Accuracy, purity and properties of the Mittag-Leffler evaluator.
 
-The reference is the extended-precision Taylor series `ml_mpmath`.  The
-annulus 5 < |z| < 15 is where neither the Taylor series nor the
-asymptotic expansion is accurate enough and the contour evaluation does
-the work.
+The reference is the extended-precision Taylor series `ml_mpmath` up to
+|z| = 27 and the asymptotic expansion `ml_asymptotic_mpmath` beyond.
+Past the Taylor radius (1 for alpha <= 1, 25 above) every point takes the
+optimal parabolic contour, so the annulus 5 < |z| < 15 and the large-|z|
+table both test it.
 """
 
 import cmath
@@ -15,7 +16,7 @@ from hypothesis import given, strategies as st
 
 from fracgreen.fracmath import mittag_leffler, mittag_leffler_array
 
-from _reference import ml_mpmath
+from _reference import ml_asymptotic_mpmath, ml_mpmath
 
 
 def _rel(got, ref):
@@ -49,11 +50,43 @@ class TestAccuracy:
                              [(1.2, 1.2, 27.1, 0.385),
                               (0.95, 1.0, 25.6, 0.64)])
     def test_asymptotic_region_edge(self, alpha, beta, r, turn):
-        # just past |z| = 15 the asymptotic expansion's error estimate
-        # lies between 1e-12 and 1e-11 here; such points go to the contour
+        # just past |z| = 15 a large-|z| asymptotic expansion is accurate to
+        # 1e-12-1e-11 only here; the contour must do better
         z = r * cmath.exp(1j * math.pi * turn)
         got = mittag_leffler(alpha, beta, z)
         assert _rel(got, ml_mpmath(alpha, beta, z)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha",
+                             [0.3, 0.5834, 0.8, 0.95, 1.2, 1.45, 1.9])
+    def test_large_argument_table(self, alpha):
+        # |arg z| >= alpha pi/2, where E stays bounded, and |z| in
+        # [15, 1e9].  A point counts where the expansion's own error
+        # estimate is below 1e-15 of the scale |E| + 1/|z| (at beta =
+        # alpha the leading term vanishes and |E| ~ |z|^-2), and where
+        # the rounding of a double argument moves E by less than 1e-14
+        # of it: near arg z = alpha pi/2 the term exp(z^(1/alpha)) has
+        # modulus 1 and the condition number grows as |z|^(1/alpha).
+        # |z E'(z)| comes from E' = (E_{a,b-1} - (b-1) E_{a,b}) / (a z).
+        rng = np.random.default_rng(int(alpha * 1e4))
+        n = 12
+        betas = [alpha, alpha + 1.0] + ([alpha - 1.0] if alpha > 1.0 else [])
+        worst, kept = 0.0, 0
+        for beta in betas:
+            z = np.exp(rng.uniform(math.log(15.0), math.log(1e9), n)
+                       + 1j * rng.choice([-1.0, 1.0], n)
+                       * rng.uniform(alpha * math.pi / 2.0, math.pi, n))
+            got = mittag_leffler_array(alpha, beta, z)
+            for v, g in zip(z, got):
+                ref, err = ml_asymptotic_mpmath(alpha, beta, complex(v))
+                scale = abs(ref) + 1.0 / abs(v)
+                low = ml_asymptotic_mpmath(alpha, beta - 1.0, complex(v))[0]
+                cond = abs(low - (beta - 1.0) * ref) / alpha / scale
+                if err > 1e-15 * scale or cond * 2.0 ** -52 > 1e-14:
+                    continue
+                kept += 1
+                worst = max(worst, abs(g - ref) / scale)
+        assert kept >= n * len(betas) // 2
+        assert worst <= 1e-13
 
     @pytest.mark.parametrize("alpha", [0.0, 2.5])
     def test_order_outside_zero_two_rejected(self, alpha):
