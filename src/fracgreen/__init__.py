@@ -7,10 +7,9 @@ __version__ = "0.1.0"
 from .fracmath import (HAccuracyError, HFunctionParams, h_function,
                        mittag_leffler, mittag_leffler_array)
 from .operators import SymbolParams, gl_weights, riesz_feller_symbol
-from .green import (FourierOnlyError, GreenKind, ProblemSpec,
-                    QuadratureConfig, RegimeError, SpecValidationError,
-                    ToleranceNotMetError, green_hat, green_mass, green_point,
-                    green_point_closed, green_points)
+from .green import (FourierOnlyError, GreenKind, ProblemSpec, RegimeError,
+                    SpecValidationError, ToleranceNotMetError, green_hat,
+                    green_mass, green_point_closed, green_points)
 from .solver import (Field, SourceDescriptor, SpaceTimeGrid,
                      convolve_time_singular, solve)
 from .oracle import (OracleConfig, OracleInstabilityError,
@@ -21,9 +20,9 @@ __all__ = [
     "HAccuracyError", "HFunctionParams", "h_function",
     "mittag_leffler", "mittag_leffler_array",
     "SymbolParams", "gl_weights", "riesz_feller_symbol",
-    "FourierOnlyError", "GreenKind", "ProblemSpec", "QuadratureConfig",
-    "RegimeError", "ToleranceNotMetError", "green_hat", "green_mass",
-    "green_point", "green_point_closed", "green_points",
+    "FourierOnlyError", "GreenKind", "ProblemSpec", "RegimeError",
+    "ToleranceNotMetError", "green_hat", "green_mass",
+    "green_point_closed", "green_points",
     "Field", "SourceDescriptor", "SpaceTimeGrid", "SpecValidationError",
     "convolve_time_singular", "solve",
     "OracleConfig", "OracleInstabilityError", "oracle_mode_evolve",

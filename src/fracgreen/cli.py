@@ -395,3 +395,7 @@ def run(argv=None) -> int:
 
 def main():
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -1,16 +1,17 @@
 """Green functions of the space-time fractional diffusion family.
 
 Three evaluation routes: Fourier-space values (green_hat), real-space
-oscillatory quadrature (green_points, with green_point its one-point
-form), and the closed H-function form (green_point_closed) where it
-exists.  All share one convention:
+oscillatory quadrature on an x array (green_points), and the closed
+H-function form (green_point_closed) where it exists.  All share one
+convention:
 f_hat(k) = Int exp(+ikx) f(x) dx, inversion with exp(-ikx), and the
 space operator acts as multiplication by -Psi.
 """
 
 import cmath
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -104,13 +105,6 @@ class ProblemSpec:
         return r
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Absolute error target of green_points."""
-
-    abs_tol: float = 1e-9
-
-
 # green_points integrates panels out to at most _K_MAX, and accepts an
 # accelerated sum whose two last estimates agree to abs_tol or _REL_TOL
 _K_MAX = 5000.0
@@ -173,23 +167,29 @@ def green_hat(kind: GreenKind, k, t: float, spec: ProblemSpec):
     return complex(out[0]) if scalar else out
 
 
-def _growing_phase(spec: ProblemSpec, self_coupled: bool):
-    """The argument phase on a half line where G_hat grows with |k|, else
-    None.
-
-    On each half line the Mittag-Leffler argument -rate(k) t^alpha has,
-    for large |k|, the phase pi + arg(lam) +- theta pi/2 (the argument of
-    the leading coefficient of a self-coupled rate in place of lam).
-    Reduced to (-pi, pi] and strictly inside alpha pi/2, its exponential
-    term grows without bound.
-    """
+def _rate_terms(spec: ProblemSpec, self_coupled: bool):
+    """rate's (coefficient, skew, order) terms; mu's if self-coupled."""
     terms = [(spec.lam, spec.theta, spec.beta)]
     if self_coupled and abs(spec.mu) > 0:
         terms.append((spec.mu, spec.phi, spec.gamma))
+    return terms
+
+
+def _leading_coeffs(terms):
+    """Large-|k| coefficients of sum c Psi_{order,skew}(k) / |k|^top on
+    k > 0 and k < 0, over (c, skew, order) terms: the top-order terms'
+    c e^(+-i skew pi/2), summed."""
     top = max(order for _, _, order in terms)
-    for sgn in (1.0, -1.0):
-        lead = sum(c * cmath.exp(1j * sgn * skew * math.pi / 2.0)
-                   for c, skew, order in terms if order == top)
+    return [sum(c * cmath.exp(1j * sgn * skew * math.pi / 2.0)
+                for c, skew, order in terms if order == top)
+            for sgn in (1.0, -1.0)]
+
+
+def _growing_phase(spec: ProblemSpec, self_coupled: bool):
+    """The phase pi + arg(lead), reduced to (-pi, pi], of the large-|k|
+    Mittag-Leffler argument -rate(k) t^alpha on a half line where it lies
+    strictly inside alpha pi/2, so that G_hat grows with |k|; else None."""
+    for lead in _leading_coeffs(_rate_terms(spec, self_coupled)):
         ph = math.remainder(math.pi + cmath.phase(lead), 2.0 * math.pi)
         if abs(ph) < spec.alpha * math.pi / 2.0:
             return ph
@@ -200,17 +200,12 @@ def _check_dissipative(spec: ProblemSpec, kinds_self: bool):
     """Raise FourierOnlyError where the real-space kernel does not exist:
     Re(coeff * symbol) not strictly positive off k = 0, or G_hat growing
     with |k|."""
-    pairs = [(spec.lam, spec.theta)]
-    if kinds_self and abs(spec.mu) > 0:
-        pairs.append((spec.mu, spec.phi))
-    for coeff, skew in pairs:
-        for s in (1.0, -1.0):
-            re = (coeff * cmath.exp(1j * s * skew * math.pi / 2.0)).real
-            if re <= 0.0:
-                raise FourierOnlyError(
-                    "Re(coefficient * symbol) is not positive; the real-space "
-                    "kernel does not decay (Fourier-space evaluation only)"
-                )
+    for term in _rate_terms(spec, kinds_self):
+        if min(lead.real for lead in _leading_coeffs([term])) <= 0.0:
+            raise FourierOnlyError(
+                "Re(coefficient * symbol) is not positive; the real-space "
+                "kernel does not decay (Fourier-space evaluation only)"
+            )
     ph = _growing_phase(spec, kinds_self)
     if ph is not None:
         raise FourierOnlyError(
@@ -234,9 +229,8 @@ def _wynn(s):
         diff = np.diff(cur)
         if np.any(diff == 0):
             break
-        nxt = prev[1:len(cur)] + 1.0 / diff
-        prev, cur = cur, nxt
-        if len(cur) == 0 or not np.all(np.isfinite(cur)):
+        prev, cur = cur, prev[1:len(cur)] + 1.0 / diff
+        if not np.all(np.isfinite(cur)):
             break
         if col % 2 == 0:
             best = cur[-1]
@@ -246,12 +240,6 @@ def _wynn(s):
 # Gauss-Legendre nodes and weights of every k panel; green_points sizes
 # its panels for 16 nodes
 _GAUSS_X, _GAUSS_W = leggauss(16)
-
-
-def green_point(kind: GreenKind, x: float, t: float, spec: ProblemSpec,
-                cfg: QuadratureConfig = None):
-    """Real-space kernel value at one point: green_points on [x]."""
-    return complex(green_points(kind, [x], t, spec, cfg)[0])
 
 
 def _kernel_tail_data(kern: _Kernel, spec: ProblemSpec, t: float,
@@ -264,7 +252,7 @@ def _kernel_tail_data(kern: _Kernel, spec: ProblemSpec, t: float,
     (alpha = 2, or the self-coupled kernels, which fall back to
     acceleration).  The exponential ML term sets the scale near alpha = 2.
     """
-    if kern.self_coupled:
+    if kern.self_coupled or 3.0 * spec.beta - kern.mult_order <= 1.0:
         return None
     a = spec.alpha
     bt = kern.ml_index
@@ -272,37 +260,32 @@ def _kernel_tail_data(kern: _Kernel, spec: ProblemSpec, t: float,
     pref = abs(tpow)
     p_mul = kern.mult_order
     beta = spec.beta
-    if 3.0 * beta - p_mul <= 1.0:
-        return None
     c = abs(spec.lam) * t ** a
-    lam_arg = cmath.phase(complex(spec.lam))
-    # phase of the ML argument on each half line; pi from the minus sign
-    ph_up = math.remainder(math.pi + lam_arg + spec.theta * math.pi / 2.0,
-                           2.0 * math.pi)
-    ph_dn = math.remainder(math.pi + lam_arg - spec.theta * math.pi / 2.0,
-                           2.0 * math.pi)
+    # coeff(k) and mult(k) on the half lines k > 0 and k < 0
+    leads = _leading_coeffs(_rate_terms(spec, False))
+    mults = _leading_coeffs([(1.0, spec.phi, p_mul)]) if p_mul else [1.0, 1.0]
     # exponential ML terms exist only for argument phases inside the
-    # sector |phase| <= 0.75 alpha pi, scanning neighbouring sheets
-    cosmax = None
-    for ph in (ph_up, ph_dn):
-        for sheet in (-1, 0, 1):
-            phs = ph + 2.0 * math.pi * sheet
-            if abs(phs) <= 0.75 * a * math.pi:
-                cv = math.cos(phs / a)
-                cosmax = cv if cosmax is None else max(cosmax, cv)
+    # sector |phase| <= 0.75 alpha pi, scanning neighbouring sheets; one
+    # that does not decay leaves no K
+    phs = [math.remainder(math.pi + cmath.phase(lead), 2.0 * math.pi)
+           + 2.0 * math.pi * sheet for lead in leads for sheet in (-1, 0, 1)]
+    cosmax = max((math.cos(p / a) for p in phs
+                  if abs(p) <= 0.75 * a * math.pi), default=None)
+    if cosmax is not None and cosmax >= -1e-12:
+        return None
     rg3a = abs(rgamma(bt - 3.0 * a)) + 0.5
 
     def exp_term(k):
         if cosmax is None:
             return 0.0
-        if cosmax >= -1e-12:
-            return math.inf
         w = c * k ** beta
         try:
-            return k ** p_mul / a * w ** ((1.0 - bt) / a) \
+            g = k ** p_mul / a * w ** ((1.0 - bt) / a) \
                 * math.exp(cosmax * w ** (1.0 / a))
         except OverflowError:
             return 0.0
+        # past the float range it counts as no error, as OverflowError does
+        return 0.0 if g > sys.float_info.max else g
 
     K = max((10.0 / c) ** (1.0 / beta), 1.0)
     for _ in range(60):
@@ -310,29 +293,20 @@ def _kernel_tail_data(kern: _Kernel, spec: ProblemSpec, t: float,
             * K ** (p_mul + 1.0 - 3.0 * beta) / (3.0 * beta - p_mul - 1.0) \
             / math.pi
         g0, g1 = exp_term(K), exp_term(1.05 * K)
-        if math.isinf(g0):
-            err_exp = math.inf if cosmax >= -1e-12 else 0.0
-        elif g0 <= 0 or g1 <= 0:
+        if g0 <= 0 or g1 <= 0:
             err_exp = 0.0
         else:
             rate = max(math.log(g0 / g1) / math.log(1.05), 1.5)
             err_exp = pref * g0 * K / (rate - 1.0) / math.pi
         if err_alg + err_exp < 0.5 * abs_tol:
             break
-        if math.isinf(err_exp) and cosmax is not None and cosmax >= -1e-12:
-            return None
         K *= 1.6
     else:
         return None
-    rg2 = rgamma(bt - 2.0 * a)
-    c_up = complex(spec.lam) * cmath.exp(1j * spec.theta * math.pi / 2.0) * t ** a
-    c_dn = complex(spec.lam) * cmath.exp(-1j * spec.theta * math.pi / 2.0) * t ** a
-    m_up = cmath.exp(1j * spec.phi * math.pi / 2.0) if p_mul else 1.0
-    m_dn = cmath.exp(-1j * spec.phi * math.pi / 2.0) if p_mul else 1.0
-    amp_up = -tpow * complex(rg2) / c_up ** 2 * m_up
-    amp_dn = -tpow * complex(rg2) / c_dn ** 2 * m_dn
-    s = 2.0 * beta - p_mul
-    return K, (amp_up, amp_dn, s)
+    rg2 = complex(rgamma(bt - 2.0 * a))
+    amp_up, amp_dn = (-tpow * rg2 / (lead * t ** a) ** 2 * m
+                      for lead, m in zip(leads, mults))
+    return K, (amp_up, amp_dn, 2.0 * beta - p_mul)
 
 
 def _expint_cf(s: float, z: complex) -> complex:
@@ -428,8 +402,8 @@ def _oscillatory_tail(x: float, K: float, s: float) -> complex:
     return K ** (1.0 - s) * e
 
 
-def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec,
-                 cfg: QuadratureConfig = None) -> np.ndarray:
+def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec, *,
+                 abs_tol: float = 1e-9) -> np.ndarray:
     """Kernel values on a whole x-grid sharing one Fourier-side evaluation.
 
     The integrand F(k) does not depend on x, so the panel nodes are
@@ -437,38 +411,31 @@ def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec,
     the asymptotic form of the integrand is trustworthy; the remainder is
     added analytically per point.  Parameter corners with no usable
     asymptote fall back to epsilon acceleration of the panel sums.
+    abs_tol is the absolute error target of every value.
     """
     kern = _kernel(kind, spec)
-    cfg = cfg or QuadratureConfig()
     _check_time(t)
     xs = _finite_xs(xs)
     _check_dissipative(spec, kern.self_coupled)
 
-    coeff_scale = abs(spec.lam)
-    if kern.self_coupled:
-        coeff_scale += abs(spec.mu)
-    k1 = (coeff_scale * t ** spec.alpha) ** (-1.0 / spec.beta)
+    k1 = (sum(abs(c) for c, _, _ in _rate_terms(spec, kern.self_coupled))
+          * t ** spec.alpha) ** (-1.0 / spec.beta)
     xmax = float(np.max(np.abs(xs))) if xs.size else 0.0
-    halfper = math.pi / xmax if xmax > 0 else math.inf
-
-    tail = _kernel_tail_data(kern, spec, t, cfg.abs_tol)
-    if tail is not None and xmax > 0:
-        # 16-node Gauss panels resolve ~3 oscillation cycles, so the
-        # half-period cap is only needed when acceleration may be used
-        halfper = 20.0 / xmax
+    tail = _kernel_tail_data(kern, spec, t, abs_tol)
+    K_stop, phase_cap = _K_MAX, math.pi
     if tail is not None:
-        K_stop, (amp_up, amp_dn, s) = tail
+        K, (amp_up, amp_dn, s) = tail
         if s <= 1.0 and np.any(xs == 0.0):
             raise ToleranceNotMetError(
                 f"kernel diverges at x = 0: Fourier decay exponent {s} <= 1"
             )
-        K_stop = min(K_stop, _K_MAX)
-    else:
-        K_stop = _K_MAX
+        # 16-node Gauss panels resolve ~3 oscillation cycles, so the
+        # half-period cap is only needed when acceleration may be used
+        K_stop, phase_cap = min(K, _K_MAX), 20.0
+    halfper = phase_cap / xmax if xmax > 0 else math.inf
 
     edges = [0.0]
-    max_panels = 60000
-    while edges[-1] < K_stop and len(edges) <= max_panels:
+    while edges[-1] < K_stop and len(edges) <= 60000:
         e = edges[-1]
         width = min(halfper, max(0.5 * e, k1 / 8.0), K_stop - e)
         edges.append(e + width)
@@ -486,7 +453,7 @@ def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec,
     w2 = half[:, None] * _GAUSS_W[None, :]
     xr = xs.ravel()
     for lo in range(0, n_pan, 512):
-        hi = min(lo + 512, n_pan)
+        hi = lo + 512
         phase = np.exp(-1j * knodes[lo:hi, :, None] * xr[None, None, :])
         S[lo:hi] = (w2[lo:hi, :, None]
                     * (phase * fup[lo:hi, :, None]
@@ -508,15 +475,14 @@ def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec,
     for i, xi in enumerate(xr):
         per = math.pi / abs(xi) if xi != 0.0 else uniform_w
         m = max(1, int(round(per / uniform_w)))
-        idx = np.arange(m - 1, n_pan, m)
-        seq = C[idx, i]
+        seq = C[m - 1::m, i]
         if len(seq) < 18:
             raise ToleranceNotMetError(
                 f"not enough oscillation panels to accelerate at x = {xi}"
             )
         acc1 = _wynn(seq[-17:-1])
         acc2 = _wynn(seq[-16:])
-        if abs(acc2 - acc1) > max(cfg.abs_tol,
+        if abs(acc2 - acc1) > max(abs_tol,
                                   _REL_TOL * abs(acc2)) * 2.0 * math.pi:
             raise ToleranceNotMetError(
                 f"acceleration stalled at x = {xi}: "

@@ -21,15 +21,20 @@ settings.load_profile("fracgreen")
 
 
 @pytest.fixture
-def run_python():
-    """Run code in a fresh interpreter that imports the fracgreen under
-    test; returns its stdout."""
+def python_env():
+    """Environment of a fresh interpreter that imports the fracgreen under
+    test."""
     src = os.path.dirname(os.path.dirname(fracgreen.__file__))
     path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
+
+@pytest.fixture
+def run_python(python_env):
+    """Run code in a fresh interpreter that imports the fracgreen under
+    test; returns its stdout."""
     def run(code):
-        return subprocess.run([sys.executable, "-c", code], env=env,
+        return subprocess.run([sys.executable, "-c", code], env=python_env,
                               capture_output=True, text=True,
                               check=True).stdout
     return run

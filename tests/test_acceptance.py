@@ -13,9 +13,8 @@ import time
 import numpy as np
 
 from fracgreen.fracmath import mittag_leffler, mittag_leffler_array
-from fracgreen.green import (GreenKind, ProblemSpec, QuadratureConfig,
-                             green_hat, green_point, green_point_closed,
-                             green_points)
+from fracgreen.green import (GreenKind, ProblemSpec, green_hat,
+                             green_point_closed, green_points)
 from fracgreen.oracle import OracleConfig, oracle_solve
 from fracgreen.solver import SourceDescriptor, SpaceTimeGrid, solve
 from fracgreen import cli
@@ -99,7 +98,6 @@ def test_criterion_4_mass_law():
     half = 0.5 * (edges[1:] - edges[:-1])
     pts = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
     wts = (half[:, None] * gw[None, :]).ravel()
-    cfg = QuadratureConfig(abs_tol=1e-6)
     t = 1.0
     X = edges[-1]
     worst = 0.0
@@ -111,7 +109,8 @@ def test_criterion_4_mass_law():
                 total = 0.0
                 tail = 0.0
                 for sgn in (1.0, -1.0):
-                    vals = green_points(GreenKind.G, sgn * pts, t, spec, cfg)
+                    vals = green_points(GreenKind.G, sgn * pts, t, spec,
+                                        abs_tol=1e-6)
                     total += float(np.dot(wts, vals.real))
                     # algebraic tail from the |x|^(-1-beta) far field
                     amp = t ** (2.0 * a - 1.0) / math.gamma(2.0 * a) \

@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -253,6 +255,18 @@ class TestPlumbing:
     def test_missing_config_file(self):
         assert run(["validate", "--config", "/nonexistent/x.cfg",
                     "--alpha", "1", "--beta", "2"]) == 1
+
+    @pytest.mark.parametrize("alpha, code, out", [("0.8", 0, "ok\n"),
+                                                  ("2.5", 2, "")],
+                             ids=["admissible", "alpha_above_2"])
+    def test_module_form(self, python_env, alpha, code, out):
+        # python -m fracgreen.cli runs the same entry point as the script
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracgreen.cli", "validate", "--alpha",
+             alpha, "--beta", "1.5"], env=python_env, capture_output=True,
+            text=True)
+        assert (proc.returncode, proc.stdout) == (code, out)
+        assert ("alpha" in proc.stderr) == (code == 2)
 
     def test_import_loads_numpy_only(self, run_python):
         # scipy and mpmath load on first use, so a cold CLI process that
