@@ -44,6 +44,8 @@ class HAccuracyError(ArithmeticError):
 _SERIES_RADIUS = 1.0
 _SERIES_RADIUS_HIGH = 25.0
 _SERIES_CAP = 500
+# the series keeps each term above this fraction of its largest term
+_LOG_SERIES_TOL = math.log(1e-19)
 # largest term / |sum| the series accepts: its rounding error is about
 # this ratio times (number of terms) * eps, so 1e2 keeps it near 1e-13
 _CANCELLATION_LIMIT = 1e2
@@ -132,35 +134,60 @@ def _log_sin_pi(u) -> np.ndarray:
     return np.where(u.imag >= 0.0, out, out.conjugate())
 
 
+def _series_terms_kept(log_mags: np.ndarray):
+    """Per column of term log-magnitudes (term index down the rows), the
+    index of the last term above exp(_LOG_SERIES_TOL) times the largest
+    term, 0 where every term is zero, and the largest term's log."""
+    big = log_mags.max(axis=0)
+    above = log_mags > big + _LOG_SERIES_TOL
+    n = np.arange(log_mags.shape[0])[:, None]
+    return np.where(above, n, 0).max(axis=0), big
+
+
 @functools.lru_cache(maxsize=64)
-def _ml_coeffs(alpha: float, beta: float) -> np.ndarray:
-    """Read-only Taylor coefficients 1/Gamma(alpha j + beta)."""
+def _ml_coeffs(alpha: float, beta: float):
+    """Read-only Taylor coefficients 1/Gamma(alpha j + beta) and their log
+    magnitudes, as many as the series keeps anywhere on its disk.
+
+    That term budget is the count kept at |z| = radius, at most
+    _SERIES_CAP: the last term kept does not move out as |z| shrinks.
+    """
     coeffs = np.array([rgamma(alpha * j + beta) for j in range(_SERIES_CAP)])
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(coeffs))
+    radius = _SERIES_RADIUS if alpha <= 1.0 else _SERIES_RADIUS_HIGH
+    edge = logs + np.arange(_SERIES_CAP) * math.log(radius)
+    budget = int(_series_terms_kept(edge[:, None])[0][0]) + 1
+    coeffs, logs = coeffs[:budget], logs[:budget]
     coeffs.flags.writeable = False
-    return coeffs
+    logs.flags.writeable = False
+    return coeffs, logs
 
 
 def _ml_series_batch(alpha: float, beta: float, z: np.ndarray):
-    """Taylor series on an array; returns (values, ok_mask)."""
-    coeffs = _ml_coeffs(alpha, beta)
-    acc = np.full(z.shape, coeffs[0], dtype=complex)
-    power = np.ones_like(acc)
-    maxmag = np.abs(acc)
-    active = np.ones(z.shape, dtype=bool)
-    small_streak = np.zeros(z.shape, dtype=np.int8)
-    for n in range(1, _SERIES_CAP):
-        power = power * z
-        term = coeffs[n] * power
-        acc += np.where(active, term, 0.0)
-        tm = np.abs(term)
-        maxmag = np.maximum(maxmag, np.where(active, tm, 0.0))
-        tiny = tm <= 1e-17 * (np.abs(acc) + 1e-300)
-        small_streak = np.where(active & tiny, small_streak + 1, 0)
-        active &= small_streak < 3
-        if not active.any():
-            break
-    converged = ~active
-    safe = maxmag <= _CANCELLATION_LIMIT * (np.abs(acc) + 1e-300)
+    """Taylor series on an array of nonzero z; returns (values, ok_mask).
+
+    Each point sums its terms up to the last one above exp(_LOG_SERIES_TOL)
+    times its largest, found from |z| alone, and is ok when that last term
+    comes before _SERIES_CAP and its largest term is at most
+    _CANCELLATION_LIMIT |sum|.  The powers come from one cumprod over the
+    term budget of (alpha, beta), and each row is summed over that same
+    budget, so a value does not depend on the batch it arrives in.
+    """
+    coeffs, logs = _ml_coeffs(alpha, beta)
+    budget = coeffs.size
+    n = np.arange(budget)
+    last, big = _series_terms_kept(logs[:, None]
+                                   + n[:, None] * np.log(np.abs(z)))
+    terms = np.empty((z.size, budget), dtype=complex)
+    terms[:, 0] = 1.0
+    terms[:, 1:] = z[:, None]
+    np.cumprod(terms, axis=1, out=terms)
+    terms *= coeffs
+    terms[n > last[:, None]] = 0.0
+    acc = terms.sum(axis=1)
+    converged = last < _SERIES_CAP - 1
+    safe = np.exp(big) <= _CANCELLATION_LIMIT * np.abs(acc)
     return acc, converged & safe
 
 
@@ -246,25 +273,31 @@ def _opc_unbounded(phi, p, log_tol):
     return mu, h, n
 
 
-def _on_grid(phi, up):
-    """phi moved onto the grid 2^(j/8), up or down.
+def _grid_key(phi, has):
+    """(e, key) per point: e = 8 log2(phi) where the pole is on the sheet,
+    0 elsewhere, and an integer key in [0, 2^17) per (floor e, ceil e, has).
 
-    A contour placed for a singularity moved away from its region stays
+    floor and ceil of e put phi on the grid 2^(j/8), down and up.  A
+    contour placed for a singularity moved away from its region stays
     valid, and points whose singularities land on the same grid values get
-    the same (mu, h, N), so they share their nodes.
+    the same (mu, h, N), so they share their nodes.  An overflowed phi
+    stays past the double range as e = 9000.
     """
     e = 8.0 * np.log2(np.maximum(phi, 1e-300))
-    return np.exp2((np.ceil(e) if up else np.floor(e)) / 8.0)
+    e = np.minimum(np.where(has, e, 0.0), 9000.0)
+    lo = np.floor(e)
+    key = ((lo + 9000.0) * 2.0 + (np.ceil(e) - lo)) * 2.0 + has
+    return e, key.astype(np.int64)
 
 
-def _opc_params(alpha, beta, phi_a, phi_b, has_a, has_b, log_tol):
+def _opc_params(alpha, beta, lo_a, hi_a, lo_b, hi_b, has_a, has_b,
+                log_tol):
     """Per point (mu, h, N, region) of the admissible region with the fewest
     nodes: region 0 lies left of every pole, 1 between pole b and pole a
-    (phi_b <= phi_a), 2 right of every pole.  The left-most wins a tie."""
+    (phi_b <= phi_a), 2 right of every pole.  The left-most wins a tie.
+    lo and hi are the parabola parameters phi of each pole on the grid."""
     p0 = max(0.0, 2.0 * (beta - alpha - 1.0))  # branch point at the origin
     thr = log_tol - _LOG_EPS
-    lo_a, hi_a = _on_grid(phi_a, False), _on_grid(phi_a, True)
-    lo_b, hi_b = _on_grid(phi_b, False), _on_grid(phi_b, True)
     mu, h, n = _opc_unbounded(np.where(has_a, hi_a, 0.0),
                               np.where(has_a, 1.0, p0), log_tol)
     n = np.where(has_a & (hi_a >= thr), np.inf, n)
@@ -292,7 +325,8 @@ def _ml_opc(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     trapezoid rule on the parabola s(u) = mu (1 + iu)^2, and adds the
     residue (1/alpha) s*^(1-beta) exp(s*) of each pole s*^alpha = z that
     lies right of the contour.  mu, the step h and the node count N are
-    chosen per point by Garrappa's rules.
+    chosen by Garrappa's rules, once per distinct pole placement on the
+    grid of _grid_key.
     """
     theta = np.angle(z)
     r = np.abs(z) ** (1.0 / alpha)
@@ -300,13 +334,27 @@ def _ml_opc(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     # sheet, |theta + 2 pi k| <= alpha pi, are k = 0 and, for alpha > 1
     # near the negative axis, k = -1; phi is the parabola through each
     pole_a = r * np.exp(1j * theta / alpha)
-    pole_b = r * np.exp(1j * (theta - 2.0 * np.pi) / alpha)
     phi_a = 0.5 * (pole_a.real + r)
-    phi_b = 0.5 * (pole_b.real + r)
     has_a = (theta <= alpha * np.pi) & (phi_a > 1e-15)
-    has_b = (2.0 * np.pi - theta <= alpha * np.pi) & (phi_b > 1e-15)
-    log_tol = np.full(z.shape, _OPC_LOG_TOL)
-    mu, h, n, region = _opc_params(alpha, beta, phi_a, phi_b, has_a, has_b,
+    e_a, key = _grid_key(phi_a, has_a)
+    if alpha > 1.0:
+        pole_b = r * np.exp(1j * (theta - 2.0 * np.pi) / alpha)
+        phi_b = 0.5 * (pole_b.real + r)
+        has_b = (2.0 * np.pi - theta <= alpha * np.pi) & (phi_b > 1e-15)
+        e_b, key_b = _grid_key(phi_b, has_b)
+        key = key * 2 ** 17 + key_b
+    else:
+        # 2 pi - theta >= pi >= alpha pi, with equality only where phi_b = 0
+        has_b = np.zeros(z.shape, dtype=bool)
+        e_b = np.zeros(z.shape)
+    # one set of contour parameters per distinct key, scattered back below
+    _, rep, inv = np.unique(key, return_index=True, return_inverse=True)
+    e_a, e_b, has_a_k, has_b_k = e_a[rep], e_b[rep], has_a[rep], has_b[rep]
+    with np.errstate(over="ignore"):
+        grid = [np.exp2(step(e) / 8.0)
+                for e in (e_a, e_b) for step in (np.floor, np.ceil)]
+    log_tol = np.full(rep.shape, _OPC_LOG_TOL)
+    mu, h, n, region = _opc_params(alpha, beta, *grid, has_a_k, has_b_k,
                                    log_tol)
     for _ in range(10):
         # relax the target tenfold where every region needs too many nodes
@@ -314,8 +362,8 @@ def _ml_opc(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
         if not bad.size:
             break
         log_tol[bad] += math.log(10.0)
-        got = _opc_params(alpha, beta, phi_a[bad], phi_b[bad], has_a[bad],
-                          has_b[bad], log_tol[bad])
+        got = _opc_params(alpha, beta, *(g[bad] for g in grid),
+                          has_a_k[bad], has_b_k[bad], log_tol[bad])
         for arr, new in zip((mu, h, n, region), got):
             arr[bad] = new
     # a point no region admits gets NaN; a dummy one-node contour keeps
@@ -324,15 +372,25 @@ def _ml_opc(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     mu, h = np.where(lost, 1.0, mu), np.where(lost, 1.0, h)
     n = np.where(lost, 0, n).astype(np.int64)
     out = np.empty(z.shape, dtype=complex)
-    # points with the same contour share its nodes: every point with no
+    # keys with the same contour share its nodes: every point with no
     # pole, and most points right of a far pole, get identical (mu, h, N)
-    order = np.lexsort((n, h, mu))
-    ms, hs, ns = mu[order], h[order], n[order]
-    cut = np.flatnonzero((ms[1:] != ms[:-1]) | (hs[1:] != hs[:-1])
-                         | (ns[1:] != ns[:-1])) + 1
-    for grp in (g[i:i + _OPC_BLOCK] for g in np.split(order, cut)
+    contour = np.zeros(rep.size, dtype=np.int64)
+    if rep.size > 1:
+        korder = np.lexsort((n, h, mu))
+        contour[korder[1:]] = np.cumsum((np.diff(mu[korder]) != 0)
+                                        | (np.diff(h[korder]) != 0)
+                                        | (np.diff(n[korder]) != 0))
+    if contour.any():
+        point_contour = contour[inv]
+        order = np.argsort(point_contour, kind="stable")
+        groups = np.split(order,
+                          np.flatnonzero(np.diff(point_contour[order])) + 1)
+    else:
+        groups = [np.arange(z.size)]
+    for grp in (g[i:i + _OPC_BLOCK] for g in groups
                 for i in range(0, g.size, _OPC_BLOCK)):
-        m, hg, ng = mu[grp[0]], h[grp[0]], n[grp[0]]
+        k = inv[grp[0]]
+        m, hg, ng = mu[k], h[k], n[k]
         u = hg * np.arange(-ng, ng + 1)
         s = m * (1.0 + 1j * u) ** 2
         # log s from real parts: log(mu (1 + u^2)) + 2i atan(u); numpy's
@@ -344,13 +402,16 @@ def _ml_opc(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
         # one row sum per point over its own nodes, so a value does not
         # depend on the batch it arrives in
         out[grp] = hg / (2j * np.pi) * f.sum(axis=1)
-    for pole, right in ((pole_a, has_a & (region < 2)),
-                        (pole_b, has_b & (region < 1))):
+    region = region[inv]
+    residues = [(pole_a, has_a & (region < 2))]
+    if alpha > 1.0:
+        residues.append((pole_b, has_b & (region < 1)))
+    for pole, right in residues:
         if right.any():
             sr = pole[right]
             with np.errstate(over="ignore", invalid="ignore"):
                 out[right] += (1.0 / alpha) * sr ** (1.0 - beta) * np.exp(sr)
-    out[lost] = np.nan
+    out[lost[inv]] = np.nan
     return out
 
 
@@ -378,9 +439,10 @@ def mittag_leffler_array(alpha: float, beta: float, z) -> np.ndarray:
 
     Takes 0 < alpha <= 2, the time orders of the equation.  Each point
     takes the Taylor series (small |z|) when that passes its own error
-    estimate, and the optimal parabolic contour otherwise.  A value depends on (alpha, beta, z)
-    alone, not on the rest of the batch.  Raises MLConvergenceError,
-    naming the first such z, where the value is not finite.
+    estimate, and the optimal parabolic contour otherwise.  A value
+    depends on (alpha, beta, z) alone, not on the rest of the batch.
+    Raises MLConvergenceError, naming the first such z, where the value
+    is not finite.
     """
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha = {alpha} outside (0, 2]")

@@ -17,7 +17,8 @@ from enum import Enum
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .fracmath import HFunctionParams, h_function, mittag_leffler_array, rgamma
+from .fracmath import (HAccuracyError, HFunctionParams, h_function,
+                       mittag_leffler_array, rgamma)
 from .operators import (SymbolParams, order_skew_problems,
                         riesz_feller_symbol)
 
@@ -517,13 +518,24 @@ def green_point_closed(kind: GreenKind, x, t: float, spec: ProblemSpec):
     a, b = spec.alpha, spec.beta
     lam = complex(spec.lam).real
     ax = np.abs(xs)
+    # the H argument |x| / (lam t^a)^(1/b) in logs: for beta near 0 the
+    # scale leaves the double range before the argument does
+    log_arg = np.log(ax) - (math.log(lam) + a * math.log(t)) / b
+    outside = ((log_arg > math.log(sys.float_info.max))
+               | (log_arg < math.log(sys.float_info.min))).ravel()
+    if outside.any():
+        i = np.flatnonzero(outside)[0]
+        raise HAccuracyError(
+            f"H argument |x| / (lam t^alpha)^(1/beta) = "
+            f"exp({log_arg.ravel()[i]:.4g}) is outside the double range at "
+            f"x = {xs.ravel()[i]:g}, t = {t:g}")
     h = np.empty(xs.shape)
     pos = xs > 0
     for side, theta_eff in ((pos, spec.theta), (~pos, -spec.theta)):
         if side.any():
             rho = (b - theta_eff) / (2.0 * b)
             params = HFunctionParams(a, b, rho, kern.ml_index)
-            h[side] = h_function(params, ax[side] / (lam * t ** a) ** (1.0 / b))
+            h[side] = h_function(params, np.exp(log_arg[side]))
     out = t ** kern.tpow / (b * ax) * h
     return float(out) if xs.ndim == 0 else out
 

@@ -84,6 +84,18 @@ class TestGreen:
         lines = out.read_text().splitlines()[1:]
         assert all(l.endswith(",closed") for l in lines)
 
+    @pytest.mark.parametrize("t", ["3", "0.2"])
+    def test_order_near_zero_is_tolerance_error(self, tmp_path, capsys, t):
+        # the H argument leaves the double range (under at t = 3, over at
+        # t = 0.2): exit 3 with the point named, not a traceback or exit 2
+        out = tmp_path / "g.csv"
+        assert run(["green", "--alpha", "0.5", "--beta", "1e-10",
+                    "--x-range", "0.5", "3", "--nx", "3", "--t", t,
+                    "--method", "closed", "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "outside the double range" in err
+        assert f"x = 0.5, t = {t}" in err
+
     def test_x_zero_on_the_grid(self, tmp_path, capsys):
         # the closed form has a 1/|x| prefactor: auto answers the whole
         # time by quadrature, closed refuses

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from fracgreen.fracmath import mittag_leffler_array
+from fracgreen.fracmath import HAccuracyError, mittag_leffler_array
 from fracgreen.green import (FourierOnlyError, GreenKind, ProblemSpec,
                              RegimeError, SpecValidationError,
                              ToleranceNotMetError, _expint_series,
@@ -275,6 +275,20 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             green_point_closed(GreenKind.G, 1.0, 1.0,
                                ProblemSpec(alpha=0.5, beta=1.5, lam=1j))
+
+    @pytest.mark.parametrize("t", [3.0, 0.2])
+    def test_order_near_zero_is_named(self, t):
+        # at beta = 1e-10, (lam t^alpha)^(1/beta) is about exp(+-5e9): at
+        # t = 3 the H argument underflows, at t = 0.2 it overflows
+        spec = ProblemSpec(alpha=0.5, beta=1e-10)
+        with pytest.raises(HAccuracyError, match=rf"x = 0.5, t = {t:g}$"):
+            green_point_closed(GreenKind.G, [0.5, 1.75, 3.0], t, spec)
+
+    def test_small_order_in_range_still_answers(self):
+        # beta = 0.01 keeps every H argument inside the double range
+        spec = ProblemSpec(alpha=0.5, beta=0.01)
+        vals = green_point_closed(GreenKind.G, [0.5, 3.0], 1.0, spec)
+        assert np.all(np.isfinite(vals))
 
     def test_g2_low_regime_rejected(self):
         spec = ProblemSpec(alpha=0.5, beta=1.5)

@@ -9,12 +9,14 @@ table both test it.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fracgreen.fracmath import mittag_leffler, mittag_leffler_array
+from fracgreen.fracmath import (_SERIES_CAP, _ml_coeffs, _ml_series_batch,
+                                mittag_leffler, mittag_leffler_array)
 
 from _reference import ml_asymptotic_mpmath, ml_mpmath
 
@@ -92,6 +94,61 @@ class TestAccuracy:
     def test_order_outside_zero_two_rejected(self, alpha):
         with pytest.raises(ValueError, match=r"outside \(0, 2\]"):
             mittag_leffler_array(alpha, 1.0, [0.5, 2.0])
+
+
+class TestSeries:
+    @pytest.mark.parametrize("alpha", [0.3, 0.9, 1.5, 1.9])
+    def test_disk_edge(self, alpha):
+        # |z| on the series radius, where the term budget is set, at
+        # phases near pi where the terms alternate; points the series
+        # rejects there take the contour
+        radius = 1.0 if alpha <= 1.0 else 25.0
+        z = radius * np.exp(1j * math.pi * np.array([0.9, 0.95, 0.99, 1.0,
+                                                     -0.97]))
+        for beta in (alpha, alpha + 1.0, 1.0):
+            ref = np.array([ml_mpmath(alpha, beta, complex(v)) for v in z])
+            vals, ok = _ml_series_batch(alpha, beta, z)
+            assert np.all(_rel(vals[ok], ref[ok]) <= 1e-12)
+            assert np.all(_rel(mittag_leffler_array(alpha, beta, z), ref)
+                          <= 1e-12)
+
+    def test_edge_points_are_series_points(self):
+        # the edge test compares something: at alpha 0.9 and 1.9 the
+        # series keeps every edge point near pi
+        z = np.array([-1.0, 25.0 * cmath.exp(0.95j * math.pi)])
+        assert _ml_series_batch(0.9, 0.9, z[:1])[1].all()
+        assert _ml_series_batch(1.9, 1.9, z[1:])[1].all()
+
+    def test_tiny_order_goes_to_the_contour(self):
+        # 1/Gamma(0.03 n + 1) falls too slowly: the last term above 1e-19
+        # of the largest is past the cap, so the contour answers
+        assert _ml_coeffs(0.03, 1.0)[0].size == _SERIES_CAP
+        z = np.array([-0.99 + 0j, 0.999 * cmath.exp(0.9j * math.pi)])
+        assert not _ml_series_batch(0.03, 1.0, z)[1].any()
+        got = mittag_leffler_array(0.03, 1.0, z)
+        ref = np.array([ml_mpmath(0.03, 1.0, complex(v)) for v in z])
+        assert np.all(_rel(got, ref) <= 1e-13)
+
+    def test_cancelling_point_rejected(self):
+        # E_{1.5}(-20): the largest term is about 1e3, the sum about 1e-2
+        z = np.array([-20.0 + 0j])
+        assert not _ml_series_batch(1.5, 1.5, z)[1].any()
+        ref = ml_mpmath(1.5, 1.5, -20.0)
+        assert _rel(mittag_leffler(1.5, 1.5, -20.0), ref) <= 1e-12
+
+    def test_no_runtime_warning(self):
+        rng = np.random.default_rng(11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for alpha in (0.03, 0.3, 0.9, 1.0, 1.5, 2.0):
+                radius = 1.0 if alpha <= 1.0 else 25.0
+                z = np.concatenate([
+                    [0.0, radius, -radius, 1e-300],
+                    rng.uniform(0.0, 3.0 * radius, 60)
+                    * np.exp(1j * rng.uniform(0.6, 1.0, 60) * math.pi)])
+                for beta in (alpha, alpha + 1.0, 1.0):
+                    assert np.all(np.isfinite(
+                        mittag_leffler_array(alpha, beta, z)))
 
 
 _PURITY_SCRIPT = """
