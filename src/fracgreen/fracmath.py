@@ -523,14 +523,21 @@ def _h_contour(params: HFunctionParams, zs: np.ndarray):
     The integrand on the contour, z^(-xi) aside, does not depend on z, so
     each step level 0.25 2^-j is evaluated once for all of zs; each z
     starts at the first level that resolves its z^(-xi) oscillation and
-    halves its own step until two levels agree.
+    halves its own step until two levels agree.  By Stirling, the
+    integrand decays as a power of Im xi times exp(-rate Im xi); the
+    contour stops 100 past the height where that exponential is e^-45.
     """
-    c = -0.5 * min(1.0, params.beta)
-    # pick the height from the observed decay rate of the integrand
-    g50 = params.theta_log(c + 50j).real
-    g150 = params.theta_log(c + 150j).real
-    rate = max((g50 - g150) / 100.0, 1e-4)
-    height = min(max(200.0, 45.0 / rate + 100.0), 5e4)
+    a, b = params.alpha, params.beta
+    c = -0.5 * min(1.0, b)
+    theta_eff = b * (1.0 - 2.0 * params.rho)
+    rate = math.pi * (2.0 + theta_eff - a) / (2.0 * b)
+    if rate <= 45.0 / (5e4 - 100.0):
+        raise HAccuracyError(
+            f"contour integrand decays at rate {rate:.4g} per unit of "
+            f"Im xi, too slowly for a contour height of at most 5e4: "
+            f"alpha = {a:g}, beta = {b:g}, theta_eff = {theta_eff:g} lie "
+            f"on or next to the edge |theta_eff| = 2 - alpha")
+    height = max(200.0, 45.0 / rate + 100.0)
     levels = {}
     out = np.empty(zs.shape)
     for i, z in enumerate(zs):
@@ -549,12 +556,9 @@ def _h_contour(params: HFunctionParams, zs: np.ndarray):
             peak = mag.max()
             if peak == 0.0 or not np.isfinite(peak):
                 raise HAccuracyError("degenerate contour integrand")
-            keep = np.nonzero(mag > 1e-18 * peak)[0]
-            if keep[-1] == len(xi) - 1 and mag[-1] > _H_ABS_TOL:
+            if mag[-1] > _H_ABS_TOL:
                 raise HAccuracyError(
-                    "contour integrand not decayed at the probed height"
-                )
-            f = f[: keep[-1] + 1]
+                    f"contour integrand not decayed at height {height:g}")
             val = (0.25 * 0.5 ** j / math.pi) * (f.real.sum() - 0.5 * f.real[0])
             if prev is not None and abs(val - prev) <= max(
                     _H_ABS_TOL, _H_REL_TOL * abs(val)):
@@ -571,7 +575,12 @@ def h_function(params: HFunctionParams, z):
 
     z is a scalar, giving a float, or an array, giving an array of its
     shape; each value depends on z alone.  Every z is integrated along
-    the line Re xi = -min(1, beta)/2 with an adaptive trapezoid rule.
+    the line Re xi = -min(1, beta)/2 with an adaptive trapezoid rule, up
+    to a height set by the integrand's Stirling decay rate
+    pi (2 + theta_eff - alpha) / (2 beta), theta_eff = beta (1 - 2 rho).
+    The rate vanishes at theta_eff = alpha - 2, on the edge
+    |theta_eff| = 2 - alpha (alpha = beta = 2 among it); there and next
+    to it HAccuracyError names the rate.
     """
     zs = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(zs) & (zs > 0)):

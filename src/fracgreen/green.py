@@ -186,12 +186,18 @@ def _leading_coeffs(terms):
             for sgn in (1.0, -1.0)]
 
 
-def _growing_phase(spec: ProblemSpec, self_coupled: bool):
+def _ml_phases(leads):
     """The phase pi + arg(lead), reduced to (-pi, pi], of the large-|k|
-    Mittag-Leffler argument -rate(k) t^alpha on a half line where it lies
+    Mittag-Leffler argument -rate(k) t^alpha on each half line, for the
+    rate's leading coefficients leads."""
+    return [math.remainder(math.pi + cmath.phase(lead), 2.0 * math.pi)
+            for lead in leads]
+
+
+def _growing_phase(spec: ProblemSpec, self_coupled: bool):
+    """The Mittag-Leffler argument phase on a half line where it lies
     strictly inside alpha pi/2, so that G_hat grows with |k|; else None."""
-    for lead in _leading_coeffs(_rate_terms(spec, self_coupled)):
-        ph = math.remainder(math.pi + cmath.phase(lead), 2.0 * math.pi)
+    for ph in _ml_phases(_leading_coeffs(_rate_terms(spec, self_coupled))):
         if abs(ph) < spec.alpha * math.pi / 2.0:
             return ph
     return None
@@ -251,7 +257,9 @@ def _kernel_tail_data(kern: _Kernel, spec: ProblemSpec, t: float,
     F(k) ~ -pref * rgamma(bt - 2 alpha) * (coeff(k) t^alpha)^(-2) * mult(k)
     carries integrated error below abs_tol, or None when no such K exists
     (alpha = 2, or the self-coupled kernels, which fall back to
-    acceleration).  The exponential ML term sets the scale near alpha = 2.
+    acceleration).  The exponential ML term sets the scale near alpha = 2:
+    its phase on each half line is the principal one of _ml_phases, and
+    its decay exponent in k comes from its asymptotic form.
     """
     if kern.self_coupled or 3.0 * spec.beta - kern.mult_order <= 1.0:
         return None
@@ -266,17 +274,17 @@ def _kernel_tail_data(kern: _Kernel, spec: ProblemSpec, t: float,
     leads = _leading_coeffs(_rate_terms(spec, False))
     mults = _leading_coeffs([(1.0, spec.phi, p_mul)]) if p_mul else [1.0, 1.0]
     # exponential ML terms exist only for argument phases inside the
-    # sector |phase| <= 0.75 alpha pi, scanning neighbouring sheets; one
-    # that does not decay leaves no K
-    phs = [math.remainder(math.pi + cmath.phase(lead), 2.0 * math.pi)
-           + 2.0 * math.pi * sheet for lead in leads for sheet in (-1, 0, 1)]
-    cosmax = max((math.cos(p / a) for p in phs
-                  if abs(p) <= 0.75 * a * math.pi), default=None)
+    # sector |phase| <= 0.75 alpha pi; one that does not decay leaves no K
+    cosmax = max((math.cos(ph / a) for ph in _ml_phases(leads)
+                  if abs(ph) <= 0.75 * a * math.pi), default=None)
     if cosmax is not None and cosmax >= -1e-12:
         return None
     rg3a = abs(rgamma(bt - 3.0 * a)) + 0.5
 
-    def exp_term(k):
+    def exp_err(k):
+        """Integrated error of the exponential term past k: g(k) k / (s - 1)
+        for g = k^p_mul / alpha w^((1 - bt)/alpha) exp(cosmax w^(1/alpha)),
+        w = c k^beta, and s = -d log g / d log k."""
         if cosmax is None:
             return 0.0
         w = c * k ** beta
@@ -286,20 +294,18 @@ def _kernel_tail_data(kern: _Kernel, spec: ProblemSpec, t: float,
         except OverflowError:
             return 0.0
         # past the float range it counts as no error, as OverflowError does
-        return 0.0 if g > sys.float_info.max else g
+        if g > sys.float_info.max:
+            return 0.0
+        s = -(p_mul + beta * (1.0 - bt) / a
+              + cosmax * beta / a * w ** (1.0 / a))
+        return pref * g * k / (max(s, 1.5) - 1.0) / math.pi
 
     K = max((10.0 / c) ** (1.0 / beta), 1.0)
     for _ in range(60):
         err_alg = pref * rg3a / c ** 3 \
             * K ** (p_mul + 1.0 - 3.0 * beta) / (3.0 * beta - p_mul - 1.0) \
             / math.pi
-        g0, g1 = exp_term(K), exp_term(1.05 * K)
-        if g0 <= 0 or g1 <= 0:
-            err_exp = 0.0
-        else:
-            rate = max(math.log(g0 / g1) / math.log(1.05), 1.5)
-            err_exp = pref * g0 * K / (rate - 1.0) / math.pi
-        if err_alg + err_exp < 0.5 * abs_tol:
+        if err_alg + exp_err(K) < 0.5 * abs_tol:
             break
         K *= 1.6
     else:

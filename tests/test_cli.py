@@ -96,6 +96,16 @@ class TestGreen:
         assert "outside the double range" in err
         assert f"x = 0.5, t = {t}" in err
 
+    def test_closed_form_edge_is_tolerance_error(self, tmp_path, capsys):
+        # alpha = beta = 2, theta = 0 lies on |theta| = 2 - alpha, where the
+        # contour integrand does not decay: exit 3 naming the rate
+        out = tmp_path / "g.csv"
+        assert run(["green", "--alpha", "2", "--beta", "2",
+                    "--x-range", "0.5", "2", "--nx", "3", "--t", "1",
+                    "--method", "closed", "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "rate 0 " in err and "|theta_eff| = 2 - alpha" in err
+
     def test_x_zero_on_the_grid(self, tmp_path, capsys):
         # the closed form has a 1/|x| prefactor: auto answers the whole
         # time by quadrature, closed refuses

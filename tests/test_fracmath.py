@@ -197,6 +197,23 @@ class TestHFunction:
             cauchy = 1.0 / (math.pi * (1.0 + x * x))
             assert h == pytest.approx(cauchy, rel=1e-9)
 
+    @pytest.mark.parametrize("a", [0.7, 1.3, 1.9])
+    def test_neutral_diffusion_density(self, a):
+        # alpha = beta with Mittag-Leffler index 1: H / (a x) is the
+        # neutral-diffusion density of Mainardi, Luchko & Pagnini (FCAA
+        # 4(2), 2001) in elementary form.  The bound is ten times the
+        # trapezoid's stop, 1e-12 absolute or 1e-9 relative in H; the
+        # skews reach 0.95 of the edge |theta| = 2 - alpha at a = 1.9
+        xs = np.geomspace(0.01, 30.0, 9)
+        for frac in (-0.95, 0.0, 0.95):
+            theta = frac * min(a, 2.0 - a)
+            params = HFunctionParams(a, a, (a - theta) / (2.0 * a), 1.0)
+            u = 0.5 * math.pi * (a - theta)
+            density = xs ** (a - 1.0) * math.sin(u) / (
+                math.pi * (1.0 + 2.0 * xs ** a * math.cos(u) + xs ** (2 * a)))
+            err = np.abs(h_function(params, xs) - a * xs * density)
+            assert np.all(err <= 1e-11 + 1e-8 * a * xs * density)
+
     @pytest.mark.parametrize("alpha, beta",
                              [(0.8, 1.7), (0.8, 1.5), (1.4, 1.6), (1.0, 2.0)])
     def test_array_matches_one_point_calls(self, alpha, beta):
