@@ -440,18 +440,21 @@ def mittag_leffler_array(alpha: float, beta: float, z) -> np.ndarray:
     Takes 0 < alpha <= 2, the time orders of the equation.  Each point
     takes the Taylor series (small |z|) when that passes its own error
     estimate, and the optimal parabolic contour otherwise.  A value
-    depends on (alpha, beta, z) alone, not on the rest of the batch.
-    Raises MLConvergenceError, naming the first such z, where the value
-    is not finite.
+    depends on (alpha, beta, z) alone, not on the rest of the batch, so
+    each distinct argument is evaluated once, after the fold
+    E(conj z) = conj E(z) onto the upper half plane: duplicates and
+    conjugate pairs cost one point.  Raises MLConvergenceError, naming
+    the first such z, where the value is not finite.
     """
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha = {alpha} outside (0, 2]")
     z = np.asarray(z, dtype=complex)
     shape = z.shape
     z = z.ravel()
-    # E(conj z) = conj E(z): evaluate on the upper half plane
     flip = np.signbit(z.imag)
-    vals = _ml_array(alpha, beta, np.where(flip, z.conjugate(), z))
+    upper, inv = np.unique(np.where(flip, z.conjugate(), z),
+                           return_inverse=True)
+    vals = _ml_array(alpha, beta, upper)[inv]
     vals = np.where(flip, vals.conjugate(), vals)
     bad = ~np.isfinite(vals)
     if bad.any():

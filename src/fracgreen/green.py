@@ -153,19 +153,30 @@ def _finite_xs(x) -> np.ndarray:
     return xs
 
 
+def _kernel_rows(kind: GreenKind, k: np.ndarray, times, spec: ProblemSpec):
+    """G_hat at the wavenumber array k for every t in times, one row per
+    time, from one mittag_leffler_array call over all the arguments."""
+    kern = _kernel(kind, spec)
+    for t in times:
+        _check_time(t)
+    a = spec.alpha
+    col = (-1,) + (1,) * k.ndim
+    # powers as Python floats: numpy's array power can differ in the last
+    # bit, and green_hat's values must not depend on the times beside t
+    ta = np.array([t ** a for t in times]).reshape(col)
+    tpow = np.array([t ** kern.tpow for t in times]).reshape(col)
+    arg = -spec.rate(k, kern.self_coupled) * ta
+    out = tpow * mittag_leffler_array(a, kern.ml_index, arg)
+    if kern.mult_order:
+        out = out * riesz_feller_symbol(spec.source_symbol(), k)
+    return out
+
+
 def green_hat(kind: GreenKind, k, t: float, spec: ProblemSpec):
     """Fourier transform of the requested kernel at wavenumber(s) k, time t."""
-    kern = _kernel(kind, spec)
-    _check_time(t)
-    a = spec.alpha
     arr = np.asarray(k, dtype=float)
-    scalar = arr.ndim == 0
-    k1d = np.atleast_1d(arr)
-    arg = -spec.rate(k1d, kern.self_coupled) * t ** a
-    out = t ** kern.tpow * mittag_leffler_array(a, kern.ml_index, arg)
-    if kern.mult_order:
-        out = out * riesz_feller_symbol(spec.source_symbol(), k1d)
-    return complex(out[0]) if scalar else out
+    out = _kernel_rows(kind, np.atleast_1d(arr), (t,), spec)[0]
+    return complex(out[0]) if arr.ndim == 0 else out
 
 
 def _rate_terms(spec: ProblemSpec, self_coupled: bool):
@@ -414,7 +425,10 @@ def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec, *,
     """Kernel values on a whole x-grid sharing one Fourier-side evaluation.
 
     The integrand F(k) does not depend on x, so the panel nodes are
-    evaluated once and reused for every point.  Panels run out to where
+    evaluated once and reused for every point: one green_hat call, and so
+    one Mittag-Leffler call, over the nodes k and -k together, in which
+    identical arguments (with real coefficients, every +-k pair after the
+    conjugate fold) are evaluated once.  Panels run out to where
     the asymptotic form of the integrand is trustworthy; the remainder is
     added analytically per point.  Parameter corners with no usable
     asymptote fall back to epsilon acceleration of the panel sums.
@@ -452,8 +466,8 @@ def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec, *,
     half = 0.5 * (edges[1:] - edges[:-1])
     knodes = mid[:, None] + half[:, None] * _GAUSS_X[None, :]
     kflat = knodes.ravel()
-    fup = green_hat(kind, kflat, t, spec).reshape(knodes.shape)
-    fdn = green_hat(kind, -kflat, t, spec).reshape(knodes.shape)
+    fup, fdn = green_hat(kind, np.concatenate([kflat, -kflat]), t,
+                         spec).reshape((2,) + knodes.shape)
 
     n_pan = len(mid)
     S = np.empty((n_pan, xs.size), dtype=complex)

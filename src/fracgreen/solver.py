@@ -1,7 +1,7 @@
 """Assemble full solutions N(x, t) from Green kernels and data.
 
 The solution is built spectrally: transform the initial data on a padded
-grid, multiply by the Fourier-side kernel per output time, transform
+grid, multiply by the Fourier-side kernel at every output time, transform
 back.  The source is a fixed profile switched on at t = 0, so its time
 integral against the singular kernel is exact per mode:
 Int_0^t s^(a-1) E_{a,a}(-c s^a) ds = t^a E_{a,a+1}(-c t^a).
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .green import (GreenKind, ProblemSpec, SpecValidationError,
-                    _growing_phase, green_hat)
+                    _growing_phase, _kernel_rows)
 from .fracmath import mittag_leffler_array
 from .operators import riesz_feller_symbol
 
@@ -160,6 +160,13 @@ def convolve_time_singular(kernel_values, alpha: float, t_index: int,
     return acc
 
 
+# solve evaluates each kernel over a block of output times in one
+# Mittag-Leffler call of at most this many arguments, or of one time's
+# padded modes where those are more; 2^13 keeps a many-time solve's peak
+# memory at the per-time loop's
+_BLOCK_VALUES = 2 ** 13
+
+
 def _padded_wavenumbers(grid: SpaceTimeGrid):
     """Padded mode count and wavenumbers matching the transform convention.
 
@@ -210,6 +217,13 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
     mode has s = -1 and m_S the gamma-operator symbol; the identity mode
     has s = 1 and m_S = 1.  f = SourceDescriptor.delta() makes the output
     the Green function itself.
+
+    Each kernel (G or G3 for f, G2 or G4 for g, E_{a,a+1} for U) is one
+    Mittag-Leffler call over every padded mode and output time, in which
+    identical arguments are evaluated once; past _BLOCK_VALUES values the
+    times go in blocks, one call per block, so working memory does not
+    grow with their number.  Each row of the result equals the single-time solve at
+    its t.
     """
     a = spec.alpha
     if g.kind != "zero" and a <= 1.0:
@@ -238,8 +252,6 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
     kind_f = GreenKind.G3 if self_coupled else GreenKind.G
     kind_g = GreenKind.G4 if self_coupled else GreenKind.G2
 
-    out = np.empty((len(grid.times), nx), dtype=complex)
-
     if uhat is not None:
         if spec.source_mode == "riesz_feller":
             src_hat = -spec.mu * riesz_feller_symbol(spec.source_symbol(), k) \
@@ -257,19 +269,22 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
             f"{spec.alpha / 2.0:.4g} pi; the kernel has no real-space "
             f"form and the field does not converge in nx", stacklevel=2)
 
-    for it, t in enumerate(grid.times):
-        gh = green_hat(kind_f, k, t, spec)
-        # the localization heuristic only makes sense for dissipative
-        # kernels; dispersive (imaginary-coefficient) ones never localize
-        if (it == len(grid.times) - 1 and spec.lam.real > 0.0
-                and grows is None):
-            _window_mass_warning(gh, M, nx)
+    times = grid.times
+    out = np.empty((len(times), nx), dtype=complex)
+    step = max(1, _BLOCK_VALUES // M)
+    for lo in range(0, len(times), step):
+        ts = times[lo:lo + step]
+        gh = _kernel_rows(kind_f, k, ts, spec)
         nhat = fhat * gh
         if ghat_data is not None:
-            nhat = nhat + ghat_data * green_hat(kind_g, k, t, spec)
+            nhat = nhat + ghat_data * _kernel_rows(kind_g, k, ts, spec)
         if uhat is not None:
-            ta = t ** a
+            ta = np.array([t ** a for t in ts])[:, None]
             nhat = nhat + ta * mittag_leffler_array(
                 a, a + 1.0, -ta * rate) * src_hat
-        out[it] = np.fft.ifft(nhat)[:nx]
+        out[lo:lo + step] = np.fft.ifft(nhat, axis=1)[:, :nx]
+    # the localization heuristic only makes sense for dissipative kernels;
+    # dispersive (imaginary-coefficient) ones never localize
+    if spec.lam.real > 0.0 and grows is None:
+        _window_mass_warning(gh[-1], M, nx)
     return Field(grid=grid, values=out)

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fracgreen.fracmath import (_SERIES_CAP, _ml_coeffs, _ml_series_batch,
-                                mittag_leffler, mittag_leffler_array)
+from fracgreen.fracmath import (_SERIES_CAP, MLConvergenceError, _ml_coeffs,
+                                _ml_series_batch, mittag_leffler,
+                                mittag_leffler_array)
 
 from _reference import ml_asymptotic_mpmath, ml_mpmath
 
@@ -208,10 +209,43 @@ class TestProperties:
         assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
 
     @given(_alpha, _beta, st.lists(st.tuples(_radius, _phase), min_size=2,
-                                   max_size=12))
-    def test_one_point_equals_batch(self, alpha, beta, points):
+                                   max_size=12),
+           st.lists(st.integers(min_value=0), max_size=12))
+    def test_one_point_equals_batch(self, alpha, beta, points, repeats):
         zs = [r * complex(math.cos(ph), math.sin(ph)) for r, ph in points]
-        zs = [z for z in zs if _finite_on_double(alpha, z)]
+        # a batch evaluates each distinct argument once: give it conjugate
+        # pairs, both signed zeros on either axis, the origin and exact
+        # repeats, each of which must still give its one-point bytes
+        zs += [w for z in zs for w in (
+            z.conjugate(), complex(z.real, 0.0), complex(z.real, -0.0),
+            complex(0.0, z.imag), complex(-0.0, z.imag))]
+        zs = [z for z in zs if z != 0 and _finite_on_double(alpha, z)]
+        zs += [0j, complex(-0.0, -0.0)]
+        zs += [zs[i % len(zs)] for i in repeats]
         batch = mittag_leffler_array(alpha, beta, zs)
         for z, v in zip(zs, batch):
-            assert mittag_leffler(alpha, beta, z) == v
+            one = np.complex128(mittag_leffler(alpha, beta, z))
+            assert one.tobytes() == v.tobytes()
+
+    @given(_alpha, st.permutations([
+        6.0 * cmath.exp(0.9j * math.pi), 0.5 + 0.25j, 0.5 + 0.25j,
+        0.5 - 0.25j, complex(math.nan, 1.0), complex(math.nan, -1.0),
+        complex(math.nan, 1.0), complex(1.0, math.nan),
+        complex(math.inf, 0.0), complex(math.inf, -0.0),
+        complex(-math.inf, 2.0)]))
+    def test_non_finite_value_names_the_first_such_z(self, alpha, zs):
+        # duplicates and conjugates of a bad z stay in the batch; the error
+        # names the first z, in the caller's order, whose value alone is
+        # not finite
+        def fails(z):
+            try:
+                mittag_leffler(alpha, 1.3, z)
+            except MLConvergenceError:
+                return True
+            return False
+
+        with np.errstate(all="ignore"):
+            first = next(z for z in zs if fails(z))
+            with pytest.raises(MLConvergenceError) as err:
+                mittag_leffler_array(alpha, 1.3, zs)
+        assert str(err.value).endswith(f"z={first}")

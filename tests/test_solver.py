@@ -1,13 +1,17 @@
 """Unit tests for the spectral solver and its convolution helpers."""
 
+import inspect
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fracgreen.fracmath import mittag_leffler, mittag_leffler_array
 from fracgreen.green import ProblemSpec
+from fracgreen import solver
 from fracgreen.operators import riesz_feller_symbol
 from fracgreen.solver import (Field, SourceDescriptor, SpaceTimeGrid,
                               SpecValidationError, convolve_time_singular,
@@ -211,6 +215,34 @@ class TestSolve:
         rel = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
         assert rel < 1e-4
 
+    @pytest.mark.parametrize("spec, grid, text", [
+        (ProblemSpec(alpha=0.8, beta=1.1),
+         SpaceTimeGrid(-3.0, 3.0, 64, (0.5, 1.0, 2.0)), "mass outside"),
+        (ProblemSpec(alpha=1.0, beta=1.5, theta=0.2),
+         SpaceTimeGrid(-60.0, 60.0, 64, (0.25, 0.5, 1.0)),
+         "under-resolved"),
+    ], ids=["mass_outside", "under_resolved"])
+    def test_window_warning_once_per_solve_at_the_caller(self, spec, grid,
+                                                         text):
+        f = SourceDescriptor.gaussian(0.0, 1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = inspect.currentframe().f_lineno + 1
+            solve(spec, f, self._zero(), self._zero(), grid)
+        hits = [w for w in caught if text in str(w.message)]
+        assert len(caught) == len(hits) == 1
+        assert (hits[0].filename, hits[0].lineno) == (__file__, line)
+
+    def test_values_own_their_data(self):
+        # a kept field must not hold the padded (n_times, M) transform
+        spec = ProblemSpec(alpha=0.8, beta=1.6)
+        f = SourceDescriptor.gaussian(0.0, 1.0)
+        for times in ((1.0,), (0.5, 1.0)):
+            grid = SpaceTimeGrid(-20.0, 20.0, 64, times)
+            values = solve(spec, f, self._zero(), self._zero(), grid).values
+            assert values.base is None or values.flags.owndata
+            assert values.shape == (len(times), 64)
+
     def test_window_mass_warning_fires_on_narrow_grid(self):
         spec = ProblemSpec(alpha=0.8, beta=1.1)
         grid = SpaceTimeGrid(-3.0, 3.0, 64, (2.0,))
@@ -257,3 +289,51 @@ class TestSolve:
             solve(ProblemSpec(alpha=3.0, beta=1.5),
                   SourceDescriptor.delta(), self._zero(), self._zero(),
                   grid)
+
+
+@st.composite
+def _solve_cases(draw):
+    """(spec, f, g, U) for one kind of solve: the G kernel, the G2 datum,
+    either source mode, or the self-coupled G3/G4 pair."""
+    case = draw(st.sampled_from(["G", "G2", "riesz_feller", "identity",
+                                 "self"]))
+    alpha = draw(st.floats(1.05, 1.95) if case == "G2"
+                 else st.floats(0.9, 1.95))
+    beta = draw(st.floats(1.2, 1.9))
+    # |theta| < 2 - alpha keeps G_hat bounded in |k| for real lam
+    theta = draw(st.floats(-0.9, 0.9)) * min(2.0 - beta, 2.0 - alpha)
+    lam = draw(st.sampled_from([1.0, 0.6, 1.0 + 0.1j]))
+    extra = {}
+    if case in ("riesz_feller", "identity", "self"):
+        extra = dict(mu=draw(st.floats(0.3, 0.9)), gamma=0.9, phi=0.05)
+    if case == "self":
+        extra["source_coupling"] = "self"
+    if case in ("riesz_feller", "identity"):
+        extra["source_mode"] = case
+    spec = ProblemSpec(alpha=alpha, beta=beta, theta=theta, lam=lam, **extra)
+    zero = SourceDescriptor.zero()
+    f = SourceDescriptor.gaussian(draw(st.floats(-2.0, 2.0)), 1.5)
+    g = SourceDescriptor.box(-1.0, 1.5) if alpha > 1.0 and case in (
+        "G2", "self") else zero
+    U = SourceDescriptor.box(-2.0, 1.0) if case in ("riesz_feller",
+                                                    "identity") else zero
+    return spec, f, g, U
+
+
+@given(_solve_cases(), st.lists(st.floats(0.2, 2.5), min_size=2,
+                                max_size=4, unique=True),
+       st.sampled_from([solver._BLOCK_VALUES, 128, 256]))
+def test_multi_time_rows_equal_single_time_solves(case, times, block):
+    # each kernel is one Mittag-Leffler call per block of output times: all
+    # of them, or one or two at a time when a block holds 128 or 256 values
+    # of the 128 padded modes; a row must not depend on the other times
+    spec, f, g, U = case
+    grid = SpaceTimeGrid(-20.0, 20.0, 32, sorted(times))
+    with warnings.catch_warnings(), \
+            mock.patch.object(solver, "_BLOCK_VALUES", block):
+        warnings.simplefilter("ignore")
+        rows = solve(spec, f, g, U, grid).values
+        for row, t in zip(rows, grid.times):
+            one = SpaceTimeGrid(-20.0, 20.0, 32, (t,))
+            assert solve(spec, f, g, U, one).values[0].tobytes() \
+                == row.tobytes()
