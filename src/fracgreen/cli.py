@@ -132,9 +132,7 @@ def _write_manifest(path, command, spec, grid, checks):
                  "times": list(grid.times)},
         "checks": checks,
     }
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_lines(path, [json.dumps(doc, indent=2, sort_keys=True)])
 
 
 def _field_lines(grid, values):
@@ -244,12 +242,7 @@ def _cmd_compare(args):
     rel = 0.0 if num == 0.0 else num / max(den, 1e-300)
     doc = {"relative_l2": rel, "absolute_l2": num, "reference_l2": den,
            "max_abs": float(np.max(np.abs(va - vb)))}
-    out = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    _write_lines(args.output, [json.dumps(doc, indent=2, sort_keys=True)])
     if args.tol is not None and rel > args.tol:
         print(f"relative_l2 {rel:.3e} exceeds tolerance {args.tol:.3e}",
               file=sys.stderr)

@@ -123,10 +123,16 @@ class _Kernel:
     self_coupled: bool
 
 
-def _kernel(kind: GreenKind, spec: ProblemSpec) -> _Kernel:
-    """The kernel table; G2/G4 exist only for 1 < alpha <= 2."""
-    kind = GreenKind(kind)
+# _kernel's key for solve's source kernel, the time integral of G
+_SOURCE = object()
+
+
+def _kernel(kind, spec: ProblemSpec) -> _Kernel:
+    """The kernel table, GreenKinds and _SOURCE; G2/G4 need 1 < alpha <= 2."""
     a = spec.alpha
+    if kind is _SOURCE:
+        return _Kernel(a + 1.0, a, 0.0, False)
+    kind = GreenKind(kind)
     if kind in (GreenKind.G2, GreenKind.G4):
         if a <= 1.0:
             raise RegimeError(f"{kind.value} requires 1 < alpha <= 2, got {a}")
@@ -153,10 +159,9 @@ def _finite_xs(x) -> np.ndarray:
     return xs
 
 
-def _kernel_rows(kind: GreenKind, k: np.ndarray, times, spec: ProblemSpec):
-    """G_hat at the wavenumber array k for every t in times, one row per
+def _kernel_rows(kern: _Kernel, k: np.ndarray, times, spec: ProblemSpec):
+    """kern at the wavenumber array k for every t in times, one row per
     time, from one mittag_leffler_array call over all the arguments."""
-    kern = _kernel(kind, spec)
     for t in times:
         _check_time(t)
     a = spec.alpha
@@ -175,7 +180,8 @@ def _kernel_rows(kind: GreenKind, k: np.ndarray, times, spec: ProblemSpec):
 def green_hat(kind: GreenKind, k, t: float, spec: ProblemSpec):
     """Fourier transform of the requested kernel at wavenumber(s) k, time t."""
     arr = np.asarray(k, dtype=float)
-    out = _kernel_rows(kind, np.atleast_1d(arr), (t,), spec)[0]
+    out = _kernel_rows(_kernel(kind, spec), np.atleast_1d(arr), (t,),
+                       spec)[0]
     return complex(out[0]) if arr.ndim == 0 else out
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .green import ProblemSpec
 from .operators import gl_weights
-from .solver import (Field, SourceDescriptor, SpaceTimeGrid,
+from .solver import (Field, SourceDescriptor, SpaceTimeGrid, _padded_fft,
                      _padded_wavenumbers)
 
 
@@ -78,11 +78,9 @@ def oracle_solve(spec: ProblemSpec, f: SourceDescriptor,
     """
     nx = grid.nx
     M, k = _padded_wavenumbers(grid)
-    col = np.zeros(M, dtype=complex)
-    col[:nx] = f.render(grid.x, grid.dx)
-    fhat = np.fft.fft(col)
     rate = spec.rate(k, spec.source_coupling == "self")
-    modes = oracle_mode_evolve(spec.alpha, rate, fhat, cfg)
+    modes = oracle_mode_evolve(spec.alpha, rate, _padded_fft(f, grid, M),
+                               cfg)
     out = np.empty((len(grid.times), nx), dtype=complex)
     for it, t in enumerate(grid.times):
         n = int(round(t / cfg.dt)) - 1

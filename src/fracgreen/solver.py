@@ -1,21 +1,21 @@
 """Assemble full solutions N(x, t) from Green kernels and data.
 
-The solution is built spectrally: transform the initial data on a padded
-grid, multiply by the Fourier-side kernel at every output time, transform
-back.  The source is a fixed profile switched on at t = 0, so its time
-integral against the singular kernel is exact per mode:
+The solution is built spectrally: transform each datum on a padded grid,
+multiply by its Fourier-side kernel at every output time, sum, transform
+back.  The source is a fixed profile switched on at t = 0, so its kernel,
+the time integral of G, is exact per mode:
 Int_0^t s^(a-1) E_{a,a}(-c s^a) ds = t^a E_{a,a+1}(-c t^a).
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .green import (GreenKind, ProblemSpec, SpecValidationError,
-                    _growing_phase, _kernel_rows)
-from .fracmath import mittag_leffler_array
+from .green import (_SOURCE, GreenKind, ProblemSpec, SpecValidationError,
+                    _growing_phase, _kernel, _kernel_rows)
 from .operators import riesz_feller_symbol
 
 
@@ -64,10 +64,15 @@ class SourceDescriptor:
         return cls(kind="samples", values=np.asarray(values, dtype=complex))
 
     def render(self, x: np.ndarray, dx: float) -> np.ndarray:
-        """Samples of the descriptor on the grid x (delta: unit impulse 1/dx)."""
+        """Samples of the descriptor on the grid x (delta: unit impulse 1/dx
+        at the point nearest its center, which must lie in the window)."""
         if self.kind == "zero":
             return np.zeros(x.size, dtype=complex)
         if self.kind == "dirac_delta":
+            if not x[0] <= self.center < x[-1] + dx:
+                raise ValueError(
+                    f"delta center {self.center} lies outside the window "
+                    f"[{x[0]}, {x[-1] + dx})")
             out = np.zeros(x.size, dtype=complex)
             j = int(np.argmin(np.abs(x - self.center)))
             out[j] = 1.0 / dx
@@ -180,6 +185,13 @@ def _padded_wavenumbers(grid: SpaceTimeGrid):
     return M, k
 
 
+def _padded_fft(desc: SourceDescriptor, grid: SpaceTimeGrid, M: int):
+    """Transform of desc rendered on grid, zero-padded to M points."""
+    col = np.zeros(M, dtype=complex)
+    col[:grid.nx] = desc.render(grid.x, grid.dx)
+    return np.fft.fft(col)
+
+
 def _window_mass_warning(ghat, M, nx):
     """Warn when the padded convolution cannot be trusted.
 
@@ -218,15 +230,17 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
     has s = 1 and m_S = 1.  f = SourceDescriptor.delta() makes the output
     the Green function itself.
 
-    Each kernel (G or G3 for f, G2 or G4 for g, E_{a,a+1} for U) is one
+    Each datum that is not zero is one term: its padded transform (for U
+    times s mu m_S) times its kernel from green's table, G or G3 for f, G2
+    or G4 for g, the source kernel t^a E_{a,a+1} for U.  A kernel is one
     Mittag-Leffler call over every padded mode and output time, in which
     identical arguments are evaluated once; past _BLOCK_VALUES values the
     times go in blocks, one call per block, so working memory does not
-    grow with their number.  Each row of the result equals the single-time solve at
-    its t.
+    grow with their number.  An absent datum costs nothing.  Each row of
+    the result equals the single-time solve at its t.  The window check
+    reads the first term's kernel (G or G3 when f is given) at the last t.
     """
-    a = spec.alpha
-    if g.kind != "zero" and a <= 1.0:
+    if g.kind != "zero" and spec.alpha <= 1.0:
         raise SpecValidationError(
             ["second initial datum g requires 1 < alpha <= 2"])
     self_coupled = spec.source_coupling == "self"
@@ -237,28 +251,22 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
         raise SpecValidationError(["delta source U is not supported"])
 
     M, k = _padded_wavenumbers(grid)
-    nx, dx = grid.nx, grid.dx
-    x = grid.x
-
-    def padded_fft(desc):
-        col = np.zeros(M, dtype=complex)
-        col[:nx] = desc.render(x, dx)
-        return np.fft.fft(col)
-
-    fhat = padded_fft(f)
-    ghat_data = padded_fft(g) if g.kind != "zero" else None
-    uhat = padded_fft(U) if U.kind != "zero" else None
-
-    kind_f = GreenKind.G3 if self_coupled else GreenKind.G
-    kind_g = GreenKind.G4 if self_coupled else GreenKind.G2
-
-    if uhat is not None:
-        if spec.source_mode == "riesz_feller":
-            src_hat = -spec.mu * riesz_feller_symbol(spec.source_symbol(), k) \
-                * uhat
-        else:
-            src_hat = spec.mu * uhat
-        rate = spec.rate(k)
+    nx = grid.nx
+    kind_f, kind_g = ((GreenKind.G3, GreenKind.G4) if self_coupled
+                      else (GreenKind.G, GreenKind.G2))
+    # (padded datum transform, kernel), one term per datum present
+    terms = [(_padded_fft(datum, grid, M), _kernel(kind, spec))
+             for datum, kind in ((f, kind_f), (g, kind_g))
+             if datum.kind != "zero"]
+    if U.kind != "zero":
+        # s mu m_S stays on the datum side: the source kernel keeps its
+        # positive k = 0 value t^a / Gamma(a + 1) for the window check
+        m_s = (-riesz_feller_symbol(spec.source_symbol(), k)
+               if spec.source_mode == "riesz_feller" else 1.0)
+        terms.append((spec.mu * m_s * _padded_fft(U, grid, M),
+                      _kernel(_SOURCE, spec)))
+    if not terms:
+        return Field(grid, np.zeros((len(grid.times), nx), dtype=complex))
 
     grows = _growing_phase(spec, self_coupled)
     if grows is not None:
@@ -274,17 +282,12 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
     step = max(1, _BLOCK_VALUES // M)
     for lo in range(0, len(times), step):
         ts = times[lo:lo + step]
-        gh = _kernel_rows(kind_f, k, ts, spec)
-        nhat = fhat * gh
-        if ghat_data is not None:
-            nhat = nhat + ghat_data * _kernel_rows(kind_g, k, ts, spec)
-        if uhat is not None:
-            ta = np.array([t ** a for t in ts])[:, None]
-            nhat = nhat + ta * mittag_leffler_array(
-                a, a + 1.0, -ta * rate) * src_hat
+        rows = [_kernel_rows(kern, k, ts, spec) for _, kern in terms]
+        nhat = functools.reduce(np.add, (datum * r for (datum, _), r
+                                         in zip(terms, rows)))
         out[lo:lo + step] = np.fft.ifft(nhat, axis=1)[:, :nx]
     # the localization heuristic only makes sense for dissipative kernels;
     # dispersive (imaginary-coefficient) ones never localize
     if spec.lam.real > 0.0 and grows is None:
-        _window_mass_warning(gh[-1], M, nx)
+        _window_mass_warning(rows[0][-1], M, nx)
     return Field(grid=grid, values=out)

@@ -186,6 +186,16 @@ class TestSolveCompare:
         assert run(args) == 1
         assert "width must be positive" in capsys.readouterr().err
 
+    def test_delta_outside_the_window_is_constraint_error(self, tmp_path,
+                                                          capsys):
+        args = self._solve_args(tmp_path / "f.csv")
+        args[args.index("--f") + 1] = "delta:100"
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert "delta center 100.0 lies outside the window [-20.0, 20.0)" \
+            in err
+        assert not (tmp_path / "f.csv").exists()
+
     def test_round_trip_zero_residual(self, tmp_path):
         csv = tmp_path / "f.csv"
         out = tmp_path / "cmp.json"

@@ -2,9 +2,10 @@
 
 The values were recorded from the implementation before the equation was
 described once (one ProblemSpec check, one kernel table, one rate
-symbol).  Each is compared at 1e-13 relative, far inside every
-algorithm's own tolerance, so a change of route or of evaluation order
-shows up here first.
+symbol); the g-only and source-only solves, from the implementation
+before solve took every term's kernel from that table.  Each is compared
+at 1e-13 relative, far inside every algorithm's own tolerance, so a
+change of route or of evaluation order shows up here first.
 """
 
 import warnings
@@ -40,6 +41,8 @@ FROZEN = {
     "closed-G2-0.6": (-0.0698533223829918, 0.0),
     "solve-rf": (0.1319672979327404, 3.115008030218912e-05),
     "solve-id": (0.12455126102459288, 3.686287221418971e-18),
+    "solve-g-only": (0.020244034290921205, -2.9368217776078523e-10),
+    "solve-rf-source-only": (-0.17897413688505398, 3.114955248378123e-05),
     "oracle": (0.1886363073359938, -6.96471496915803e-10),
 }
 
@@ -77,6 +80,13 @@ def outputs():
         vals["solve-id"] = solve(ident, zero, zero,
                                  SourceDescriptor.gaussian(0.0, 2.0),
                                  grid).values[1, 30]
+        # one datum alone: G2 for g, the source kernel for U
+        vals["solve-g-only"] = solve(HIGH, zero,
+                                     SourceDescriptor.gaussian(0.5, 1.0),
+                                     zero, grid).values[1, 33]
+        vals["solve-rf-source-only"] = solve(
+            rf, zero, zero, SourceDescriptor.box(-1.0, 2.0),
+            grid).values[1, 33]
     ogrid = SpaceTimeGrid(-20.0, 20.0, 64, (0.125, 0.25))
     vals["oracle"] = oracle_solve(LOW, SourceDescriptor.gaussian(0.0, 1.0),
                                   ogrid, OracleConfig(1 / 256, 64)

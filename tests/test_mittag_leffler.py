@@ -244,8 +244,38 @@ class TestProperties:
                 return True
             return False
 
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             first = next(z for z in zs if fails(z))
             with pytest.raises(MLConvergenceError) as err:
                 mittag_leffler_array(alpha, 1.3, zs)
         assert str(err.value).endswith(f"z={first}")
+
+    @pytest.mark.parametrize("alpha, beta, z", [
+        (0.5, 0.7, complex(0.0, math.inf)),
+        (0.5, 0.7, complex(0.0, -math.inf)),
+        (1.5, 1.2, complex(-math.inf, 0.0)),
+        (1.5, 1.2, complex(-math.inf, 3.0)),
+        (0.9, 1.9, complex(-3.0, math.inf)),
+    ])
+    def test_infinite_argument_in_the_decay_sector(self, alpha, beta, z):
+        # |arg z| > alpha pi/2: E decays to 0, with no numpy RuntimeWarning
+        # from the inf - inf of the contour set-up on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = mittag_leffler_array(alpha, beta, [z, z.conjugate(), -1.0])
+        assert got[0] == 0.0 and got[1] == 0.0
+        assert got[2] == mittag_leffler(alpha, beta, -1.0)
+
+    @pytest.mark.parametrize("alpha, beta, z", [
+        (0.5, 0.7, complex(math.inf, 0.0)),
+        (1.5, 1.2, complex(0.0, math.inf)),
+        (1.0, 1.0, complex(0.0, math.inf)),
+        (2.0, 2.0, complex(-math.inf, 0.0)),
+    ])
+    def test_infinite_argument_without_a_limit_named(self, alpha, beta, z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(MLConvergenceError) as err:
+                mittag_leffler_array(alpha, beta, [-1.0, z])
+        assert str(err.value).endswith(f"z={z}")

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from fracgreen.fracmath import mittag_leffler, mittag_leffler_array
 from fracgreen.green import ProblemSpec
-from fracgreen import solver
+from fracgreen import green, solver
 from fracgreen.operators import riesz_feller_symbol
 from fracgreen.solver import (Field, SourceDescriptor, SpaceTimeGrid,
                               SpecValidationError, convolve_time_singular,
@@ -29,6 +29,21 @@ class TestDescriptors:
         vals = SourceDescriptor.delta(0.7).render(grid.x, grid.dx)
         assert np.sum(vals.real) * grid.dx == pytest.approx(1.0)
         assert np.count_nonzero(vals) == 1
+
+    @pytest.mark.parametrize("center", [100.0, -20.5, 20.0, math.nan])
+    def test_delta_outside_the_window_rejected(self, center):
+        # the window is [-20, 20); the nearest grid point is no stand-in
+        grid = SpaceTimeGrid(-20.0, 20.0, 64, (1.0,))
+        with pytest.raises(ValueError) as err:
+            SourceDescriptor.delta(center).render(grid.x, grid.dx)
+        assert f"delta center {center} " in str(err.value)
+        assert "[-20.0, 20.0)" in str(err.value)
+
+    def test_delta_at_the_window_edges(self):
+        grid = SpaceTimeGrid(-20.0, 20.0, 64, (1.0,))
+        for center, j in ((-20.0, 0), (19.9, 63)):
+            vals = SourceDescriptor.delta(center).render(grid.x, grid.dx)
+            assert np.flatnonzero(vals).tolist() == [j]
 
     def test_box(self):
         grid = SpaceTimeGrid(-5.0, 5.0, 100, (1.0,))
@@ -215,23 +230,38 @@ class TestSolve:
         rel = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
         assert rel < 1e-4
 
-    @pytest.mark.parametrize("spec, grid, text", [
-        (ProblemSpec(alpha=0.8, beta=1.1),
-         SpaceTimeGrid(-3.0, 3.0, 64, (0.5, 1.0, 2.0)), "mass outside"),
+    _NARROW = SpaceTimeGrid(-3.0, 3.0, 64, (0.5, 1.0, 2.0))
+
+    @pytest.mark.parametrize("spec, grid, source, text", [
+        (ProblemSpec(alpha=0.8, beta=1.1), _NARROW, False, "mass outside"),
         (ProblemSpec(alpha=1.0, beta=1.5, theta=0.2),
-         SpaceTimeGrid(-60.0, 60.0, 64, (0.25, 0.5, 1.0)),
+         SpaceTimeGrid(-60.0, 60.0, 64, (0.25, 0.5, 1.0)), False,
          "under-resolved"),
-    ], ids=["mass_outside", "under_resolved"])
+        # a source-only solve is judged on the source kernel it convolves
+        (ProblemSpec(alpha=0.8, beta=1.5, mu=0.5, source_mode="identity"),
+         _NARROW, True, "mass outside"),
+    ], ids=["mass_outside", "under_resolved", "source_mass_outside"])
     def test_window_warning_once_per_solve_at_the_caller(self, spec, grid,
-                                                         text):
-        f = SourceDescriptor.gaussian(0.0, 1.0)
+                                                         source, text):
+        datum = SourceDescriptor.gaussian(0.0, 1.0)
+        f, U = (self._zero(), datum) if source else (datum, self._zero())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             line = inspect.currentframe().f_lineno + 1
-            solve(spec, f, self._zero(), self._zero(), grid)
+            solve(spec, f, self._zero(), U, grid)
         hits = [w for w in caught if text in str(w.message)]
         assert len(caught) == len(hits) == 1
         assert (hits[0].filename, hits[0].lineno) == (__file__, line)
+
+    def test_all_zero_data_warn_nothing(self):
+        # the narrow grid above warns for any kernel; zero data use none
+        zero = self._zero()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spec in (ProblemSpec(alpha=0.8, beta=1.1),
+                         ProblemSpec(alpha=0.8, beta=1.5, mu=0.5)):
+                values = solve(spec, zero, zero, zero, self._NARROW).values
+                assert not values.any()
 
     def test_values_own_their_data(self):
         # a kept field must not hold the padded (n_times, M) transform
@@ -313,6 +343,9 @@ def _solve_cases(draw):
     spec = ProblemSpec(alpha=alpha, beta=beta, theta=theta, lam=lam, **extra)
     zero = SourceDescriptor.zero()
     f = SourceDescriptor.gaussian(draw(st.floats(-2.0, 2.0)), 1.5)
+    if case in ("G2", "riesz_feller", "identity"):
+        # a g-only or source-only solve convolves no G
+        f = draw(st.sampled_from([f, zero]))
     g = SourceDescriptor.box(-1.0, 1.5) if alpha > 1.0 and case in (
         "G2", "self") else zero
     U = SourceDescriptor.box(-2.0, 1.0) if case in ("riesz_feller",
@@ -337,3 +370,65 @@ def test_multi_time_rows_equal_single_time_solves(case, times, block):
             one = SpaceTimeGrid(-20.0, 20.0, 32, (t,))
             assert solve(spec, f, g, U, one).values[0].tobytes() \
                 == row.tobytes()
+
+
+class TestTerms:
+    """solve pairs each datum present with its kernel: one Mittag-Leffler
+    call per kernel per block of output times, none for an absent datum."""
+
+    _GAUSS = SourceDescriptor.gaussian(0.5, 1.0)
+    _BOX = SourceDescriptor.box(-1.0, 1.5)
+    _ZERO = SourceDescriptor.zero()
+
+    def _calls(self, spec, f, g, U, block):
+        # 3 times of 128 padded modes: one block, or two of 256 values
+        grid = SpaceTimeGrid(-20.0, 20.0, 32, (0.5, 1.0, 1.5))
+        calls = []
+        real = green.mittag_leffler_array
+
+        def counting(*args):
+            calls.append(args[:2])
+            return real(*args)
+
+        with mock.patch.object(green, "mittag_leffler_array", counting), \
+                mock.patch.object(solver, "_BLOCK_VALUES", block), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            values = solve(spec, f, g, U, grid).values
+        return calls, values
+
+    @pytest.mark.parametrize("block, blocks", [(solver._BLOCK_VALUES, 1),
+                                               (256, 2)])
+    # the second Mittag-Leffler index of each kernel is alpha + offset:
+    # G for f, G2 for g, the source kernel for U
+    @pytest.mark.parametrize("data, offsets", [
+        ("f", [0.0]),
+        ("g", [-1.0]),
+        ("U", [1.0]),
+        ("fgU", [0.0, -1.0, 1.0]),
+    ])
+    @pytest.mark.parametrize("mode", ["riesz_feller", "identity"])
+    def test_one_call_per_kernel_per_block(self, block, blocks, data,
+                                           offsets, mode):
+        spec = ProblemSpec(alpha=1.4, beta=1.6, theta=0.1, gamma=1.2,
+                           phi=0.1, mu=0.6, source_mode=mode)
+        f = self._GAUSS if "f" in data else self._ZERO
+        g = self._BOX if "g" in data else self._ZERO
+        U = self._BOX if "U" in data else self._ZERO
+        calls, values = self._calls(spec, f, g, U, block)
+        a = spec.alpha
+        want = [(a, a + d) for d in offsets]
+        assert calls == want * blocks
+        assert np.all(np.isfinite(values)) and values.any()
+
+    @pytest.mark.parametrize("spec", [
+        ProblemSpec(alpha=1.4, beta=1.6, mu=0.6),
+        ProblemSpec(alpha=0.8, beta=1.5, gamma=0.9, mu=0.5,
+                    source_coupling="self"),
+    ], ids=["external", "self"])
+    def test_all_zero_data_make_no_call(self, spec):
+        z = self._ZERO
+        calls, values = self._calls(spec, z, z, z, solver._BLOCK_VALUES)
+        assert calls == []
+        assert values.shape == (3, 32) and values.dtype == complex
+        assert not values.any()
