@@ -28,7 +28,12 @@ class FourierOnlyError(Exception):
 
 
 class ToleranceNotMetError(Exception):
-    pass
+    """A value cannot be given to its tolerance: no algebraic tail of
+    green_points closes below _K_MAX (the asymptotic series stops
+    improving, or starts past _K_MAX, or the exponential Mittag-Leffler
+    term does not decay, at alpha = 2, or its bound passes abs_tol / 2 at
+    every K), its panels pass the edge budget, the kernel diverges at
+    x = 0, or a tail's E_s does not converge."""
 
 
 class RegimeError(Exception):
@@ -106,10 +111,9 @@ class ProblemSpec:
         return r
 
 
-# green_points integrates panels out to at most _K_MAX, and accepts an
-# accelerated sum whose two last estimates agree to abs_tol or _REL_TOL
+# green_points integrates Gauss panels out to the K of its algebraic
+# tail, and no K passes _K_MAX
 _K_MAX = 5000.0
-_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -240,27 +244,6 @@ def _check_dissipative(spec: ProblemSpec, kinds_self: bool):
         )
 
 
-def _wynn(s):
-    """Wynn epsilon acceleration of a partial-sum sequence.
-
-    Returns the deepest finite even-column entry; odd columns are the
-    auxiliary reciprocal rows and are never reported.
-    """
-    prev = np.zeros(len(s) + 1, dtype=complex)
-    cur = np.asarray(s, dtype=complex)
-    best = cur[-1]
-    for col in range(1, len(s)):
-        diff = np.diff(cur)
-        if np.any(diff == 0):
-            break
-        prev, cur = cur, prev[1:len(cur)] + 1.0 / diff
-        if not np.all(np.isfinite(cur)):
-            break
-        if col % 2 == 0:
-            best = cur[-1]
-    return best
-
-
 # Gauss-Legendre nodes and weights of every k panel; green_points sizes
 # its panels for 16 nodes
 _GAUSS_X, _GAUSS_W = leggauss(16)
@@ -268,43 +251,57 @@ _GAUSS_X, _GAUSS_W = leggauss(16)
 
 def _kernel_tail_data(kern: _Kernel, spec: ProblemSpec, t: float,
                       abs_tol: float):
-    """Where the second asymptotic ML term starts dominating green_hat.
+    """(K, terms, freq): past K, green_hat is the sum over terms
+    (amp_up, amp_dn, s) of amp |k|^(-s), on k > 0 and k < 0.
 
-    Returns (K, info) such that for k >= K the substitute
-    F(k) ~ -pref * rgamma(bt - 2 alpha) * (coeff(k) t^alpha)^(-2) * mult(k)
-    carries integrated error below abs_tol, or None when no such K exists
-    (alpha = 2, or the self-coupled kernels, which fall back to
-    acceleration).  The exponential ML term sets the scale near alpha = 2:
-    its phase on each half line is the principal one of _ml_phases, and
-    its decay exponent in k comes from its asymptotic form.
-    """
-    if kern.self_coupled or 3.0 * spec.beta - kern.mult_order <= 1.0:
-        return None
-    a = spec.alpha
-    bt = kern.ml_index
-    tpow = t ** kern.tpow
+    The powers come from E_{a,b}(-w) ~ -sum_n (-w)^(-n) rgamma(b - a n),
+    n >= 2 (n = 1 vanishes for every GreenKind), w = A |k|^top (1 + q);
+    for two rate orders (1 + q)^(-n) is expanded in q = (B/A) |k|^-d,
+    d = top - low, so the power (n, m) has s = n top + m d - p_mul.  Kept:
+    the fewest powers in increasing s, then the least K <= _K_MAX on
+    K0 1.6^j (|w| = 10, |q| = 1/2 at K0) where the dropped powers' bound
+    past K is below abs_tol / 2.  That bound sums, over the frontier (each
+    started family's next power, and the next family's first, which stands
+    for every higher n as the asymptotic series' next term does),
+    pref (|rgamma| + 1/2) |binom(-n, m)| |B/A|^m / |A|^n K^(1-s) / (s - 1)
+    / pi / (1 - |q(K)|)^n, the last factor bounding the family's binomial
+    rest, plus the exponential term's bound; powers are added while that
+    bound at _K_MAX falls.  freq(k): the exponential term's phase rate."""
+    a, bt, p_mul = spec.alpha, kern.ml_index, kern.mult_order
+    tpow, ta = t ** kern.tpow, t ** a
     pref = abs(tpow)
-    p_mul = kern.mult_order
-    beta = spec.beta
-    c = abs(spec.lam) * t ** a
-    # coeff(k) and mult(k) on the half lines k > 0 and k < 0
-    leads = _leading_coeffs(_rate_terms(spec, False))
+    rate = _rate_terms(spec, kern.self_coupled)
+    top = max(order for _, _, order in rate)
+    tops = [term for term in rate if term[2] == top]
+    lows = [term for term in rate if term[2] < top]
+    # A and mult(k) on k > 0 and k < 0; c = |A| on the weaker half line
+    leads = _leading_coeffs(rate)
     mults = _leading_coeffs([(1.0, spec.phi, p_mul)]) if p_mul else [1.0, 1.0]
-    # exponential ML terms exist only for argument phases inside the
-    # sector |phase| <= 0.75 alpha pi; one that does not decay leaves no K
-    cosmax = max((math.cos(ph / a) for ph in _ml_phases(leads)
-                  if abs(ph) <= 0.75 * a * math.pi), default=None)
+    c = (abs(tops[0][0]) if len(tops) == 1 else min(map(abs, leads))) * ta
+    K0 = max((10.0 / c) ** (1.0 / top), 1.0)
+    d, ratios = 0.0, [0.0, 0.0]
+    if lows:
+        d = top - lows[0][2]
+        ratios = [b / lead for b, lead in zip(_leading_coeffs(lows), leads)]
+        K0 = max(K0, (2.0 * max(map(abs, ratios))) ** (1.0 / d))
+    qmax = max(map(abs, ratios))
+    if K0 > _K_MAX:
+        raise ToleranceNotMetError(
+            f"the large-|k| asymptotics of the kernel start at K = {K0:.3g},"
+            f" past K = {_K_MAX:g}")
+    phs = [ph / a for ph in _ml_phases(leads) if abs(ph) <= 0.75 * a * math.pi]
+    cosmax = max(map(math.cos, phs), default=None)
     if cosmax is not None and cosmax >= -1e-12:
-        return None
-    rg3a = abs(rgamma(bt - 3.0 * a)) + 0.5
+        raise ToleranceNotMetError(
+            f"the exponential Mittag-Leffler term does not decay with |k| "
+            f"(alpha = {a:g}, cos(phase / alpha) = {cosmax:.3g})")
 
     def exp_err(k):
-        """Integrated error of the exponential term past k: g(k) k / (s - 1)
-        for g = k^p_mul / alpha w^((1 - bt)/alpha) exp(cosmax w^(1/alpha)),
-        w = c k^beta, and s = -d log g / d log k."""
+        """g(k) k / (s - 1), s = -d log g / d log k, for the exponential
+        term g = k^p_mul / alpha w^((1 - bt)/alpha) exp(cosmax w^(1/alpha))."""
         if cosmax is None:
             return 0.0
-        w = c * k ** beta
+        w = c * k ** top
         try:
             g = k ** p_mul / a * w ** ((1.0 - bt) / a) \
                 * math.exp(cosmax * w ** (1.0 / a))
@@ -313,24 +310,69 @@ def _kernel_tail_data(kern: _Kernel, spec: ProblemSpec, t: float,
         # past the float range it counts as no error, as OverflowError does
         if g > sys.float_info.max:
             return 0.0
-        s = -(p_mul + beta * (1.0 - bt) / a
-              + cosmax * beta / a * w ** (1.0 / a))
+        s = -(p_mul + top * (1.0 - bt) / a
+              + cosmax * top / a * w ** (1.0 / a))
         return pref * g * k / (max(s, 1.5) - 1.0) / math.pi
 
-    K = max((10.0 / c) ** (1.0 / beta), 1.0)
-    for _ in range(60):
-        err_alg = pref * rg3a / c ** 3 \
-            * K ** (p_mul + 1.0 - 3.0 * beta) / (3.0 * beta - p_mul - 1.0) \
-            / math.pi
-        if err_alg + exp_err(K) < 0.5 * abs_tol:
+    def freq(k):
+        """d/dk of |sin(phase / alpha)| w^(1/alpha) while exp_err > tol/4."""
+        if not exp_err(k) > 0.25 * abs_tol:
+            return 0.0
+        return max(abs(math.sin(ph)) for ph in phs) * top / a \
+            * c ** (1.0 / a) * k ** (top / a - 1.0)
+
+    def bound(n, m, K):
+        """Integrated size past K of the powers (n, m') with m' >= m."""
+        e = n * top + m * d
+        if e - p_mul <= 1.0:
+            return math.inf
+        return pref * (abs(rgamma(bt - n * a)) + 0.5) \
+            * math.comb(n + m - 1, m) * qmax ** m / c ** n \
+            * K ** (p_mul + 1.0 - e) / (e - p_mul - 1.0) / math.pi \
+            / (1.0 - qmax * K ** -d) ** n
+
+    def term(n, m):
+        up, dn = (-tpow * complex((-1) ** n * rgamma(bt - n * a))
+                  / (lead * ta) ** n * mul for lead, mul in zip(leads, mults))
+        if m:
+            up, dn = (amp * math.comb(n + m - 1, m) * (-ratio) ** m
+                      for amp, ratio in zip((up, dn), ratios))
+        return up, dn, n * top + m * d - p_mul
+
+    ladder = [K0]
+    while ladder[-1] * 1.6 < _K_MAX:
+        ladder.append(ladder[-1] * 1.6)
+    ladder.append(_K_MAX)
+    exp_least = min(map(exp_err, ladder))
+    if not exp_least < 0.5 * abs_tol:
+        raise ToleranceNotMetError(
+            f"the exponential Mittag-Leffler term alone bounds the k "
+            f"integral past every K <= {_K_MAX:g} by {exp_least:.2e}, above "
+            f"abs_tol / 2 = {0.5 * abs_tol:.2e}")
+    # nxt[n - 2]: the next power m of family n, None once it has no more
+    kept, nxt = [(2, 0)], [1 if lows else None, 0]
+    best = math.inf
+    while True:
+        front = [(n, m) for n, m in enumerate(nxt, 2) if m is not None]
+
+        def err(K):
+            return sum(bound(n, m, K) for n, m in front) + exp_err(K)
+        if best < math.inf and not err(_K_MAX) < best:
             break
-        K *= 1.6
-    else:
-        return None
-    rg2 = complex(rgamma(bt - 2.0 * a))
-    amp_up, amp_dn = (-tpow * rg2 / (lead * t ** a) ** 2 * m
-                      for lead, m in zip(leads, mults))
-    return K, (amp_up, amp_dn, 2.0 * beta - p_mul)
+        best = err(_K_MAX)
+        K = next((K for K in ladder if err(K) < 0.5 * abs_tol), None)
+        if K is not None:
+            return K, [tm for tm in (term(*p) for p in kept)
+                       if tm[0] or tm[1]], freq
+        n, m = min(front, key=lambda p: p[0] * top + p[1] * d)
+        kept.append((n, m))
+        nxt[n - 2] = m + 1 if lows else None
+        if n - 1 == len(nxt):
+            nxt.append(0)
+    raise ToleranceNotMetError(
+        f"no algebraic tail closes the k integral below K = {_K_MAX:g}: "
+        f"its best bound, {best:.2e} with {len(kept) - 1} powers, exceeds "
+        f"abs_tol / 2 = {0.5 * abs_tol:.2e}")
 
 
 def _expint_cf(s: float, z: complex) -> complex:
@@ -433,90 +475,79 @@ def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec, *,
     The integrand F(k) does not depend on x, so the panel nodes are
     evaluated once and reused for every point: one green_hat call, and so
     one Mittag-Leffler call, over the nodes k and -k together, in which
-    identical arguments (with real coefficients, every +-k pair after the
-    conjugate fold) are evaluated once.  Panels run out to where
-    the asymptotic form of the integrand is trustworthy; the remainder is
-    added analytically per point.  Parameter corners with no usable
-    asymptote fall back to epsilon acceleration of the panel sums.
-    abs_tol is the absolute error target of every value.
+    identical arguments are evaluated once.  Gauss panels run out to the
+    K of _kernel_tail_data, past which its algebraic tail is integrated
+    per point.  abs_tol is the absolute error target of every value.
     """
     kern = _kernel(kind, spec)
     _check_time(t)
     xs = _finite_xs(xs)
     _check_dissipative(spec, kern.self_coupled)
 
-    k1 = (sum(abs(c) for c, _, _ in _rate_terms(spec, kern.self_coupled))
-          * t ** spec.alpha) ** (-1.0 / spec.beta)
+    a, rate = spec.alpha, _rate_terms(spec, kern.self_coupled)
+    k1 = (sum(abs(c) for c, _, _ in rate) * t ** a) ** (-1.0 / spec.beta)
     xmax = float(np.max(np.abs(xs))) if xs.size else 0.0
-    tail = _kernel_tail_data(kern, spec, t, abs_tol)
-    K_stop, phase_cap = _K_MAX, math.pi
-    if tail is not None:
-        K, (amp_up, amp_dn, s) = tail
-        if s <= 1.0 and np.any(xs == 0.0):
-            raise ToleranceNotMetError(
-                f"kernel diverges at x = 0: Fourier decay exponent {s} <= 1"
-            )
-        # 16-node Gauss panels resolve ~3 oscillation cycles, so the
-        # half-period cap is only needed when acceleration may be used
-        K_stop, phase_cap = min(K, _K_MAX), 20.0
-    halfper = phase_cap / xmax if xmax > 0 else math.inf
-
+    K, terms, freq = _kernel_tail_data(kern, spec, t, abs_tol)
+    s_min = min((s for _, _, s in terms), default=math.inf)
+    if s_min <= 1.0 and np.any(xs == 0.0):
+        raise ToleranceNotMetError(
+            f"kernel diverges at x = 0: Fourier decay exponent {s_min} <= 1")
     edges = [0.0]
-    while edges[-1] < K_stop and len(edges) <= 60000:
+    while edges[-1] < K and len(edges) <= 60000:
         e = edges[-1]
-        width = min(halfper, max(0.5 * e, k1 / 8.0), K_stop - e)
+        # 16-node Gauss panels resolve ~3 oscillation cycles: 20 rad at
+        # the largest |x| plus the phase rate of green_hat itself
+        phase_rate = xmax + max(freq(max(e, k1)), freq(max(1.5 * e, k1)))
+        width = min(20.0 / phase_rate if phase_rate > 0 else math.inf,
+                    max(0.5 * e, k1 / 8.0), K - e)
         edges.append(e + width)
-    edges = np.asarray(edges)
+    if edges[-1] < K:
+        raise ToleranceNotMetError(
+            f"the k panels to K = {K:.4g} at |x| = {xmax:g} need more than "
+            f"60000 edges")
+    # near k = 0 green_hat is a constant plus amp |k|^p terms, p the
+    # multiplier's order or else each rate order; 16-node Gauss misses
+    # Int_0^h k^p dk by h^(p+1) times its miss on [0, 1], so the first
+    # panel is halved till both half lines miss by at most abs_tol / 4
+    cusps = ([(kern.mult_order, abs(rgamma(kern.ml_index)))]
+             if kern.mult_order else
+             [(o, abs(rgamma(kern.ml_index + a)) * t ** a * abs(c))
+              for c, _, o in rate])
+
+    def miss(h):
+        return abs(t ** kern.tpow) / math.pi * sum(
+            amp * h ** (p + 1.0)
+            * abs(_GAUSS_W @ ((1.0 + _GAUSS_X) / 2.0) ** p / 2 - 1 / (p + 1.0))
+            for p, amp in cusps)
+    halve = 0
+    while miss(edges[1] * 0.5 ** halve) > 0.25 * abs_tol:
+        halve += 1
+    edges = np.concatenate([[0.0], edges[1] * 0.5 ** np.arange(halve, 0, -1),
+                            edges[1:]])
 
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     knodes = mid[:, None] + half[:, None] * _GAUSS_X[None, :]
-    kflat = knodes.ravel()
-    fup, fdn = green_hat(kind, np.concatenate([kflat, -kflat]), t,
+    fup, fdn = green_hat(kind, np.concatenate([knodes.ravel(),
+                                               -knodes.ravel()]), t,
                          spec).reshape((2,) + knodes.shape)
 
-    n_pan = len(mid)
-    S = np.empty((n_pan, xs.size), dtype=complex)
-    w2 = half[:, None] * _GAUSS_W[None, :]
-    xr = xs.ravel()
-    for lo in range(0, n_pan, 512):
+    S = np.empty((len(mid), xs.size), dtype=complex)
+    w2, xr = half[:, None] * _GAUSS_W[None, :], xs.ravel()
+    for lo in range(0, len(mid), 512):
         hi = lo + 512
         phase = np.exp(-1j * knodes[lo:hi, :, None] * xr[None, None, :])
         S[lo:hi] = (w2[lo:hi, :, None]
                     * (phase * fup[lo:hi, :, None]
                        + np.conj(phase) * fdn[lo:hi, :, None])).sum(axis=1)
-    C = np.cumsum(S, axis=0)
+    body = S.sum(axis=0)
 
-    out = np.empty(xs.size, dtype=complex)
     K_reached = float(edges[-1])
-    if tail is not None and K_reached >= K_stop - 1e-12:
-        for i, xi in enumerate(xr):
-            # down-side tail carries exp(+ikx), i.e. the -x evaluation
-            tl = amp_up * _oscillatory_tail(float(xi), K_reached, s) \
-                + amp_dn * _oscillatory_tail(-float(xi), K_reached, s)
-            out[i] = (C[-1, i] + tl) / (2.0 * math.pi)
-        return out.reshape(xs.shape)
-
-    # fallback: per-point epsilon acceleration on half-period partial sums
-    uniform_w = float(half[-1] * 2.0)
-    for i, xi in enumerate(xr):
-        per = math.pi / abs(xi) if xi != 0.0 else uniform_w
-        m = max(1, int(round(per / uniform_w)))
-        seq = C[m - 1::m, i]
-        if len(seq) < 18:
-            raise ToleranceNotMetError(
-                f"not enough oscillation panels to accelerate at x = {xi}"
-            )
-        acc1 = _wynn(seq[-17:-1])
-        acc2 = _wynn(seq[-16:])
-        if abs(acc2 - acc1) > max(abs_tol,
-                                  _REL_TOL * abs(acc2)) * 2.0 * math.pi:
-            raise ToleranceNotMetError(
-                f"acceleration stalled at x = {xi}: "
-                f"residual {abs(acc2 - acc1) / (2.0 * math.pi):.2e}"
-            )
-        out[i] = acc2 / (2.0 * math.pi)
-    return out.reshape(xs.shape)
+    # down-side tail carries exp(+ikx), i.e. the -x evaluation
+    tails = [sum(amp_up * _oscillatory_tail(float(xi), K_reached, s)
+                 + amp_dn * _oscillatory_tail(-float(xi), K_reached, s)
+                 for amp_up, amp_dn, s in terms) for xi in xr]
+    return ((body + np.asarray(tails)) / (2.0 * math.pi)).reshape(xs.shape)
 
 
 def green_point_closed(kind: GreenKind, x, t: float, spec: ProblemSpec):

@@ -186,10 +186,10 @@ def _padded_wavenumbers(grid: SpaceTimeGrid):
 
 
 def _padded_fft(desc: SourceDescriptor, grid: SpaceTimeGrid, M: int):
-    """Transform of desc rendered on grid, zero-padded to M points."""
-    col = np.zeros(M, dtype=complex)
-    col[:grid.nx] = desc.render(grid.x, grid.dx)
-    return np.fft.fft(col)
+    """Transform of desc rendered on grid, zero-padded to M points; a zero
+    rendering skips the FFT."""
+    col = desc.render(grid.x, grid.dx)
+    return np.fft.fft(col, n=M) if col.any() else np.zeros(M, dtype=complex)
 
 
 def _window_mass_warning(ghat, M, nx):
@@ -230,13 +230,14 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
     has s = 1 and m_S = 1.  f = SourceDescriptor.delta() makes the output
     the Green function itself.
 
-    Each datum that is not zero is one term: its padded transform (for U
-    times s mu m_S) times its kernel from green's table, G or G3 for f, G2
-    or G4 for g, the source kernel t^a E_{a,a+1} for U.  A kernel is one
+    Each datum whose padded transform (for U times s mu m_S) has a nonzero
+    entry is one term: that transform times its kernel from green's table,
+    G or G3 for f, G2 or G4 for g, the source kernel t^a E_{a,a+1} for U;
+    a U given with mu = 0 warns that it adds nothing.  A kernel is one
     Mittag-Leffler call over every padded mode and output time, in which
     identical arguments are evaluated once; past _BLOCK_VALUES values the
     times go in blocks, one call per block, so working memory does not
-    grow with their number.  An absent datum costs nothing.  Each row of
+    grow with their number.  A zero datum costs nothing.  Each row of
     the result equals the single-time solve at its t.  The window check
     reads the first term's kernel (G or G3 when f is given) at the last t.
     """
@@ -254,17 +255,21 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
     nx = grid.nx
     kind_f, kind_g = ((GreenKind.G3, GreenKind.G4) if self_coupled
                       else (GreenKind.G, GreenKind.G2))
-    # (padded datum transform, kernel), one term per datum present
-    terms = [(_padded_fft(datum, grid, M), _kernel(kind, spec))
-             for datum, kind in ((f, kind_f), (g, kind_g))
-             if datum.kind != "zero"]
-    if U.kind != "zero":
+    data = [(_padded_fft(f, grid, M), kind_f),
+            (_padded_fft(g, grid, M), kind_g)]
+    u_hat = _padded_fft(U, grid, M)
+    if u_hat.any():
+        if spec.mu == 0:
+            warnings.warn("source U given with mu = 0 adds nothing to the "
+                          "field", stacklevel=2)
         # s mu m_S stays on the datum side: the source kernel keeps its
         # positive k = 0 value t^a / Gamma(a + 1) for the window check
         m_s = (-riesz_feller_symbol(spec.source_symbol(), k)
                if spec.source_mode == "riesz_feller" else 1.0)
-        terms.append((spec.mu * m_s * _padded_fft(U, grid, M),
-                      _kernel(_SOURCE, spec)))
+        data.append((spec.mu * m_s * u_hat, _SOURCE))
+    # (padded datum transform, kernel), one term per nonzero transform
+    terms = [(datum, _kernel(kind, spec)) for datum, kind in data
+             if datum.any()]
     if not terms:
         return Field(grid, np.zeros((len(grid.times), nx), dtype=complex))
 

@@ -3,8 +3,9 @@
 They use scipy and mpmath, which are test dependencies only: the
 extended-precision Mittag-Leffler Taylor series and large-|z| asymptotic
 expansion, the six-gamma Mellin-Barnes integrand of the kernels'
-H-function and its residue series, and the Riesz-Feller derivative from
-its real-space integral representation.
+H-function and its residue series, the Riesz-Feller derivative from
+its real-space integral representation, and the self-coupled kernels at
+x = 0 from their k integral.
 """
 
 import math
@@ -208,3 +209,34 @@ def riesz_feller_apply(samples, dx: float, p: SymbolParams):
         tail = tail - (cp - cm) * f1 * span ** (1.0 - a) / (a - 1.0)
 
     return math.gamma(1.0 + a) / math.pi * (body + head + tail)
+
+
+def self_coupled_at_zero(kind, spec, t: float) -> float:
+    """G3 or G4 at x = 0 by its k integral, apart from green_points:
+    green_hat on 32-node Gauss panels 5 % wide from k = 1e-10 to 1e7 (and
+    one on [0, 1e-10]), and past 1e7 the large-|w| series
+    -t^tpow sum_{n=2}^{5} (-w)^(-n) / Gamma(index - alpha n) of the exact
+    w = rate(k) t^alpha, out to 1e40 (what is left past 1e40 is of order
+    1e40^(1 - 2 top), top the larger order)."""
+    from fracgreen.green import GreenKind, green_hat
+    from scipy.special import rgamma
+
+    nodes, weights = leggauss(32)
+
+    def panels(edges):
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+        return ((mid[:, None] + half[:, None] * nodes).ravel(),
+                (half[:, None] * weights).ravel())
+
+    a = spec.alpha
+    index, tpow = ((a, a - 1.0) if GreenKind(kind) == GreenKind.G3
+                   else (a - 1.0, a - 2.0))
+    k, w = panels(np.concatenate([[0.0], np.geomspace(1e-10, 1e7, 800)]))
+    total = w @ green_hat(kind, np.concatenate([k, -k]), t,
+                          spec).reshape(2, -1).sum(axis=0)
+    k, w = panels(np.geomspace(1e7, 1e40, 3000))
+    for side in (k, -k):
+        z = spec.rate(side, True) * t ** a
+        total += w @ -sum((-1.0 / z) ** n * t ** tpow * rgamma(index - a * n)
+                          for n in range(2, 6))
+    return (total / (2.0 * math.pi)).real

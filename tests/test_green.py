@@ -1,11 +1,15 @@
 """Unit tests for kernels: Fourier side, quadrature, closed form, mass."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, strategies as st
 
+from _reference import h_residue_series, self_coupled_at_zero
+
+from fracgreen import green
 from fracgreen.fracmath import HAccuracyError, mittag_leffler_array
 from fracgreen.green import (FourierOnlyError, GreenKind, ProblemSpec,
                              RegimeError, SpecValidationError,
@@ -13,6 +17,7 @@ from fracgreen.green import (FourierOnlyError, GreenKind, ProblemSpec,
                              _growing_phase, _oscillatory_tail, green_hat,
                              green_mass, green_point_closed, green_points)
 from fracgreen.operators import riesz_feller_symbol
+from fracgreen.solver import SourceDescriptor, SpaceTimeGrid, solve
 
 
 class TestProblemSpec:
@@ -212,6 +217,226 @@ class TestGreenPoint:
         spec = ProblemSpec(alpha=1.0, beta=2.0, lam=1j)
         with pytest.raises(FourierOnlyError, match="not positive"):
             green_points(GreenKind.G, [1.0], 1.0, spec)
+
+
+@st.composite
+def _batches(draw):
+    """(kind, spec, t, xs) over G, G1, G2 and G3 with |theta| and |phi| up
+    to 0.95 of their bounds; each x is 0 or drawn from [-8, 8]."""
+    kind = draw(st.sampled_from([GreenKind.G, GreenKind.G1, GreenKind.G2,
+                                 GreenKind.G3]))
+    alpha = draw(st.floats(1.0, 2.0, exclude_min=True)
+                 if kind == GreenKind.G2 else st.floats(0.3, 2.0))
+    beta, gamma = draw(st.floats(0.3, 2.0)), draw(st.floats(0.5, 2.0))
+    spec = ProblemSpec(
+        alpha=alpha, beta=beta, gamma=gamma, mu=draw(st.floats(0.0, 1.0)),
+        theta=draw(st.floats(-0.95, 0.95)) * min(beta, 2.0 - beta),
+        phi=draw(st.floats(-0.95, 0.95)) * min(gamma, 2.0 - gamma),
+        source_coupling="self" if kind == GreenKind.G3 else "external")
+    xs = draw(st.lists(st.just(0.0) | st.floats(-8.0, 8.0), min_size=2,
+                       max_size=5))
+    return kind, spec, draw(st.floats(0.3, 2.0)), xs
+
+
+def _outcome(kind, xs, t, spec):
+    """green_points' values, or the type and message of its named error."""
+    try:
+        return green_points(kind, xs, t, spec)
+    except (ToleranceNotMetError, FourierOnlyError) as exc:
+        return type(exc), str(exc)
+
+
+class TestAlgebraicTail:
+    @pytest.mark.parametrize("alpha, beta, theta", [
+        (0.5, 0.7071, 0.1), (0.31, 0.6117, 0.0), (0.8, 0.9137, 0.0)])
+    def test_tails_past_the_one_term_k_match_the_residue_series(
+            self, alpha, beta, theta):
+        # the n = 2 term alone would close only at K = 5.5e7, 4.1e10 and
+        # 9.4e4; more terms close below _K_MAX.  The constant part of the
+        # miss, 3e-9 to 8e-8, came from the |k|^beta cusp at k = 0, which
+        # the halved first panel now resolves
+        spec = ProblemSpec(alpha=alpha, beta=beta, theta=theta)
+        xs = np.array([0.05, 0.15, 0.3])
+        rho = (beta - theta) / (2.0 * beta)
+        ref = h_residue_series(alpha, beta, rho, alpha, xs) / (beta * xs)
+        got = green_points(GreenKind.G, xs, 1.0, spec)
+        assert np.max(np.abs(got - ref)) <= 1e-9
+
+    def test_small_order_batch_is_right_or_named(self):
+        # at beta 0.236 |w| = |k|^beta reaches 10 only at K = 1.7e4
+        spec = ProblemSpec(alpha=0.833, beta=0.236, theta=-0.177)
+        xs = np.array([0.02, 0.05, 0.08, 0.0999, 0.1001])
+        try:
+            got = green_points(GreenKind.G, xs, 1.0, spec)
+        except ToleranceNotMetError as exc:
+            assert "past K = 5000" in str(exc)
+            return
+        closed = green_point_closed(GreenKind.G, xs, 1.0, spec)
+        assert np.max(np.abs(got - closed)) <= 1e-9
+
+    @pytest.mark.parametrize("kind", [GreenKind.G, GreenKind.G2])
+    def test_alpha_two_is_named(self, kind):
+        spec = ProblemSpec(alpha=2.0, beta=1.5)
+        with pytest.raises(ToleranceNotMetError, match="does not decay"):
+            green_points(kind, [0.5, 1.0], 1.0, spec)
+
+    def test_exponential_term_past_every_k_is_named(self):
+        # near alpha = 2 with beta well below alpha, the exponential
+        # Mittag-Leffler term's envelope stays above abs_tol past every
+        # K <= 5000; the closed form answers these
+        spec = ProblemSpec(alpha=1.862, beta=1.18, theta=-0.003)
+        with pytest.raises(ToleranceNotMetError,
+                           match="exponential Mittag-Leffler term alone"):
+            green_points(GreenKind.G2, np.linspace(-5.0, 5.0, 11), 0.818,
+                         spec)
+
+    def test_far_x_passing_the_edge_budget_is_named(self):
+        spec = ProblemSpec(alpha=0.8, beta=1.5)
+        with pytest.raises(ToleranceNotMetError, match="60000 edges"):
+            green_points(GreenKind.G, [1e5], 1.0, spec)
+
+    # the example sits next to the edge |theta| = 2 - alpha, where
+    # green_hat oscillates on its own: there the panels must follow its
+    # phase rate as well as the largest |x|
+    @given(_batches())
+    @example((GreenKind.G, ProblemSpec(alpha=1.9, beta=1.9, theta=0.095),
+              1.0, [-2.0, -0.8, 0.05, 0.8, 2.0]))
+    def test_batch_value_equals_its_one_point_call(self, case):
+        kind, spec, t, xs = case
+        try:
+            batch = _outcome(kind, xs, t, spec)
+        except RegimeError:
+            reject()
+        singles = [_outcome(kind, [x], t, spec) for x in xs]
+        if isinstance(batch, tuple):
+            assert any(isinstance(single, tuple) and single == batch
+                       for single in singles)
+            return
+        for value, single in zip(batch, singles):
+            assert not isinstance(single, tuple)
+            assert abs(value - single[0]) <= 1e-9
+
+
+def _self_coupled_draws(kind, n, seed):
+    """n (spec, t) in the bands of the benchmark's self-coupled specs: beta
+    1.5-1.7, gamma 0.8-1.0, mu 0.6-0.8, skews a quarter of their bounds,
+    t 0.4-1.6; alpha 0.75-0.85 for G3 and 1.2-1.8 for G4."""
+    rng = np.random.default_rng(seed)
+    alphas = (0.75, 0.85) if kind == GreenKind.G3 else (1.2, 1.8)
+    for _ in range(n):
+        beta, gamma = rng.uniform(1.5, 1.7), rng.uniform(0.8, 1.0)
+        spec = ProblemSpec(
+            alpha=rng.uniform(*alphas), beta=beta, gamma=gamma,
+            theta=0.25 * rng.uniform(-1.0, 1.0) * min(beta, 2.0 - beta),
+            phi=0.25 * rng.uniform(-1.0, 1.0) * min(gamma, 2.0 - gamma),
+            mu=rng.uniform(0.6, 0.8), source_coupling="self")
+        yield spec, rng.uniform(0.4, 1.6)
+
+
+class TestSelfCoupled:
+    """G3 and G4: the rate lam Psi_beta + mu Psi_gamma has two orders, so
+    the tail expands binomially in the lower one."""
+
+    _SPEC = ProblemSpec(alpha=0.8, beta=1.6, gamma=0.9, theta=0.1, phi=0.05,
+                        mu=0.7, source_coupling="self")
+
+    @pytest.mark.parametrize("kind", [GreenKind.G3, GreenKind.G4])
+    def test_seeded_draws_all_close(self, kind):
+        # every draw closes; every 20th is checked at x = 0 (xs[4]) against
+        # the k integral of the reference
+        xs = np.linspace(-6.0, 6.0, 9)
+        for i, (spec, t) in enumerate(_self_coupled_draws(kind, 200, 14)):
+            values = green_points(kind, xs, t, spec)
+            assert np.all(np.isfinite(values))
+            if i % 20 == 0:
+                ref = self_coupled_at_zero(kind, spec, t)
+                assert abs(values[4] - ref) <= 1e-9
+
+    def test_g3_mass_law(self):
+        # symmetric, with gamma = 2: past |x| = X the kernel is
+        # C |x|^(-1-beta) from the lam |k|^beta t^alpha / Gamma(2 alpha)
+        # term of green_hat, C = t^(2 alpha - 1) lam Gamma(1 + beta)
+        # sin(pi beta / 2) / (pi Gamma(2 alpha)); the trapezoid sum on
+        # [-X, X] plus that tail is the k = 0 transform
+        a, b, t, X = 0.8, 1.6, 1.0, 30.0
+        spec = ProblemSpec(alpha=a, beta=b, gamma=2.0, mu=0.7,
+                           source_coupling="self")
+        xs = np.linspace(-X, X, 601)
+        vals = green_points(GreenKind.G3, xs, t, spec).real
+        trap = (xs[1] - xs[0]) * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
+        C = t ** (2 * a - 1) * math.gamma(1 + b) * math.sin(math.pi * b / 2) \
+            / (math.pi * math.gamma(2 * a))
+        mass = green_hat(GreenKind.G3, 0.0, t, spec).real
+        assert abs(trap + 2.0 * C * X ** -b / b - mass) <= 1e-4
+
+    def test_g3_matches_delta_datum_solve(self):
+        # the self-coupled solve of a unit impulse at x = 0 is G3 sampled
+        # on its grid, up to its own cut at the Nyquist wavenumber 20 pi,
+        # past which |G3_hat| still integrates to about 1e-5
+        grid = SpaceTimeGrid(-40.0, 40.0, 1600, (1.0,))
+        with warnings.catch_warnings():
+            # the |x|^(-1.9) far field draws the window warning
+            warnings.simplefilter("ignore")
+            field = solve(self._SPEC, SourceDescriptor.delta(0.0),
+                          SourceDescriptor.zero(), SourceDescriptor.zero(),
+                          grid).values[0]
+        idx = np.arange(760, 841, 10)
+        got = green_points(GreenKind.G3, grid.x[idx], 1.0, self._SPEC)
+        assert grid.x[800] == 0.0
+        assert np.max(np.abs(got - field[idx])) <= 2e-5
+
+    def test_g3_costs_within_five_g_calls(self, monkeypatch):
+        # a call's cost is set by its green_hat nodes, which K and the
+        # panel edges fix; the Gauss sums and the phases scale with them
+        xs = np.linspace(-6.0, 6.0, 41)
+        plain = ProblemSpec(alpha=0.8, beta=1.6, theta=0.1)
+        nodes, hat = [], green.green_hat
+
+        def counting(kind, k, t, spec):
+            nodes.append(np.size(k))
+            return hat(kind, k, t, spec)
+
+        monkeypatch.setattr(green, "green_hat", counting)
+        green_points(GreenKind.G, xs, 1.0, plain)
+        green_points(GreenKind.G3, xs, 1.0, self._SPEC)
+        assert len(nodes) == 2 and nodes[1] <= 5 * nodes[0]
+
+    @pytest.mark.parametrize("lam, mu", [(1.0, 0.001), (0.1, 0.01)])
+    def test_close_orders_bound_every_family(self, lam, mu):
+        # orders 1.2 and 1.1 with a small mu/lam: the powers (2, m) of the
+        # binomial expansion come before (3, 0), so the dropped powers are
+        # bounded by each family's next one, not by the first dropped alone
+        spec = ProblemSpec(alpha=0.6, beta=1.2, gamma=1.1, lam=lam, mu=mu,
+                           source_coupling="self")
+        got = green_points(GreenKind.G3, [0.0], 1.0, spec)[0]
+        ref = self_coupled_at_zero(GreenKind.G3, spec, 1.0)
+        assert abs(got - ref) <= 1e-9
+
+    @pytest.mark.parametrize("alpha, beta, gamma, lam, mu, t", [
+        (0.36, 0.93, 0.806, 0.4617, 0.00214, 1.036),
+        (0.56, 0.727, 0.582, 2.306, 0.0053, 1.371)])
+    def test_both_orders_resolved_near_k_zero(self, alpha, beta, gamma, lam,
+                                              mu, t):
+        # near k = 0 the lam |k|^beta cusp outweighs the lower-order
+        # mu |k|^gamma one, so the first panel is sized for both
+        spec = ProblemSpec(alpha=alpha, beta=beta, gamma=gamma, lam=lam,
+                           mu=mu, source_coupling="self")
+        got = green_points(GreenKind.G3, [0.0], t, spec)[0]
+        ref = self_coupled_at_zero(GreenKind.G3, spec, t)
+        assert abs(got - ref) <= 1e-9
+
+    def test_close_orders_small_rate_is_right_or_named(self):
+        # with c = lam t^alpha = 0.05 the n = 3 powers bound the tail past
+        # every K <= 5000 by about 2e-4, so no tail closes
+        spec = ProblemSpec(alpha=0.8, beta=0.8, gamma=0.7, lam=0.05,
+                           mu=0.001, source_coupling="self")
+        try:
+            got = green_points(GreenKind.G3, [0.0], 1.0, spec)[0]
+        except ToleranceNotMetError as exc:
+            assert "no algebraic tail closes" in str(exc)
+            return
+        ref = self_coupled_at_zero(GreenKind.G3, spec, 1.0)
+        assert abs(got - ref) <= 1e-9
 
 
 class TestClosedForm:

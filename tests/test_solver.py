@@ -392,9 +392,10 @@ class TestTerms:
 
         with mock.patch.object(green, "mittag_leffler_array", counting), \
                 mock.patch.object(solver, "_BLOCK_VALUES", block), \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             values = solve(spec, f, g, U, grid).values
+        self.caught = [str(w.message) for w in caught]
         return calls, values
 
     @pytest.mark.parametrize("block, blocks", [(solver._BLOCK_VALUES, 1),
@@ -432,3 +433,22 @@ class TestTerms:
         assert calls == []
         assert values.shape == (3, 32) and values.dtype == complex
         assert not values.any()
+
+    @pytest.mark.parametrize("mode", ["riesz_feller", "identity"])
+    def test_zero_transform_makes_no_call(self, mode):
+        # a datum counts by its padded transform: samples of zeros draw no
+        # kernel, nor does a U given with mu = 0, which warns once
+        spec = ProblemSpec(alpha=1.4, beta=1.6, theta=0.1, gamma=1.2,
+                           phi=0.1, source_mode=mode)
+        zeros = SourceDescriptor.from_samples(np.zeros(32))
+        calls, values = self._calls(spec, zeros, zeros, zeros,
+                                    solver._BLOCK_VALUES)
+        assert calls == [] and not values.any() and self.caught == []
+        calls, values = self._calls(spec, self._ZERO, self._ZERO, self._BOX,
+                                    solver._BLOCK_VALUES)
+        assert calls == [] and not values.any()
+        assert len(self.caught) == 1 and "mu = 0" in self.caught[0]
+        calls, _ = self._calls(spec, self._GAUSS, self._ZERO, self._BOX,
+                               solver._BLOCK_VALUES)
+        assert calls == [(1.4, 1.4)]
+        assert sum("mu = 0" in m for m in self.caught) == 1
