@@ -33,7 +33,7 @@ class OracleConfig:
 
 
 def oracle_mode_evolve(alpha: float, coeffs, init, cfg: OracleConfig):
-    """GL evolution of u' s fractional modes du^alpha/dt = -c u + init delta.
+    """GL evolution of the modes u of d^alpha u/dt^alpha = -c u + init delta.
 
     coeffs and init are arrays over modes; returns (n_steps, n_modes)
     with row n approximating u((n + 1) dt).  The impulse initial datum

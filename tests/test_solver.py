@@ -390,6 +390,7 @@ class TestTerms:
             calls.append(args[:2])
             return real(*args)
 
+        solver._kernel_table.cache_clear()
         with mock.patch.object(green, "mittag_leffler_array", counting), \
                 mock.patch.object(solver, "_BLOCK_VALUES", block), \
                 warnings.catch_warnings(record=True) as caught:
@@ -422,6 +423,23 @@ class TestTerms:
         assert calls == want * blocks
         assert np.all(np.isfinite(values)) and values.any()
 
+    def test_repeated_solve_makes_no_call(self):
+        # the second solve reads every kernel table from the memo
+        spec = ProblemSpec(alpha=1.4, beta=1.6, theta=0.1, gamma=1.2,
+                           phi=0.1, mu=0.6)
+        grid = SpaceTimeGrid(-20.0, 20.0, 32, (0.5, 1.0, 1.5))
+        calls, values = self._calls(spec, self._GAUSS, self._BOX, self._BOX,
+                                    256)
+        assert len(calls) == 6
+        with mock.patch.object(green, "mittag_leffler_array") as ml, \
+                mock.patch.object(solver, "_BLOCK_VALUES", 256), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            again = solve(spec, self._GAUSS, self._BOX, self._BOX,
+                          grid).values
+        assert ml.call_count == 0
+        assert again.tobytes() == values.tobytes()
+
     @pytest.mark.parametrize("spec", [
         ProblemSpec(alpha=1.4, beta=1.6, mu=0.6),
         ProblemSpec(alpha=0.8, beta=1.5, gamma=0.9, mu=0.5,
@@ -452,3 +470,93 @@ class TestTerms:
                                solver._BLOCK_VALUES)
         assert calls == [(1.4, 1.4)]
         assert sum("mu = 0" in m for m in self.caught) == 1
+
+
+def _messages(spec, f, g, U, grid):
+    """solve's field and the texts of the warnings it raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        values = solve(spec, f, g, U, grid).values
+    return values, [str(w.message) for w in caught]
+
+
+class TestKernelMemo:
+    """solve keeps its latest kernel tables; a hit must give the bytes and
+    the warnings of a miss."""
+
+    _ZERO = SourceDescriptor.zero()
+    _GAUSS = SourceDescriptor.gaussian(0.0, 1.0)
+    _GRID = SpaceTimeGrid(-20.0, 20.0, 32, (0.5, 1.0))
+
+    @given(_solve_cases())
+    def test_hit_evicted_and_cleared_solves_agree(self, case):
+        spec, f, g, U = case
+        first, _ = _messages(spec, f, g, U, self._GRID)
+        # 17 one-kernel, one-time tables push every older one out
+        other = ProblemSpec(alpha=0.7, beta=1.3)
+        for j in range(17):
+            _messages(other, self._GAUSS, self._ZERO, self._ZERO,
+                      SpaceTimeGrid(-4.0, 4.0, 8, (1.0 + j / 64.0,)))
+        misses = solver._kernel_table.cache_info().misses
+        evicted, _ = _messages(spec, f, g, U, self._GRID)
+        assert solver._kernel_table.cache_info().misses > misses
+        solver._kernel_table.cache_clear()
+        cleared, _ = _messages(spec, f, g, U, self._GRID)
+        assert first.tobytes() == evicted.tobytes() == cleared.tobytes()
+
+    @pytest.mark.parametrize("spec, f, U, grid, text", [
+        (ProblemSpec(alpha=0.8, beta=1.1), _GAUSS, _ZERO,
+         SpaceTimeGrid(-3.0, 3.0, 64, (2.0,)), "mass outside"),
+        (ProblemSpec(alpha=1.8, beta=1.2, theta=0.5),
+         SourceDescriptor.delta(), _ZERO,
+         SpaceTimeGrid(-10.0, 10.0, 64, (0.9,)), "grows with |k|"),
+        (ProblemSpec(alpha=1.4, beta=1.6), _GAUSS,
+         SourceDescriptor.box(-1.0, 1.5), _GRID, "mu = 0"),
+    ], ids=["window", "growing", "mu_zero"])
+    def test_hit_warns_as_a_miss(self, spec, f, U, grid, text):
+        solver._kernel_table.cache_clear()
+        _, miss = _messages(spec, f, self._ZERO, U, grid)
+        hits = solver._kernel_table.cache_info().hits
+        _, hit = _messages(spec, f, self._ZERO, U, grid)
+        assert solver._kernel_table.cache_info().hits > hits
+        assert hit == miss and any(text in m for m in miss)
+
+    def test_written_field_leaves_the_next_solve(self):
+        spec = ProblemSpec(alpha=0.8, beta=1.6, theta=0.1)
+        values, _ = _messages(spec, self._GAUSS, self._ZERO, self._ZERO,
+                              self._GRID)
+        want = values.tobytes()
+        values[:] = 7.0
+        again, _ = _messages(spec, self._GAUSS, self._ZERO, self._ZERO,
+                             self._GRID)
+        assert again.tobytes() == want
+
+    def test_cached_table_is_read_only(self):
+        spec = ProblemSpec(alpha=0.8, beta=1.6)
+        M, _ = solver._padded_wavenumbers(self._GRID)
+        table = solver._kernel_table(green._kernel(green.GreenKind.G, spec),
+                                     spec, M, self._GRID.dx, (1.0,))
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+
+    @pytest.mark.parametrize("one, other", [
+        (dict(theta=0.0), dict(theta=-0.0)),
+        (dict(lam=1), dict(lam=1 + 0j)),
+    ], ids=["theta_zero_sign", "lam_int_complex"])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_equal_specs_share_bytes_in_either_order(self, one, other, swap):
+        # equal specs share a key, so the first one's table serves both
+        specs = [ProblemSpec(alpha=1.4, beta=1.6, mu=0.5, **kw)
+                 for kw in (one, other)]
+        if swap:
+            specs.reverse()
+        box = SourceDescriptor.box(-1.0, 1.5)
+        solver._kernel_table.cache_clear()
+        first, second = (_messages(sp, self._GAUSS, box, box, self._GRID)[0]
+                         for sp in specs)
+        # the second solve read the first one's G, G2 and source tables
+        assert solver._kernel_table.cache_info().hits == 3
+        solver._kernel_table.cache_clear()
+        alone, _ = _messages(specs[1], self._GAUSS, box, box, self._GRID)
+        assert first.tobytes() == second.tobytes() == alone.tobytes()
