@@ -3,11 +3,9 @@ Mittag-Leffler function, and the one Fox function the closed-form Green
 kernels need, H^{2,1}_{3,3}, by a trapezoid rule on its Mellin-Barnes
 contour.  numpy is the only dependency.
 
-Everything here is pure and stateless apart from read-only caches, so
-concurrent use is safe.
+Everything here is pure and stateless, so concurrent use is safe.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +24,7 @@ def quad(*args, **kwargs):
 
 
 class MLConvergenceError(ArithmeticError):
-    """No evaluation region could meet its own error estimate."""
+    """No contour region met its error estimate, or E left the doubles."""
 
 
 class HAccuracyError(ArithmeticError):
@@ -36,19 +34,6 @@ class HAccuracyError(ArithmeticError):
 # ---------------------------------------------------------------------------
 # Mittag-Leffler function
 # ---------------------------------------------------------------------------
-
-# Evaluation regions.  The Taylor series takes |z| <= 1 for alpha <= 1 and
-# |z| <= 25 for alpha > 1, where it costs less than the contour (measured
-# on warm solves), and keeps a point only when it passes its own error
-# estimate; the optimal parabolic contour takes every other point.
-_SERIES_RADIUS = 1.0
-_SERIES_RADIUS_HIGH = 25.0
-_SERIES_CAP = 500
-# the series keeps each term above this fraction of its largest term
-_LOG_SERIES_TOL = math.log(1e-19)
-# largest term / |sum| the series accepts: its rounding error is about
-# this ratio times (number of terms) * eps, so 1e2 keeps it near 1e-13
-_CANCELLATION_LIMIT = 1e2
 
 # Optimal parabolic contour (Garrappa, SIAM J. Numer. Anal. 53(3), 2015):
 # the target accuracy, the log of the unit round-off, the node count above
@@ -134,63 +119,6 @@ def _log_sin_pi(u) -> np.ndarray:
     return np.where(u.imag >= 0.0, out, out.conjugate())
 
 
-def _series_terms_kept(log_mags: np.ndarray):
-    """Per column of term log-magnitudes (term index down the rows), the
-    index of the last term above exp(_LOG_SERIES_TOL) times the largest
-    term, 0 where every term is zero, and the largest term's log."""
-    big = log_mags.max(axis=0)
-    above = log_mags > big + _LOG_SERIES_TOL
-    n = np.arange(log_mags.shape[0])[:, None]
-    return np.where(above, n, 0).max(axis=0), big
-
-
-@functools.lru_cache(maxsize=64)
-def _ml_coeffs(alpha: float, beta: float):
-    """Read-only Taylor coefficients 1/Gamma(alpha j + beta) and their log
-    magnitudes, as many as the series keeps anywhere on its disk.
-
-    That term budget is the count kept at |z| = radius, at most
-    _SERIES_CAP: the last term kept does not move out as |z| shrinks.
-    """
-    coeffs = np.array([rgamma(alpha * j + beta) for j in range(_SERIES_CAP)])
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(coeffs))
-    radius = _SERIES_RADIUS if alpha <= 1.0 else _SERIES_RADIUS_HIGH
-    edge = logs + np.arange(_SERIES_CAP) * math.log(radius)
-    budget = int(_series_terms_kept(edge[:, None])[0][0]) + 1
-    coeffs, logs = coeffs[:budget], logs[:budget]
-    coeffs.flags.writeable = False
-    logs.flags.writeable = False
-    return coeffs, logs
-
-
-def _ml_series_batch(alpha: float, beta: float, z: np.ndarray):
-    """Taylor series on an array of nonzero z; returns (values, ok_mask).
-
-    Each point sums its terms up to the last one above exp(_LOG_SERIES_TOL)
-    times its largest, found from |z| alone, and is ok when that last term
-    comes before _SERIES_CAP and its largest term is at most
-    _CANCELLATION_LIMIT |sum|.  The powers come from one cumprod over the
-    term budget of (alpha, beta), and each row is summed over that same
-    budget, so a value does not depend on the batch it arrives in.
-    """
-    coeffs, logs = _ml_coeffs(alpha, beta)
-    budget = coeffs.size
-    n = np.arange(budget)
-    last, big = _series_terms_kept(logs[:, None]
-                                   + n[:, None] * np.log(np.abs(z)))
-    terms = np.empty((z.size, budget), dtype=complex)
-    terms[:, 0] = 1.0
-    terms[:, 1:] = z[:, None]
-    np.cumprod(terms, axis=1, out=terms)
-    terms *= coeffs
-    terms[n > last[:, None]] = 0.0
-    acc = terms.sum(axis=1)
-    converged = last < _SERIES_CAP - 1
-    safe = np.exp(big) <= _CANCELLATION_LIMIT * np.abs(acc)
-    return acc, converged & safe
-
-
 def _opc_bounded(phi0, phi1, p, log_tol):
     """(mu, h, N) for a contour between two singularities.
 
@@ -228,39 +156,37 @@ def _opc_bounded(phi0, phi1, p, log_tol):
     return mu, h, np.where(ok, n, np.inf)
 
 
-def _opc_unbounded(phi, p, log_tol):
-    """(mu, h, N) for the contour right of a singularity of strength p.
+def _opc_unbounded(phi, log_tol):
+    """(mu, h, N) for the contour right of a pole.
 
-    Garrappa's rule for the unbounded region beyond the parabola phi; the
-    fixed-point search for the singularity distance runs on every point
-    at once.  N is inf where exp(mu) would amplify round-off past the
-    target.
+    Garrappa's rule for the unbounded region beyond the parabola phi > 0
+    of a simple pole; the fixed-point search for the pole's distance runs
+    on every point at once.  N is inf where exp(mu) would amplify
+    round-off past the target.
     """
     sq0 = np.sqrt(phi)
-    phib = np.where(phi > 0.0, 1.01 * phi, 0.01)
+    phib = 1.01 * phi
     sqb = np.sqrt(phib)
-    weak = p < 1e-14
-    shrink = 5.0 ** (-1.0 / np.where(weak, 1.0, p))
-    active = ~weak
+    active = np.ones(phi.shape, dtype=bool)
     for _ in range(50):
         lp = log_tol / phib
         n = np.ceil(phib / np.pi * (1.0 - 1.5 * lp + np.sqrt(1.0 - 2.0 * lp)))
         a = np.pi * n / phib
         sq_mu = sqb * np.abs(4.0 - a) / np.abs(7.0 - np.sqrt(1.0 + 12.0 * a))
-        fbar = ((sqb - sq0) / sq_mu) ** (-p)
+        fbar = sq_mu / (sqb - sq0)
         active &= ~((1.0 < fbar) & (fbar < 10.0))
         if not active.any():
             break
-        sqb = np.where(active, shrink * sq_mu + sq0, sqb)
+        sqb = np.where(active, 0.2 * sq_mu + sq0, sqb)
         phib = sqb ** 2
     mu = sq_mu ** 2
     h = (-3.0 * a - 2.0 + 2.0 * np.sqrt(1.0 + 12.0 * a)) / (4.0 - a) / n
     thr = log_tol - _LOG_EPS
     big = mu > thr
     if big.any():
-        # pull the contour back to the round-off threshold when the
-        # singularity allows it
-        phib = (np.where(weak, 0.0, shrink * sq_mu) + sq0) ** 2
+        # pull the contour back to the round-off threshold when the pole
+        # allows it
+        phib = (0.2 * sq_mu + sq0) ** 2
         fix = big & (phib < thr)
         w = np.sqrt(_LOG_EPS / (_LOG_EPS - log_tol))
         u = np.sqrt(-phib / _LOG_EPS)
@@ -289,16 +215,42 @@ def _grid_key(phi, has):
     return e, key.astype(np.int64)
 
 
+def _opc_origin(beta, log_tol):
+    """(mu, h, N) right of the origin, for points with no pole on the sheet.
+
+    The origin sits at u = +-i of the parabola s = mu (1 + iu)^2, so the
+    trapezoid rule's error from it is exp(-2 pi / h) times the integrand
+    at the scale |s| ~ mu (h / 2 pi)^2 it resolves there.  Near s = 0 the
+    transform is -s^(alpha-beta) / z while |s|^alpha << |z|, the case
+    Garrappa's strength 2 (beta - alpha - 1) covers, but s^-beta beyond.
+    As |z| falls the error grows like 1/|z| until z passes below that
+    scale, and its z = 0 limit, exp(-2 pi / h) (2 pi / h)^q with
+    q = max(0, 2 (beta - 1)), bounds it on the whole pole-free sector.  So
+    h sets that limit to tol, mu is the round-off threshold exp(mu) eps =
+    tol, and N h reaches exp(mu (1 - (N h)^2)) = tol; q = 0 is Garrappa's
+    rule for a weak origin.
+    """
+    q = max(0.0, 2.0 * (beta - 1.0))
+    x = -log_tol  # 2 pi / h
+    for _ in range(6):
+        x = q * np.log(x) - log_tol
+    w = np.sqrt(_LOG_EPS / (_LOG_EPS - log_tol))
+    n = np.ceil(w * x / (2.0 * np.pi))
+    return log_tol - _LOG_EPS, w / n, n
+
+
 def _opc_params(alpha, beta, lo_a, hi_a, lo_b, hi_b, has_a, has_b,
                 log_tol):
     """Per point (mu, h, N, region) of the admissible region with the fewest
-    nodes: region 0 lies left of every pole, 1 between pole b and pole a
-    (phi_b <= phi_a), 2 right of every pole.  The left-most wins a tie.
-    lo and hi are the parabola parameters phi of each pole on the grid."""
+    nodes: region 0 lies left of every pole (or right of the origin where
+    no pole is on the sheet), 1 between pole b and pole a (phi_b <= phi_a),
+    2 right of every pole.  The left-most wins a tie.  lo and hi are the
+    parabola parameters phi of each pole on the grid."""
     p0 = max(0.0, 2.0 * (beta - alpha - 1.0))  # branch point at the origin
     thr = log_tol - _LOG_EPS
-    mu, h, n = _opc_unbounded(np.where(has_a, hi_a, 0.0),
-                              np.where(has_a, 1.0, p0), log_tol)
+    mu, h, n = (np.where(has_a, pole, origin) for pole, origin in zip(
+        _opc_unbounded(np.where(has_a, hi_a, 1.0), log_tol),
+        _opc_origin(beta, log_tol)))
     n = np.where(has_a & (hi_a >= thr), np.inf, n)
     region = np.where(has_a, 2, 0)
     between = has_b & (hi_b < lo_a) & (hi_b < thr)
@@ -413,30 +365,28 @@ def _ml_opc(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
 
 
 def _ml_array(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """E_{alpha,beta} on a flat array with Im z >= 0, 0 < alpha <= 2."""
+    """E_{alpha,beta} on a flat array with Im z >= 0, 0 < alpha <= 2: exp
+    at alpha = beta = 1; 1/Gamma(beta) + z/Gamma(alpha + beta) for
+    |z| < 1e-8, where the next term is below 1.2e-16; the optimal
+    parabolic contour elsewhere, with the imaginary part its rounding
+    leaves on the real axis set to 0."""
     if alpha == 1.0 and beta == 1.0:
         return np.exp(z)
-    out = np.empty(z.shape, dtype=complex)
-    done = z == 0
-    out[done] = rgamma(beta)
-    radius = _SERIES_RADIUS if alpha <= 1.0 else _SERIES_RADIUS_HIGH
-    idx = np.flatnonzero((np.abs(z) <= radius) & ~done)
-    if idx.size:
-        vals, ok = _ml_series_batch(alpha, beta, z[idx])
-        out[idx[ok]] = vals[ok]
-        done[idx[ok]] = True
-    rest = np.flatnonzero(~done)
-    if rest.size:
-        out[rest] = _ml_opc(alpha, beta, z[rest])
+    out = rgamma(beta) + z * rgamma(alpha + beta)
+    far = ~(np.abs(z) < 1e-8)
+    if far.any():
+        out[far] = _ml_opc(alpha, beta, z[far])
+    out.imag[z.imag == 0.0] = 0.0
     return out
 
 
 def mittag_leffler_array(alpha: float, beta: float, z) -> np.ndarray:
     """Vectorized E_{alpha,beta} over an array of complex arguments.
 
-    Takes 0 < alpha <= 2, the time orders of the equation.  Each point
-    takes the Taylor series (small |z|) when that passes its own error
-    estimate, and the optimal parabolic contour otherwise.  A value
+    Takes 0 < alpha <= 2, the time orders of the equation.  One algorithm
+    answers every point, Garrappa's optimal parabolic contour, apart from
+    exp at alpha = beta = 1 and the two Taylor terms that are exact below
+    |z| = 1e-8 (see _ml_array); a real z gives a real value.  A value
     depends on (alpha, beta, z) alone, not on the rest of the batch, so
     each distinct argument is evaluated once, after the fold
     E(conj z) = conj E(z) onto the upper half plane: duplicates and
@@ -466,11 +416,8 @@ def mittag_leffler_array(alpha: float, beta: float, z) -> np.ndarray:
 
 
 def mittag_leffler(alpha: float, beta: float, z) -> complex:
-    """Two-parameter Mittag-Leffler function E_{alpha,beta}(z) at one point.
-
-    The one-point case of mittag_leffler_array, with the same regions,
-    errors and values.
-    """
+    """Two-parameter Mittag-Leffler function E_{alpha,beta}(z) at one point:
+    the one-point case of mittag_leffler_array, same errors and values."""
     return complex(mittag_leffler_array(alpha, beta, [complex(z)])[0])
 
 

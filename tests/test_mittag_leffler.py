@@ -1,10 +1,11 @@
 """Accuracy, purity and properties of the Mittag-Leffler evaluator.
 
-The reference is the extended-precision Taylor series `ml_mpmath` up to
-|z| = 27 and the asymptotic expansion `ml_asymptotic_mpmath` beyond.
-Past the Taylor radius (1 for alpha <= 1, 25 above) every point takes the
-optimal parabolic contour, so the annulus 5 < |z| < 15 and the large-|z|
-table both test it.
+Every point with |z| >= 1e-8 takes the optimal parabolic contour; below,
+the two leading Taylor terms.  The reference is the extended-precision
+Taylor series `ml_mpmath` up to |z| = 27 and the asymptotic expansion
+`ml_asymptotic_mpmath` beyond: the small-|z| table, the disks |z| <= 1
+and 25, the annulus 5 < |z| < 15 and the large-|z| table all test the
+contour against them.
 """
 
 import cmath
@@ -15,8 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fracgreen.fracmath import (_SERIES_CAP, MLConvergenceError, _ml_coeffs,
-                                _ml_series_batch, mittag_leffler,
+from fracgreen.fracmath import (MLConvergenceError, mittag_leffler,
                                 mittag_leffler_array)
 
 from _reference import ml_asymptotic_mpmath, ml_mpmath
@@ -97,45 +97,89 @@ class TestAccuracy:
             mittag_leffler_array(alpha, 1.0, [0.5, 2.0])
 
 
+def _rel_max1(got, ref):
+    return np.abs(np.asarray(got) - ref) / np.maximum(1.0, np.abs(ref))
+
+
 class TestSeries:
+    """Points in the disks of the mpmath Taylor series, which the contour
+    answers: |z| <= 1 and 25, and the small-|z| band where the origin's
+    branch point sets the contour's step."""
+
     @pytest.mark.parametrize("alpha", [0.3, 0.9, 1.5, 1.9])
     def test_disk_edge(self, alpha):
-        # |z| on the series radius, where the term budget is set, at
-        # phases near pi where the terms alternate; points the series
-        # rejects there take the contour
+        # |z| = 1 (alpha <= 1) or 25 (alpha > 1) at phases near pi, where
+        # the Taylor terms alternate
         radius = 1.0 if alpha <= 1.0 else 25.0
         z = radius * np.exp(1j * math.pi * np.array([0.9, 0.95, 0.99, 1.0,
                                                      -0.97]))
         for beta in (alpha, alpha + 1.0, 1.0):
             ref = np.array([ml_mpmath(alpha, beta, complex(v)) for v in z])
-            vals, ok = _ml_series_batch(alpha, beta, z)
-            assert np.all(_rel(vals[ok], ref[ok]) <= 1e-12)
             assert np.all(_rel(mittag_leffler_array(alpha, beta, z), ref)
                           <= 1e-12)
 
-    def test_edge_points_are_series_points(self):
-        # the edge test compares something: at alpha 0.9 and 1.9 the
-        # series keeps every edge point near pi
-        z = np.array([-1.0, 25.0 * cmath.exp(0.95j * math.pi)])
-        assert _ml_series_batch(0.9, 0.9, z[:1])[1].all()
-        assert _ml_series_batch(1.9, 1.9, z[1:])[1].all()
-
     def test_tiny_order_goes_to_the_contour(self):
-        # 1/Gamma(0.03 n + 1) falls too slowly: the last term above 1e-19
-        # of the largest is past the cap, so the contour answers
-        assert _ml_coeffs(0.03, 1.0)[0].size == _SERIES_CAP
+        # 1/Gamma(0.03 n + 1) falls so slowly that a Taylor sum would need
+        # thousands of terms at |z| = 0.99
         z = np.array([-0.99 + 0j, 0.999 * cmath.exp(0.9j * math.pi)])
-        assert not _ml_series_batch(0.03, 1.0, z)[1].any()
         got = mittag_leffler_array(0.03, 1.0, z)
         ref = np.array([ml_mpmath(0.03, 1.0, complex(v)) for v in z])
         assert np.all(_rel(got, ref) <= 1e-13)
 
-    def test_cancelling_point_rejected(self):
-        # E_{1.5}(-20): the largest term is about 1e3, the sum about 1e-2
-        z = np.array([-20.0 + 0j])
-        assert not _ml_series_batch(1.5, 1.5, z)[1].any()
+    def test_cancelling_point(self):
+        # E_{1.5}(-20): the largest Taylor term is about 1e3, the sum 1e-2
         ref = ml_mpmath(1.5, 1.5, -20.0)
         assert _rel(mittag_leffler(1.5, 1.5, -20.0), ref) <= 1e-12
+
+    @pytest.mark.parametrize("alpha",
+                             [0.3, 0.5, 0.8, 0.95, 0.99, 1.2, 1.6, 1.95])
+    def test_small_argument_table(self, alpha):
+        # b - a near 1 with a < 1 at phases above a pi, where no pole is on
+        # the sheet, is where the origin's strength must read s^-b: with
+        # Garrappa's 2 (b - a - 1) alone E_{0.99,2.04}(-1e-7) is 8.6e-13
+        # off
+        worst = 0.0
+        for d in (-0.5, 0.0, 0.9, 1.0, 1.05, 1.2, 1.5):
+            beta = alpha + d
+            if beta <= 0.0:
+                continue
+            z = np.array([r * cmath.exp(1j * ph)
+                          for r in (1e-7, 1e-2, 0.5)
+                          for ph in (math.pi,
+                                     (1.0 + min(alpha, 1.0)) * math.pi / 2)])
+            ref = np.array([ml_mpmath(alpha, beta, complex(v)) for v in z])
+            got = mittag_leffler_array(alpha, beta, z)
+            worst = max(worst, float(np.max(_rel_max1(got, ref))))
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("alpha, beta", [(1.7, 2.7), (2.0, 3.0),
+                                             (0.8, 1.8)])
+    def test_tiny_and_seam_points(self, alpha, beta):
+        # the two Taylor terms take |z| < 1e-8, the contour the rest; both
+        # sides of the seam, and |z| down to the smallest double
+        r = np.array([5e-324, 1e-300, 1e-100, 1e-20, 0.99e-8, 1e-8,
+                      1.01e-8, 1e-7])
+        z = (r[:, None] * np.exp(1j * math.pi * np.array([0.0, 0.5, 0.9,
+                                                          1.0]))).ravel()
+        ref = np.array([ml_mpmath(alpha, beta, complex(v)) for v in z])
+        assert np.all(_rel_max1(mittag_leffler_array(alpha, beta, z), ref)
+                      <= 1e-14)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_seeded_disk_sweep(self, seed):
+        # alpha 0.05-2, beta 0.05-3, phase 0-pi, |z| log-uniform from 1e-9
+        # to the disk radius 1 (alpha <= 1) or 25
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(400):
+            alpha, beta = rng.uniform(0.05, 2.0), rng.uniform(0.05, 3.0)
+            radius = 1.0 if alpha <= 1.0 else 25.0
+            z = cmath.rect(math.exp(rng.uniform(math.log(1e-9),
+                                                math.log(radius))),
+                           rng.uniform(0.0, math.pi))
+            worst = max(worst, float(_rel_max1(
+                mittag_leffler(alpha, beta, z), ml_mpmath(alpha, beta, z))))
+        assert worst <= 5e-14
 
     def test_no_runtime_warning(self):
         rng = np.random.default_rng(11)
@@ -155,15 +199,20 @@ class TestSeries:
 _PURITY_SCRIPT = """
 import numpy as np
 from fracgreen.fracmath import mittag_leffler_array as ml
-z = np.array([6.0, 8.0, 11.0]) * np.exp(0.9j * np.pi)
-cold = ml(0.7, 0.7, z)
-ml(0.7, 0.7, np.linspace(5.0, 15.0, 40) * np.exp(0.9j * np.pi))
-after_sweep = ml(0.7, 0.7, z)
+# mid-annulus, tiny and either side of the 1e-8 seam of the two-term sum
+z = np.array([6.0, 8.0, 11.0, 1e-300, 0.99e-8, 1.01e-8]) * np.exp(0.9j * np.pi)
 rng = np.random.default_rng(3)
 others = rng.uniform(0.0, 40.0, 500) * np.exp(1j * rng.uniform(-3, 3, 500))
+others[::50] *= 1e-8
 batch = np.concatenate([others[:250], z, others[250:]])
-in_batch = ml(0.7, 0.7, batch)[250:253]
-print(cold.tobytes() == after_sweep.tobytes() == in_batch.tobytes())
+same = []
+for beta in (0.7, 1.7):
+    cold = ml(0.7, beta, z)
+    ml(0.7, beta, np.linspace(5.0, 15.0, 40) * np.exp(0.9j * np.pi))
+    after_sweep = ml(0.7, beta, z)
+    in_batch = ml(0.7, beta, batch)[250:250 + z.size]
+    same.append(cold.tobytes() == after_sweep.tobytes() == in_batch.tobytes())
+print(all(same))
 """
 
 
@@ -196,6 +245,19 @@ class TestProperties:
             return
         v, w = mittag_leffler_array(alpha, beta, [z, z.conjugate()])
         assert w == v.conjugate()
+
+    @given(_alpha, _beta, st.one_of(st.floats(min_value=-15.0,
+                                              max_value=15.0),
+                                    st.floats(min_value=-1e-6,
+                                              max_value=1e-6)))
+    def test_real_argument_gives_real_value(self, alpha, beta, x):
+        # E has real Taylor coefficients, so a real z has a real value; the
+        # contour's rounding must not leave an imaginary part
+        zs = [complex(x, 0.0), complex(x, -0.0)]
+        if x != 0.0 and not _finite_on_double(alpha, zs[0]):
+            return
+        for v in mittag_leffler_array(alpha, beta, zs):
+            assert v.imag == 0.0
 
     @given(_alpha, _beta, _radius, _phase)
     def test_recurrence(self, alpha, beta, r, ph):
