@@ -1,9 +1,9 @@
 """Green functions of the space-time fractional diffusion family.
 
 Three evaluation routes: Fourier-space values (green_hat), real-space
-oscillatory quadrature on an x array (green_points), and the closed
-H-function form (green_point_closed) where it exists.  All share one
-convention:
+quadrature of the Fourier inverse on rays rotated off the real k axis,
+on an x array (green_points), and the closed H-function form
+(green_point_closed) where it exists.  All share one convention:
 f_hat(k) = Int exp(+ikx) f(x) dx, inversion with exp(-ikx), and the
 space operator acts as multiplication by -Psi.
 """
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .fracmath import (HAccuracyError, HFunctionParams, h_function,
                        mittag_leffler_array, rgamma)
@@ -28,12 +27,15 @@ class FourierOnlyError(Exception):
 
 
 class ToleranceNotMetError(Exception):
-    """A value cannot be given to its tolerance: no algebraic tail of
-    green_points closes below _K_MAX (the asymptotic series stops
-    improving, or starts past _K_MAX, or the exponential Mittag-Leffler
-    term does not decay, at alpha = 2, or its bound passes abs_tol / 2 at
-    every K), its panels pass the edge budget, the kernel diverges at
-    x = 0, or a tail's E_s does not converge."""
+    """A value of green_points cannot be given to its tolerance: the
+    kernel's scale lies far outside the double range, the k integral does
+    not decay on any ray (no room to rotate, at alpha = 2 and on the edge
+    |theta_eff| = 2 - alpha), the kernel diverges at x = 0, the ray to a
+    tiny |x| runs so far that the round-off of its Mittag-Leffler values
+    passes abs_tol or its argument leaves the double range, or the
+    trapezoid rule on a ray next to that edge needs more than _RAY_NODES
+    nodes.  A message names at most one x, and the call with that x alone
+    raises it too."""
 
 
 class RegimeError(Exception):
@@ -111,9 +113,9 @@ class ProblemSpec:
         return r
 
 
-# green_points integrates Gauss panels out to the K of its algebraic
-# tail, and no K passes _K_MAX
-_K_MAX = 5000.0
+# green_points halves a ray's trapezoid step at most until the ray of one
+# point holds this many nodes
+_RAY_NODES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -244,310 +246,208 @@ def _check_dissipative(spec: ProblemSpec, kinds_self: bool):
         )
 
 
-# Gauss-Legendre nodes and weights of every k panel; green_points sizes
-# its panels for 16 nodes
-_GAUSS_X, _GAUSS_W = leggauss(16)
+def _ray_symbol(terms, r: np.ndarray, rot: float) -> np.ndarray:
+    """sum c Psi_{order,skew}(k) over (c, skew, order) terms, continued
+    off k > 0 onto the ray k = r e^(-i rot) and off k < 0 onto
+    k = -r e^(i rot): the rows (up, down)."""
+    out = np.zeros((2, r.size), dtype=complex)
+    for term in terms:
+        for row, lead, sgn in zip(out, _leading_coeffs([term]), (1.0, -1.0)):
+            row += lead * cmath.exp(-1j * sgn * rot * term[2]) * r ** term[2]
+    return out
 
 
-def _kernel_tail_data(kern: _Kernel, spec: ProblemSpec, t: float,
-                      abs_tol: float):
-    """(K, terms, freq): past K, green_hat is the sum over terms
-    (amp_up, amp_dn, s) of amp |k|^(-s), on k > 0 and k < 0.
-
-    The powers come from E_{a,b}(-w) ~ -sum_n (-w)^(-n) rgamma(b - a n),
-    n >= 2 (n = 1 vanishes for every GreenKind), w = A |k|^top (1 + q);
-    for two rate orders (1 + q)^(-n) is expanded in q = (B/A) |k|^-d,
-    d = top - low, so the power (n, m) has s = n top + m d - p_mul.  Kept:
-    the fewest powers in increasing s, then the least K <= _K_MAX on
-    K0 1.6^j (|w| = 10, |q| = 1/2 at K0) where the dropped powers' bound
-    past K is below abs_tol / 2.  That bound sums, over the frontier (each
-    started family's next power, and the next family's first, which stands
-    for every higher n as the asymptotic series' next term does),
-    pref (|rgamma| + 1/2) |binom(-n, m)| |B/A|^m / |A|^n K^(1-s) / (s - 1)
-    / pi / (1 - |q(K)|)^n, the last factor bounding the family's binomial
-    rest, plus the exponential term's bound; powers are added while that
-    bound at _K_MAX falls.  freq(k): the exponential term's phase rate."""
-    a, bt, p_mul = spec.alpha, kern.ml_index, kern.mult_order
-    tpow, ta = t ** kern.tpow, t ** a
-    pref = abs(tpow)
-    rate = _rate_terms(spec, kern.self_coupled)
-    top = max(order for _, _, order in rate)
-    tops = [term for term in rate if term[2] == top]
-    lows = [term for term in rate if term[2] < top]
-    # A and mult(k) on k > 0 and k < 0; c = |A| on the weaker half line
-    leads = _leading_coeffs(rate)
-    mults = _leading_coeffs([(1.0, spec.phi, p_mul)]) if p_mul else [1.0, 1.0]
-    c = (abs(tops[0][0]) if len(tops) == 1 else min(map(abs, leads))) * ta
-    K0 = max((10.0 / c) ** (1.0 / top), 1.0)
-    d, ratios = 0.0, [0.0, 0.0]
-    if lows:
-        d = top - lows[0][2]
-        ratios = [b / lead for b, lead in zip(_leading_coeffs(lows), leads)]
-        K0 = max(K0, (2.0 * max(map(abs, ratios))) ** (1.0 / d))
-    qmax = max(map(abs, ratios))
-    if K0 > _K_MAX:
-        raise ToleranceNotMetError(
-            f"the large-|k| asymptotics of the kernel start at K = {K0:.3g},"
-            f" past K = {_K_MAX:g}")
-    phs = [ph / a for ph in _ml_phases(leads) if abs(ph) <= 0.75 * a * math.pi]
-    cosmax = max(map(math.cos, phs), default=None)
-    if cosmax is not None and cosmax >= -1e-12:
-        raise ToleranceNotMetError(
-            f"the exponential Mittag-Leffler term does not decay with |k| "
-            f"(alpha = {a:g}, cos(phase / alpha) = {cosmax:.3g})")
-
-    def exp_err(k):
-        """g(k) k / (s - 1), s = -d log g / d log k, for the exponential
-        term g = k^p_mul / alpha w^((1 - bt)/alpha) exp(cosmax w^(1/alpha))."""
-        if cosmax is None:
-            return 0.0
-        w = c * k ** top
-        try:
-            g = k ** p_mul / a * w ** ((1.0 - bt) / a) \
-                * math.exp(cosmax * w ** (1.0 / a))
-        except OverflowError:
-            return 0.0
-        # past the float range it counts as no error, as OverflowError does
-        if g > sys.float_info.max:
-            return 0.0
-        s = -(p_mul + top * (1.0 - bt) / a
-              + cosmax * top / a * w ** (1.0 / a))
-        return pref * g * k / (max(s, 1.5) - 1.0) / math.pi
-
-    def freq(k):
-        """d/dk of |sin(phase / alpha)| w^(1/alpha) while exp_err > tol/4."""
-        if not exp_err(k) > 0.25 * abs_tol:
-            return 0.0
-        return max(abs(math.sin(ph)) for ph in phs) * top / a \
-            * c ** (1.0 / a) * k ** (top / a - 1.0)
-
-    def bound(n, m, K):
-        """Integrated size past K of the powers (n, m') with m' >= m."""
-        e = n * top + m * d
-        if e - p_mul <= 1.0:
-            return math.inf
-        return pref * (abs(rgamma(bt - n * a)) + 0.5) \
-            * math.comb(n + m - 1, m) * qmax ** m / c ** n \
-            * K ** (p_mul + 1.0 - e) / (e - p_mul - 1.0) / math.pi \
-            / (1.0 - qmax * K ** -d) ** n
-
-    def term(n, m):
-        up, dn = (-tpow * complex((-1) ** n * rgamma(bt - n * a))
-                  / (lead * ta) ** n * mul for lead, mul in zip(leads, mults))
-        if m:
-            up, dn = (amp * math.comb(n + m - 1, m) * (-ratio) ** m
-                      for amp, ratio in zip((up, dn), ratios))
-        return up, dn, n * top + m * d - p_mul
-
-    ladder = [K0]
-    while ladder[-1] * 1.6 < _K_MAX:
-        ladder.append(ladder[-1] * 1.6)
-    ladder.append(_K_MAX)
-    exp_least = min(map(exp_err, ladder))
-    if not exp_least < 0.5 * abs_tol:
-        raise ToleranceNotMetError(
-            f"the exponential Mittag-Leffler term alone bounds the k "
-            f"integral past every K <= {_K_MAX:g} by {exp_least:.2e}, above "
-            f"abs_tol / 2 = {0.5 * abs_tol:.2e}")
-    # nxt[n - 2]: the next power m of family n, None once it has no more
-    kept, nxt = [(2, 0)], [1 if lows else None, 0]
-    best = math.inf
-    while True:
-        front = [(n, m) for n, m in enumerate(nxt, 2) if m is not None]
-
-        def err(K):
-            return sum(bound(n, m, K) for n, m in front) + exp_err(K)
-        if best < math.inf and not err(_K_MAX) < best:
-            break
-        best = err(_K_MAX)
-        K = next((K for K in ladder if err(K) < 0.5 * abs_tol), None)
-        if K is not None:
-            return K, [tm for tm in (term(*p) for p in kept)
-                       if tm[0] or tm[1]], freq
-        n, m = min(front, key=lambda p: p[0] * top + p[1] * d)
-        kept.append((n, m))
-        nxt[n - 2] = m + 1 if lows else None
-        if n - 1 == len(nxt):
-            nxt.append(0)
-    raise ToleranceNotMetError(
-        f"no algebraic tail closes the k integral below K = {_K_MAX:g}: "
-        f"its best bound, {best:.2e} with {len(kept) - 1} powers, exceeds "
-        f"abs_tol / 2 = {0.5 * abs_tol:.2e}")
-
-
-def _expint_cf(s: float, z: complex) -> complex:
-    """Generalized exponential integral E_s(z) by modified Lentz CF."""
-    tiny = 1e-300
-    f = tiny
-    C = f
-    D = 0.0
-    b = z
-    a = 1.0
-    for i in range(1, 500):
-        D = b + a * D
-        if D == 0.0:
-            D = tiny
-        C = b + a / C
-        if C == 0.0:
-            C = tiny
-        D = 1.0 / D
-        delta = C * D
-        f *= delta
-        if abs(delta - 1.0) < 1e-15:
-            return cmath.exp(-z) * f
-        # continued-fraction pattern: z + s/(1 + 1/(z + (s+1)/(1 + 2/(...))))
-        if i % 2 == 1:
-            a = s + (i - 1) / 2.0
-            b = 1.0
-        else:
-            a = i / 2.0
-            b = z
-    raise ToleranceNotMetError("exponential-integral CF did not converge")
-
-
-# Euler's constant and zeta(3), for the polygamma values at integers
-_EULER = 0.5772156649015329
-_ZETA3 = 1.2020569031595942
-
-
-def _expint_series(s: float, z: complex) -> complex:
-    """E_s(z) for small |z| by the ascending series.
-
-    E_s(z) = Gamma(1 - s) z^(s-1) - sum_m (-z)^m / ((m - s + 1) m!).  Within
-    1e-3 of an integer n >= 1 the Gamma term and the m = n - 1 term have
-    poles that cancel, so the two are summed as one,
-    -(-z)^(n-1) / (n-1)! * expm1(e d) / e with e = s - n and d the
-    expansion of log z - psi(n + e) + log(pi e / sin(pi e)) / e to O(e^3),
-    the psi^(j)(n) written through H_j = sum_{k<n} k^-j.  At e = 0 this is
-    Abramowitz & Stegun 5.1.12.
-    """
-    n = round(s)
-    e = s - n
-    skip = n - 1 if n >= 1 and abs(e) <= 1e-3 else -1
-    if skip < 0:
-        acc = math.gamma(1.0 - s) * z ** (s - 1.0)
-    else:
-        h1, h2, h3, h4 = (sum(k ** -j for k in range(1, n))
-                          for j in (1, 2, 3, 4))
-        d = (cmath.log(z) + _EULER - h1
-             + e * (math.pi ** 2 / 12.0 + h2 / 2.0)
-             + e * e * (_ZETA3 - h3) / 3.0
-             + e ** 3 * (math.pi ** 4 / 360.0 + h4 / 4.0))
-        if e == 0.0:
-            ratio = d
-        else:
-            a, b = (e * d).real, (e * d).imag
-            ratio = complex(math.expm1(a) * math.cos(b)
-                            - 2.0 * math.sin(0.5 * b) ** 2,
-                            math.exp(a) * math.sin(b)) / e
-        acc = -(-z) ** skip / math.factorial(skip) * ratio
-    term = 1.0 + 0.0j
-    for m in range(200):
-        if m != skip:
-            acc -= term / (m - s + 1.0)
-        term *= -z / (m + 1.0)
-        if m >= skip and abs(term) < 1e-17 * (1.0 + abs(acc)):
-            return acc
-    raise ToleranceNotMetError("exponential-integral series did not converge")
-
-
-def _oscillatory_tail(x: float, K: float, s: float) -> complex:
-    """Int_K^inf exp(-ikx) k^(-s) dk = K^(1-s) E_s(i K x).
-
-    E_s takes the continued fraction for |K x| >= 3 and the ascending
-    series below.
-    """
-    if x == 0.0:
-        return K ** (1.0 - s) / (s - 1.0)
-    z = 1j * K * x
-    try:
-        e = _expint_cf(s, z) if abs(z) >= 3.0 else _expint_series(s, z)
-    except ToleranceNotMetError as exc:
-        raise ToleranceNotMetError(
-            f"{exc} for the tail at x = {x}, K = {K}, s = {s}") from None
-    return K ** (1.0 - s) * e
+def _ray_kernel(kern: _Kernel, spec: ProblemSpec, t: float, r: np.ndarray,
+                rot: float) -> np.ndarray:
+    """kern on the rays of _ray_symbol, from one mittag_leffler_array call
+    over both; with real coefficients the rows' arguments are conjugate,
+    and the fold evaluates them once."""
+    rate = _ray_symbol(_rate_terms(spec, kern.self_coupled), r, rot)
+    out = t ** kern.tpow * mittag_leffler_array(
+        spec.alpha, kern.ml_index, -rate * t ** spec.alpha)
+    if kern.mult_order:
+        out *= _ray_symbol([(1.0, spec.phi, kern.mult_order)], r, rot)
+    return out
 
 
 def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec, *,
                  abs_tol: float = 1e-9) -> np.ndarray:
-    """Kernel values on a whole x-grid sharing one Fourier-side evaluation.
+    """Kernel values on an x array, each to the absolute error abs_tol.
 
-    The integrand F(k) does not depend on x, so the panel nodes are
-    evaluated once and reused for every point: one green_hat call, and so
-    one Mittag-Leffler call, over the nodes k and -k together, in which
-    identical arguments are evaluated once.  Gauss panels run out to the
-    K of _kernel_tail_data, past which its algebraic tail is integrated
-    per point.  abs_tol is the absolute error target of every value.
-    """
+    G(x) = (1/2pi) Int exp(-ikx) G_hat(k) dk.  At x != 0 both half lines
+    turn onto the rays of _ray_symbol, rot = phi sign(x), where exp(-ikx)
+    decays as exp(-r |x| sin phi), as in Zolotarev's integral for stable
+    laws (Nolan, Commun. Statist. Stochastic Models 13(4), 1997); phi is
+    half the largest rotation, at most pi/2, that keeps the Mittag-Leffler
+    argument out of its growth sector |arg| < alpha pi/2 at large |k|.
+    Each ray is summed by the trapezoid rule in u = log r (Trefethen &
+    Weideman, SIAM Review 56(3), 2014), halving the step until two levels
+    agree, on nodes shared by the points of one sign; a point's ray ends
+    where its own tail is below abs_tol / 100, so its value depends on its
+    x alone.  x = 0 takes the Mellin transform of E_{a,b} with one rate
+    order, and the unrotated ray with two."""
     kern = _kernel(kind, spec)
     _check_time(t)
     xs = _finite_xs(xs)
     _check_dissipative(spec, kern.self_coupled)
-
-    a, rate = spec.alpha, _rate_terms(spec, kern.self_coupled)
-    k1 = (sum(abs(c) for c, _, _ in rate) * t ** a) ** (-1.0 / spec.beta)
-    xmax = float(np.max(np.abs(xs))) if xs.size else 0.0
-    K, terms, freq = _kernel_tail_data(kern, spec, t, abs_tol)
-    s_min = min((s for _, _, s in terms), default=math.inf)
-    if s_min <= 1.0 and np.any(xs == 0.0):
+    a, b, p = spec.alpha, kern.ml_index, kern.mult_order
+    rate = _rate_terms(spec, kern.self_coupled)
+    top = max(order for _, _, order in rate)
+    leads = _leading_coeffs(rate)
+    ta, pref = t ** a, abs(t ** kern.tpow)
+    # |w| ~ A r^top at large r; the kernel's scale k1 is where |w| = 1
+    A = min(map(abs, leads)) * ta
+    if not 0.0 < A < math.inf or abs(math.log(A)) > 300.0 * top:
+        raise ToleranceNotMetError(f"A = {A:.3g} puts the kernel's scale, "
+                                   f"|w| = 1, far outside the double range")
+    k1 = A ** (-1.0 / top)
+    # amp r^-s bounds G_hat at large r: the n = 2 term of E_{a,b}(-w) ~
+    # -sum_n (-w)^-n / Gamma(b - a n), n = 1 vanishing, and 1/2 for the
+    # rest; E_{1,1}(-w) = exp(-w) has no algebraic tail.  f0 bounds G_hat
+    # at the kernel's scale
+    amp = 0.0 if a == 1.0 else \
+        pref * (abs(rgamma(b - 2.0 * a)) + 0.5) / A / A
+    s = 2.0 * top - p if amp else math.inf
+    f0 = pref * max(1.0, k1 ** p)
+    # per sign of x, phi = room / 2, which is also the half-width of the
+    # strip about the ray where the integrand is analytic; the unrotated
+    # ray at x = 0 may turn either way, by the smaller room
+    slack = math.pi - a * math.pi / 2.0
+    args = [cmath.phase(lead) for lead in leads]
+    width = {sgn: 0.5 * min(math.pi / 2.0, (slack + sgn * args[0]) / top,
+                            (slack - sgn * args[1]) / top)
+             for sgn in (1.0, -1.0)}
+    width[0.0] = 2.0 * min(width.values())
+    flat = xs.ravel()
+    sides = np.sign(flat)
+    # a stage raises for its first failing point, as that point's call does
+    for x, side in zip(flat, sides):
+        if width[side] < 1e-12:
+            raise ToleranceNotMetError(
+                f"the k integral at x = {x:g} does not decay on any ray: the "
+                f"Mittag-Leffler argument lies on the edge of its growth "
+                f"sector (alpha = {a:g}), so no rotation is left")
+    if s <= 1.0 and not np.all(flat):
         raise ToleranceNotMetError(
-            f"kernel diverges at x = 0: Fourier decay exponent {s_min} <= 1")
-    edges = [0.0]
-    while edges[-1] < K and len(edges) <= 60000:
-        e = edges[-1]
-        # 16-node Gauss panels resolve ~3 oscillation cycles: 20 rad at
-        # the largest |x| plus the phase rate of green_hat itself
-        phase_rate = xmax + max(freq(max(e, k1)), freq(max(1.5 * e, k1)))
-        width = min(20.0 / phase_rate if phase_rate > 0 else math.inf,
-                    max(0.5 * e, k1 / 8.0), K - e)
-        edges.append(e + width)
-    if edges[-1] < K:
-        raise ToleranceNotMetError(
-            f"the k panels to K = {K:.4g} at |x| = {xmax:g} need more than "
-            f"60000 edges")
-    # near k = 0 green_hat is a constant plus amp |k|^p terms, p the
-    # multiplier's order or else each rate order; 16-node Gauss misses
-    # Int_0^h k^p dk by h^(p+1) times its miss on [0, 1], so the first
-    # panel is halved till both half lines miss by at most abs_tol / 4
-    cusps = ([(kern.mult_order, abs(rgamma(kern.ml_index)))]
-             if kern.mult_order else
-             [(o, abs(rgamma(kern.ml_index + a)) * t ** a * abs(c))
-              for c, _, o in rate])
+            f"kernel diverges at x = 0: G_hat falls as |k|^-{s:.6g}, and "
+            f"{s:.6g} <= 1")
 
-    def miss(h):
-        return abs(t ** kern.tpow) / math.pi * sum(
-            amp * h ** (p + 1.0)
-            * abs(_GAUSS_W @ ((1.0 + _GAUSS_X) / 2.0) ** p / 2 - 1 / (p + 1.0))
-            for p, amp in cusps)
-    halve = 0
-    while miss(edges[1] * 0.5 ** halve) > 0.25 * abs_tol:
-        halve += 1
-    edges = np.concatenate([[0.0], edges[1] * 0.5 ** np.arange(halve, 0, -1),
-                            edges[1:]])
+    def log_reach(width):
+        """log of the R (inf where s <= 1) past which G_hat integrates to
+        below abs_tol / 100 on a ray whose Mittag-Leffler argument keeps
+        top * width off the growth sector: its tail amp r^-s, and its term
+        (1/a) w^((1-b)/a) exp(w^(1/a)), decaying there as
+        exp(-sin(top width / a) |w|^(1/a)); the lower order's share of
+        the rate is below 1/2 past R."""
+        if s <= 1.0:
+            return math.inf
+        reach = [math.log(10.0 / A) / top] + [
+            math.log(2.0 * abs(c) * ta / A) / (top - order)
+            for c, _, order in rate if order < top]
+        decay = math.sin(min(top * width / a, math.pi / 2.0))
+        y = 1.0
+        for _ in range(4):
+            log_r = (a * math.log(y / decay) - math.log(A)) / top
+            y = max(1.0, math.log(100.0 * pref / (a * math.pi * abs_tol))
+                    + (1.0 + p) * log_r
+                    + (1.0 - b) / a * (math.log(A) + top * log_r))
+        reach = [math.log(10.0) + max(reach), log_r]
+        if amp:
+            reach.append(math.log(100.0 * amp / (math.pi * (s - 1.0)
+                                                 * abs_tol)) / (s - 1.0))
+        return max(reach)
 
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    knodes = mid[:, None] + half[:, None] * _GAUSS_X[None, :]
-    fup, fdn = green_hat(kind, np.concatenate([knodes.ravel(),
-                                               -knodes.ravel()]), t,
-                         spec).reshape((2,) + knodes.shape)
+    reach = {side: log_reach(width[side]) for side in set(sides)}
 
-    S = np.empty((len(mid), xs.size), dtype=complex)
-    w2, xr = half[:, None] * _GAUSS_W[None, :], xs.ravel()
-    for lo in range(0, len(mid), 512):
-        hi = lo + 512
-        phase = np.exp(-1j * knodes[lo:hi, :, None] * xr[None, None, :])
-        S[lo:hi] = (w2[lo:hi, :, None]
-                    * (phase * fup[lo:hi, :, None]
-                       + np.conj(phase) * fdn[lo:hi, :, None])).sum(axis=1)
-    body = S.sum(axis=0)
+    def log_end(x):
+        """log of the r, at most R, past which the ray at x integrates
+        exp(-r |x| sin phi) (f0 + amp r^-s) to below abs_tol / 1e5, and
+        of the smaller of it and 1 / (|x| sin phi)."""
+        side = np.sign(x)
+        if x == 0.0:
+            return reach[side], reach[side]
+        log_c = math.log(abs(x)) + math.log(math.sin(width[side]))
+        y = 1.0
+        for _ in range(4):
+            env = f0 + amp * math.exp(min(700.0, -s * (math.log(y) - log_c)))
+            y = max(1.0, math.log(1e5 * env / (math.pi * abs_tol)) - log_c)
+        end = min(math.log(y) - log_c, reach[side])
+        return end, min(end, -log_c)
 
-    K_reached = float(edges[-1])
-    # down-side tail carries exp(+ikx), i.e. the -x evaluation
-    tails = [sum(amp_up * _oscillatory_tail(float(xi), K_reached, s)
-                 + amp_dn * _oscillatory_tail(-float(xi), K_reached, s)
-                 for amp_up, amp_dn, s in terms) for xi in xr]
-    return ((body + np.asarray(tails)) / (2.0 * math.pi)).reshape(xs.shape)
+    ends, rhos = np.array([log_end(x) for x in flat]).reshape(-1, 2).T
+    log_rate = max(0.0, math.log(sum(abs(c) for c, _, _ in rate) * ta))
+    for x, end, rho in zip(flat, ends, rhos):
+        # mittag_leffler_array's absolute error, about eps / |w|, times
+        # r^p exp(-r |x| sin phi) integrates to eps rho^(1 + p - top) / A
+        log_bound = math.log(2.2e-16 * pref / A) + (1.0 + p - top) * rho
+        if log_bound > math.log(abs_tol) or top * end + log_rate > 700.0:
+            raise ToleranceNotMetError(
+                f"the ray at x = {x:g} runs to r = exp({end:.4g}), where the "
+                f"Mittag-Leffler argument leaves the double range or the "
+                f"round-off of its values, exp({log_bound:.4g}), passes "
+                f"abs_tol = {abs_tol:g}")
+    u_lo = math.log(min(1e-5 * abs_tol / f0, 1e-3 * k1))
+
+    def ray_sum(xg, ends, rot, width):
+        """The values at the points xg, whose rays at the angle rot end at
+        exp(ends); the integrand is analytic up to width off the ray."""
+        h, act, first = min(0.5, width), np.arange(xg.size), True
+        total, out = np.zeros(xg.size, complex), np.empty(xg.size, complex)
+        while act.size:
+            n = np.maximum(np.floor((ends[act] - u_lo) / h) + 1.0, 0.0)
+            if np.any(n > _RAY_NODES):
+                raise ToleranceNotMetError(
+                    f"the ray at x = {xg[act][n > _RAY_NODES][0]:g} needs "
+                    f"over {_RAY_NODES} nodes: {width:.3g} rad of room either "
+                    f"side is narrow next to |theta_eff| = 2 - alpha")
+            # the first level takes every node, each later one the new half
+            idx = np.arange(0 if first else 1, n.max(), 1 if first else 2)
+            r = np.exp(u_lo + h * idx)
+            up, dn = _ray_kernel(kern, spec, t, r, rot) * r \
+                * np.array([[cmath.exp(-1j * rot)], [cmath.exp(1j * rot)]])
+            gp, gm = up + dn, up - dn
+            new = np.zeros(act.size, dtype=complex)
+            block = max(1, 2 ** 18 // act.size)
+            for lo in range(0, idx.size, block):
+                sl = slice(lo, lo + block)
+                # exp(-ikx) on the up ray, its conjugate on the down one
+                xr = r[sl, None] * xg[act]
+                damp = np.exp(-xr * math.sin(rot)) * (idx[sl, None] < n)
+                for trig, g, coef in ((np.cos, gp[sl], 1.0),
+                                      (np.sin, gm[sl], -1j)):
+                    m = (damp * trig(xr * math.cos(rot))).T
+                    new += coef * (m @ g.real + 1j * (m @ g.imag))
+            prev = total[act]
+            total[act] = h * new if first else 0.5 * prev + h * new
+            if not first:
+                # two levels agree to abs_tol / 10
+                done = np.abs(total[act] - prev) <= 0.2 * math.pi * abs_tol
+                out[act[done]] = total[act[done]]
+                act = act[~done]
+            first = False
+            h *= 0.5
+        return out / (2.0 * math.pi)
+
+    out = np.empty(flat.shape, dtype=complex)
+    for side in set(sides):
+        sel = sides == side
+        if side or len({order for _, _, order in rate}) > 1:
+            out[sel] = ray_sum(flat[sel], ends[sel], side * width[side],
+                               width[side])
+            continue
+        # Int_0^inf k^p E_{a,b}(-C k^top) dk = C^-m Gamma(m) Gamma(1 - m)
+        # / (top Gamma(b - a m)), m = (1 + p) / top, whose last ratio is
+        # finite at e = 1 - m = 0 so written, b = a or a - 1, or 1 at a = 1
+        m, e = (1.0 + p) / top, (top - 1.0 - p) / top
+        ratio = 1.0 if a == 1.0 else \
+            a * math.gamma(1.0 + e) * rgamma(1.0 + a * e)
+        if b != a:
+            ratio *= a * e - 1.0
+        mults = _leading_coeffs([(1.0, spec.phi, p)]) if p else [1.0, 1.0]
+        out[sel] = t ** kern.tpow * math.gamma(m) * ratio / top * sum(
+            mult * (lead * ta) ** -m for mult, lead in zip(mults, leads)) \
+            / (2.0 * math.pi)
+    return out.reshape(xs.shape)
 
 
 def green_point_closed(kind: GreenKind, x, t: float, spec: ProblemSpec):

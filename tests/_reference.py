@@ -4,15 +4,18 @@ They use scipy and mpmath, which are test dependencies only: the
 extended-precision Mittag-Leffler Taylor series and large-|z| asymptotic
 expansion, the six-gamma Mellin-Barnes integrand of the kernels'
 H-function and its residue series, the Riesz-Feller derivative from
-its real-space integral representation, and the self-coupled kernels at
-x = 0 from their k integral.
+its real-space integral representation, the self-coupled kernels at
+x = 0 from their k integral, and any kernel at x != 0 from scipy's
+Fourier-weighted quadrature of its transform.
 """
 
+import functools
 import math
 
 import mpmath as mp
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.special import loggamma
 
@@ -240,3 +243,30 @@ def self_coupled_at_zero(kind, spec, t: float) -> float:
         total += w @ -sum((-1.0 / z) ** n * t ** tpow * rgamma(index - a * n)
                           for n in range(2, 6))
     return (total / (2.0 * math.pi)).real
+
+
+def fourier_inverse_qawf(kind, spec, t: float, x: float) -> complex:
+    """The kernel at x != 0 as (1/2pi) Int_0^inf [exp(-ikx) G_hat(k)
+    + exp(ikx) G_hat(-k)] dk, apart from green_points: QUADPACK's QAWF
+    (scipy's quad with a cos or sin weight on [0, inf)) on green_hat, at
+    its default tolerance.  QAWF integrates cycle by cycle and sums the
+    cycles with the epsilon algorithm, so it also answers where G_hat
+    grows algebraically."""
+    from fracgreen.green import green_hat
+
+    @functools.lru_cache(maxsize=None)
+    def pair(k):
+        up, dn = green_hat(kind, np.array([k, -k]), t, spec)
+        return up + dn, up - dn
+
+    w, sgn = abs(x), math.copysign(1.0, x)
+
+    def part(weight, which, attr):
+        return quad(lambda k: getattr(pair(k)[which], attr), 0.0, np.inf,
+                    weight=weight, wvar=w, limlst=200)[0]
+
+    # e^(-ikx) G_hat(k) + e^(ikx) G_hat(-k)
+    #     = cos(kx) (G_hat(k) + G_hat(-k)) - i sin(kx) (G_hat(k) - G_hat(-k))
+    re = part("cos", 0, "real") + sgn * part("sin", 1, "imag")
+    im = part("cos", 0, "imag") - sgn * part("sin", 1, "real")
+    return complex(re, im) / (2.0 * math.pi)

@@ -318,7 +318,8 @@ class TestPlumbing:
             ["green", "--kind", "G2", "--alpha", "1.4", "--beta", "1.7",
              "--x-range", "-2", "2", "--nx", "4", "--t", "1",
              "--method", "closed"],
-            # K x below 3 at s = 2 beta = 3: the integer-order tail series
+            # small |x| and x = 0: rays cut at the algebraic reach, and
+            # the Mellin closed form
             ["green", "--alpha", "0.8", "--beta", "1.5", "--x-range",
              "-0.008", "0.008", "--nx", "5", "--t", "1",
              "--method", "quadrature"],

@@ -47,8 +47,8 @@ class TestGamma:
             assert rgamma(float(n)) == 0.0
 
     def test_rgamma_on_the_negative_axis(self):
-        # the algebraic tails of green_points take 1/Gamma at negative
-        # arguments
+        # green_points' tail envelope 1/Gamma(b - 2a) and its Mellin form
+        # at x = 0 take 1/Gamma at negative arguments
         import mpmath as mp
 
         worst = 0.0

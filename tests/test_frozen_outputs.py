@@ -3,7 +3,9 @@
 The values were recorded from the implementation before the equation was
 described once (one ProblemSpec check, one kernel table, one rate
 symbol); the g-only and source-only solves, from the implementation
-before solve took every term's kernel from that table.  Each is compared
+before solve took every term's kernel from that table; the pts-* values,
+from green_points' rotated rays, which also hold each of them to its
+closed-* partner.  Each is compared
 at 1e-13 relative, far inside every algorithm's own tolerance, so a
 change of route or of evaluation order shows up here first.
 """
@@ -31,10 +33,10 @@ FROZEN = {
     "hat-G3--3.0": (0.006765316605093248, 0.004771462934466312),
     "hat-G3-0.8": (0.2034950475490979, -0.06318358996251433),
     "hat-G3-12.0": (0.00011158503496950449, -7.757057354893964e-05),
-    "pts-G--1.5": (0.12176030995038585, 0.0),
-    "pts-G-0.6": (0.1352456704112836, 0.0),
-    "pts-G2--1.5": (0.4193019500907433, 0.0),
-    "pts-G2-0.6": (-0.06985332233600919, 0.0),
+    "pts-G--1.5": (0.1217603098318298, 0.0),
+    "pts-G-0.6": (0.13524567029138507, 0.0),
+    "pts-G2--1.5": (0.41930195004386134, 0.0),
+    "pts-G2-0.6": (-0.06985332238299315, 0.0),
     "closed-G--1.5": (0.1217603098318318, 0.0),
     "closed-G-0.6": (0.13524567029138687, 0.0),
     "closed-G2--1.5": (0.41930195004386245, 0.0),
@@ -98,3 +100,12 @@ def outputs():
 def test_frozen_value(outputs, name):
     ref = complex(*FROZEN[name])
     assert abs(complex(outputs[name]) - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("kind, x", [("G", "-1.5"), ("G", "0.6"),
+                                     ("G2", "-1.5"), ("G2", "0.6")])
+def test_frozen_quadrature_meets_the_closed_form(kind, x):
+    # two independent algorithms, quadrature and the H-function contour
+    quad = complex(*FROZEN[f"pts-{kind}-{x}"])
+    closed = complex(*FROZEN[f"closed-{kind}-{x}"])
+    assert abs(quad - closed) <= 1e-12
