@@ -209,18 +209,12 @@ def _leading_coeffs(terms):
             for sgn in (1.0, -1.0)]
 
 
-def _ml_phases(leads):
-    """The phase pi + arg(lead), reduced to (-pi, pi], of the large-|k|
-    Mittag-Leffler argument -rate(k) t^alpha on each half line, for the
-    rate's leading coefficients leads."""
-    return [math.remainder(math.pi + cmath.phase(lead), 2.0 * math.pi)
-            for lead in leads]
-
-
 def _growing_phase(spec: ProblemSpec, self_coupled: bool):
-    """The Mittag-Leffler argument phase on a half line where it lies
+    """The phase pi + arg(lead), reduced to (-pi, pi], of the large-|k|
+    Mittag-Leffler argument -rate(k) t^alpha on a half line where it lies
     strictly inside alpha pi/2, so that G_hat grows with |k|; else None."""
-    for ph in _ml_phases(_leading_coeffs(_rate_terms(spec, self_coupled))):
+    for lead in _leading_coeffs(_rate_terms(spec, self_coupled)):
+        ph = math.remainder(math.pi + cmath.phase(lead), 2.0 * math.pi)
         if abs(ph) < spec.alpha * math.pi / 2.0:
             return ph
     return None
@@ -357,7 +351,10 @@ def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec, *,
                                                  * abs_tol)) / (s - 1.0))
         return max(reach)
 
-    reach = {side: log_reach(width[side]) for side in set(sides)}
+    # x = 0 with one rate order takes the Mellin form, every other x a ray
+    mellin = len({order for _, _, order in rate}) == 1
+    on_ray = (sides != 0.0) | (not mellin)
+    reach = {side: log_reach(width[side]) for side in set(sides[on_ray])}
 
     def log_end(x):
         """log of the r, at most R, past which the ray at x integrates
@@ -374,9 +371,10 @@ def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec, *,
         end = min(math.log(y) - log_c, reach[side])
         return end, min(end, -log_c)
 
-    ends, rhos = np.array([log_end(x) for x in flat]).reshape(-1, 2).T
+    ends, rhos = np.array([log_end(x) if ray else (0.0, 0.0)
+                           for x, ray in zip(flat, on_ray)]).reshape(-1, 2).T
     log_rate = max(0.0, math.log(sum(abs(c) for c, _, _ in rate) * ta))
-    for x, end, rho in zip(flat, ends, rhos):
+    for x, end, rho in zip(flat[on_ray], ends[on_ray], rhos[on_ray]):
         # mittag_leffler_array's absolute error, about eps / |w|, times
         # r^p exp(-r |x| sin phi) integrates to eps rho^(1 + p - top) / A
         log_bound = math.log(2.2e-16 * pref / A) + (1.0 + p - top) * rho
@@ -431,7 +429,7 @@ def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec, *,
     out = np.empty(flat.shape, dtype=complex)
     for side in set(sides):
         sel = sides == side
-        if side or len({order for _, _, order in rate}) > 1:
+        if side or not mellin:
             out[sel] = ray_sum(flat[sel], ends[sel], side * width[side],
                                width[side])
             continue

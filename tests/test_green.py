@@ -1,9 +1,9 @@
 """Unit tests for kernels: Fourier side, quadrature, closed form, mass."""
 
 import math
-import time
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, strategies as st
@@ -341,7 +341,8 @@ def _closed_form_cases(draw):
 @st.composite
 def _one_order_cases(draw):
     """(kind, spec, t, xs) with one rate order: G, G1 in either source
-    mode and G2, orders and skews as in _batches, 0.05 <= |x| <= 8."""
+    mode and G2, orders and skews as in _batches; each x is 0 or has
+    0.05 <= |x| <= 8."""
     kind = draw(st.sampled_from([GreenKind.G, GreenKind.G1, GreenKind.G2]))
     alpha = draw(st.floats(1.0, 2.0, exclude_min=True)
                  if kind == GreenKind.G2 else st.floats(0.3, 2.0))
@@ -351,8 +352,8 @@ def _one_order_cases(draw):
         theta=draw(st.floats(-0.95, 0.95)) * min(beta, 2.0 - beta),
         phi=draw(st.floats(-0.95, 0.95)) * min(gamma, 2.0 - gamma),
         source_mode=draw(st.sampled_from(["riesz_feller", "identity"])))
-    xs = draw(st.lists(st.floats(0.05, 8.0) | st.floats(-8.0, -0.05),
-                       min_size=1, max_size=4))
+    xs = draw(st.lists(st.just(0.0) | st.floats(0.05, 8.0)
+                       | st.floats(-8.0, -0.05), min_size=1, max_size=4))
     return kind, spec, draw(st.floats(0.3, 2.0)), np.array(xs)
 
 
@@ -388,17 +389,46 @@ class TestRays:
         ref = math.gamma(1.0 + 1.0 / beta) * t ** (-1.0 / beta) / math.pi
         assert got == pytest.approx(ref, rel=1e-13)
 
+    @pytest.mark.parametrize("kind, spec, p", [
+        # s = 2 beta = 1.4, with a ray that would run to r = e^62
+        (GreenKind.G, ProblemSpec(alpha=0.8, beta=0.7), 0.0),
+        # G_hat ~ |k|^-1.5 through the multiplier Psi_gamma
+        (GreenKind.G1, ProblemSpec(alpha=0.8, beta=1.5, gamma=1.5), 1.5),
+    ])
+    def test_one_order_at_zero_is_the_mellin_transform(self, kind, spec, p):
+        # 2 Int_0^inf k^p E_{a,a}(-k^beta) dk / 2pi with mpmath's Gamma,
+        # m = (1 + p) / beta; scipy's quad on green_hat along the real
+        # k axis agrees with it to 2e-11 and 6e-13
+        a, m = spec.alpha, (1.0 + p) / spec.beta
+        ref = mp.gamma(m) * mp.gamma(1 - m) * mp.rgamma(a - a * m) \
+            / (mp.pi * spec.beta)
+        got = green_points(kind, [0.0], 1.0, spec)[0]
+        assert got == pytest.approx(float(ref), rel=1e-13)
+        # x = 0 on a symmetric grid leaves its neighbours' values alone
+        grid = green_points(kind, [-1.0, 0.0, 1.0], 1.0, spec)
+        assert grid[1] == got
+        assert np.array_equal(grid[::2], green_points(kind, [-1.0, 1.0],
+                                                      1.0, spec))
+
     @pytest.mark.parametrize("spec, t, x, match", [
         (ProblemSpec(alpha=2.0, beta=1.5), 1.0, 0.5, "does not decay"),
         # the value is near 3e114: no double meets abs_tol = 1e-9 there
         (ProblemSpec(alpha=0.3, beta=0.3), 2.0, 4.3e-290, "round-off"),
         (ProblemSpec(alpha=0.8, beta=0.45), 1.0, 0.0, "diverges at x = 0"),
     ])
-    def test_unanswerable_points_are_named_at_once(self, spec, t, x, match):
-        start = time.perf_counter()
+    def test_unanswerable_points_are_named_at_once(self, spec, t, x, match,
+                                                   monkeypatch):
+        # named before any Mittag-Leffler value is computed
+        calls, ml = [], green.mittag_leffler_array
+
+        def counting(alpha, beta, z):
+            calls.append(np.size(z))
+            return ml(alpha, beta, z)
+
+        monkeypatch.setattr(green, "mittag_leffler_array", counting)
         with pytest.raises(ToleranceNotMetError, match=match):
             green_points(GreenKind.G, [x], t, spec)
-        assert time.perf_counter() - start < 1.0
+        assert calls == []
 
     @given(_closed_form_cases())
     def test_matches_the_closed_form(self, case):
@@ -432,9 +462,11 @@ class TestRays:
         except (FourierOnlyError, RegimeError):
             reject()
         except ToleranceNotMetError as exc:
-            # alpha = 2, or next to the edge
+            # alpha = 2, next to the edge, or G_hat too slow to integrate
+            # at x = 0
             if not ("does not decay" in str(exc)
-                    or "|theta_eff| = 2 - alpha" in str(exc)):
+                    or "|theta_eff| = 2 - alpha" in str(exc)
+                    or "diverges at x = 0" in str(exc)):
                 raise
             reject()
         kern = green._kernel(kind, spec)
