@@ -172,15 +172,19 @@ def convolve_time_singular(kernel_values, alpha: float, t_index: int,
 _BLOCK_VALUES = 2 ** 13
 
 
+def _padded_count(nx: int) -> int:
+    """The padded mode count M of nx grid points: the least power of 2
+    at least 4 nx."""
+    return 1 << (4 * nx - 1).bit_length()
+
+
 def _padded_wavenumbers(grid: SpaceTimeGrid):
     """Padded mode count and wavenumbers matching the transform convention.
 
     With f_hat(k) = Int exp(+ikx) f dx, the FFT bin m carries
     k_m = -2 pi fftfreq(M, dx)[m].
     """
-    M = 1
-    while M < 4 * grid.nx:
-        M *= 2
+    M = _padded_count(grid.nx)
     return M, _wavenumbers(M, grid.dx)
 
 
@@ -211,8 +215,8 @@ def _padded_fft(desc: SourceDescriptor, grid: SpaceTimeGrid, M: int):
     return np.fft.fft(col, n=M) if col.any() else np.zeros(M, dtype=complex)
 
 
-def _window_mass_warning(ghat, M, nx):
-    """Warn when the padded convolution cannot be trusted.
+def _window_verdict(ghat, M, nx):
+    """The warning that the padded convolution cannot be trusted, or None.
 
     First the resolution: when |G_hat| at the largest padded wavenumber is
     not small against |G_hat(0)|, the grid under-resolves the kernel and
@@ -223,19 +227,73 @@ def _window_mass_warning(ghat, M, nx):
     """
     ratio = abs(ghat[M // 2]) / max(abs(ghat[0]), 1e-300)
     if ratio > 1e-2:
-        warnings.warn(
-            f"kernel under-resolved: |G_hat| at the largest wavenumber is "
-            f"{ratio:.1e} of |G_hat(0)|; increase nx", stacklevel=3
-        )
-        return
+        return (f"kernel under-resolved: |G_hat| at the largest wavenumber "
+                f"is {ratio:.1e} of |G_hat(0)|; increase nx")
     h = np.abs(np.fft.ifft(ghat))
     offs = np.minimum(np.arange(M), M - np.arange(M))
     far = h[offs > (M - nx) // 2].sum() / max(h.sum(), 1e-300)
     if far > 1e-3:
-        warnings.warn(
-            f"kernel mass outside the spatial window is {far:.1e}, above "
-            f"1e-3; widen the grid", stacklevel=3
-        )
+        return (f"kernel mass outside the spatial window is {far:.1e}, "
+                f"above 1e-3; widen the grid")
+    return None
+
+
+# a plan's window verdict before the first solve reads it
+_UNREAD = object()
+
+
+@dataclass
+class _SolvePlan:
+    """What solve derives from (spec, grid, kinds, block step) alone.
+
+    kernels holds the kernel of each kind in kinds, the kinds of the
+    nonzero data in the order f, g, U; blocks the (first row, times) of
+    each block of output times; source the read-only factor s mu m_S of
+    the source datum, or None; grows the growth warning's text, or None.
+    window is the window warning's text, or None, and _UNREAD until the
+    first solve on the plan reads the first kernel's table at the last
+    time; solves that race to read it write the same text.
+    """
+
+    kernels: tuple
+    blocks: tuple
+    source: object
+    grows: str
+    window: object
+
+
+@functools.lru_cache(maxsize=16)
+def _plan(spec: ProblemSpec, grid: SpaceTimeGrid, kinds: tuple,
+          step: int) -> _SolvePlan:
+    """solve's plan for the data of the given kernel kinds, step output
+    times to a block.  It holds at most M complex values, the source
+    factor's: 2 MB for the 16 kept on grids up to nx = 2048."""
+    times = grid.times
+    blocks = tuple((lo, times[lo:lo + step])
+                   for lo in range(0, len(times), step))
+    source = None
+    if _SOURCE in kinds:
+        # s mu m_S stays on the datum side: the source kernel keeps its
+        # positive k = 0 value t^a / Gamma(a + 1) for the window check
+        m_s = (-riesz_feller_symbol(spec.source_symbol(),
+                                    _padded_wavenumbers(grid)[1])
+               if spec.source_mode == "riesz_feller" else 1.0)
+        source = spec.mu * m_s
+        if isinstance(source, np.ndarray):
+            source.flags.writeable = False
+    ph = _growing_phase(spec, spec.source_coupling == "self")
+    grows = None
+    if ph is not None:
+        # refining the grid only admits larger |G_hat|
+        grows = (f"G_hat grows with |k|: Mittag-Leffler argument phase "
+                 f"{ph / math.pi:.4g} pi inside alpha pi/2 = "
+                 f"{spec.alpha / 2.0:.4g} pi; the kernel has no real-space "
+                 f"form and the field does not converge in nx")
+    # the localization heuristic only makes sense for dissipative kernels;
+    # dispersive (imaginary-coefficient) ones never localize
+    window = _UNREAD if spec.lam.real > 0.0 and ph is None else None
+    return _SolvePlan(tuple(_kernel(kind, spec) for kind in kinds), blocks,
+                      source, grows, window)
 
 
 def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
@@ -260,12 +318,19 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
     the result equals the single-time solve at its t.  The window check
     reads the first term's kernel (G or G3 when f is given) at the last t.
 
-    The tables are reused within a process: the 16 most recently used
-    are kept, keyed on (kernel, spec, padded mode count M, dx, the block's
-    times), so a repeated solve makes no Mittag-Leffler call.  A table
-    holds at most max(_BLOCK_VALUES, M) values, 2 MB for all 16 on grids
-    up to nx = 2048.  The values do not depend on which solves came
-    before, and the warnings are raised on every call.
+    What does not depend on the data is reused within a process.  The 16
+    most recently used kernel tables are kept, keyed on (kernel, spec,
+    padded mode count M, dx, the block's times); a table holds at most
+    max(_BLOCK_VALUES, M) values, 2 MB for all 16 on grids up to
+    nx = 2048.  The 16 most recently used plans are kept, keyed on (spec,
+    grid, the kernels of the nonzero data, the block step): the time
+    blocks, s mu m_S (at most M values, 2 MB for all 16 up to
+    nx = 2048), the growth warning and the window check's verdict.  A
+    repeated solve on a (spec, grid) then renders and transforms each
+    datum given, multiplies by the kept tables and makes one inverse FFT
+    per block: no Mittag-Leffler call, no symbol and no window check.
+    The values do not depend on which solves came before, and the
+    warnings are raised on every call.
     """
     if g.kind != "zero" and spec.alpha <= 1.0:
         raise SpecValidationError(
@@ -277,49 +342,46 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
     if U.kind == "dirac_delta":
         raise SpecValidationError(["delta source U is not supported"])
 
-    M, k = _padded_wavenumbers(grid)
-    nx = grid.nx
+    nx, M = grid.nx, _padded_count(grid.nx)
     kind_f, kind_g = ((GreenKind.G3, GreenKind.G4) if self_coupled
                       else (GreenKind.G, GreenKind.G2))
-    data = [(_padded_fft(f, grid, M), kind_f),
-            (_padded_fft(g, grid, M), kind_g)]
-    u_hat = _padded_fft(U, grid, M)
-    if u_hat.any():
-        if spec.mu == 0:
+    # the padded transform and kind of each datum that is not all zero; a
+    # zero descriptor is neither rendered nor transformed
+    data, kinds = [], []
+    for desc, kind in ((f, kind_f), (g, kind_g), (U, _SOURCE)):
+        if desc.kind == "zero":
+            continue
+        datum = _padded_fft(desc, grid, M)
+        if not datum.any():
+            continue
+        if kind is _SOURCE and spec.mu == 0:
             warnings.warn("source U given with mu = 0 adds nothing to the "
                           "field", stacklevel=2)
-        # s mu m_S stays on the datum side: the source kernel keeps its
-        # positive k = 0 value t^a / Gamma(a + 1) for the window check
-        m_s = (-riesz_feller_symbol(spec.source_symbol(), k)
-               if spec.source_mode == "riesz_feller" else 1.0)
-        data.append((spec.mu * m_s * u_hat, _SOURCE))
-    # (padded datum transform, kernel), one term per nonzero transform
-    terms = [(datum, _kernel(kind, spec)) for datum, kind in data
-             if datum.any()]
-    if not terms:
+            continue
+        data.append(datum)
+        kinds.append(kind)
+    if data:
+        plan = _plan(spec, grid, tuple(kinds), max(1, _BLOCK_VALUES // M))
+        if plan.source is not None:
+            data[-1] = plan.source * data[-1]
+            # s mu m_S U_hat can underflow to zero and add no term; the
+            # plan's last kernel, the source's, then goes unread
+            if not data[-1].any():
+                data.pop()
+    if not data:
         return Field(grid, np.zeros((len(grid.times), nx), dtype=complex))
 
-    grows = _growing_phase(spec, self_coupled)
-    if grows is not None:
-        # refining the grid only admits larger |G_hat|
-        warnings.warn(
-            f"G_hat grows with |k|: Mittag-Leffler argument phase "
-            f"{grows / math.pi:.4g} pi inside alpha pi/2 = "
-            f"{spec.alpha / 2.0:.4g} pi; the kernel has no real-space "
-            f"form and the field does not converge in nx", stacklevel=2)
-
-    times = grid.times
-    out = np.empty((len(times), nx), dtype=complex)
-    step = max(1, _BLOCK_VALUES // M)
-    for lo in range(0, len(times), step):
-        ts = times[lo:lo + step]
+    if plan.grows is not None:
+        warnings.warn(plan.grows, stacklevel=2)
+    out = np.empty((len(grid.times), nx), dtype=complex)
+    for lo, ts in plan.blocks:
         rows = [_kernel_table(kern, spec, M, grid.dx, ts)
-                for _, kern in terms]
-        nhat = functools.reduce(np.add, (datum * r for (datum, _), r
-                                         in zip(terms, rows)))
-        out[lo:lo + step] = np.fft.ifft(nhat, axis=1)[:, :nx]
-    # the localization heuristic only makes sense for dissipative kernels;
-    # dispersive (imaginary-coefficient) ones never localize
-    if spec.lam.real > 0.0 and grows is None:
-        _window_mass_warning(rows[0][-1], M, nx)
+                for _, kern in zip(data, plan.kernels)]
+        nhat = functools.reduce(np.add, (datum * r for datum, r
+                                         in zip(data, rows)))
+        out[lo:lo + len(ts)] = np.fft.ifft(nhat, axis=1)[:, :nx]
+    if plan.window is _UNREAD:
+        plan.window = _window_verdict(rows[0][-1], M, nx)
+    if plan.window is not None:
+        warnings.warn(plan.window, stacklevel=2)
     return Field(grid=grid, values=out)

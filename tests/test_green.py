@@ -266,7 +266,7 @@ class TestAlgebraicTail:
         got = green_points(GreenKind.G, xs, 1.0, spec)
         assert np.max(np.abs(got - ref)) <= 1e-9
 
-    def test_small_order_batch_is_right_or_named(self):
+    def test_small_order_batch_matches_the_closed_form(self):
         # at beta 0.236 |w| = |k|^beta reaches 10 only at |k| = 1.7e4
         spec = ProblemSpec(alpha=0.833, beta=0.236, theta=-0.177)
         xs = np.array([0.02, 0.05, 0.08, 0.0999, 0.1001])
@@ -280,7 +280,7 @@ class TestAlgebraicTail:
         with pytest.raises(ToleranceNotMetError, match="does not decay"):
             green_points(kind, [0.5, 1.0], 1.0, spec)
 
-    def test_exponential_term_past_every_k_is_named(self):
+    def test_slow_exponential_term_matches_the_closed_form(self):
         # near alpha = 2 with beta well below alpha, the exponential
         # Mittag-Leffler term decays slowly along the real k axis, where
         # the algebraic tail refused this case; on the ray it decays
@@ -290,7 +290,7 @@ class TestAlgebraicTail:
         closed = green_point_closed(GreenKind.G2, xs, 0.818, spec)
         assert np.max(np.abs(got - closed)) <= 1e-12
 
-    def test_far_x_passing_the_edge_budget_is_named(self):
+    def test_far_x_matches_the_closed_form(self):
         # the real-axis panels refused x = 1e5 for their edge budget; the
         # ray decays fastest there
         spec = ProblemSpec(alpha=0.8, beta=1.5)
@@ -584,7 +584,7 @@ class TestSelfCoupled:
         ref = self_coupled_at_zero(GreenKind.G3, spec, t)
         assert abs(got - ref) <= 1e-9
 
-    def test_close_orders_small_rate_is_right_or_named(self):
+    def test_close_orders_small_rate_match_the_k_integral(self):
         # with c = lam t^alpha = 0.05 an algebraic tail of the real-axis
         # integral would not close below |k| = 5000; the ray runs on
         spec = ProblemSpec(alpha=0.8, beta=0.8, gamma=0.7, lam=0.05,

@@ -560,3 +560,130 @@ class TestKernelMemo:
         solver._kernel_table.cache_clear()
         alone, _ = _messages(specs[1], self._GAUSS, box, box, self._GRID)
         assert first.tobytes() == second.tobytes() == alone.tobytes()
+
+
+class TestPlan:
+    """solve keeps, per (spec, grid, kernels, block step), all it derives
+    without the data; a solve on a kept plan does data work alone and must
+    give the bytes and the warnings of a solve after every memo is
+    cleared."""
+
+    _ZERO = SourceDescriptor.zero()
+    _GAUSS = SourceDescriptor.gaussian(0.0, 1.0)
+    _BOX = SourceDescriptor.box(-1.0, 1.5)
+    _GRID = SpaceTimeGrid(-20.0, 20.0, 32, (0.5, 1.0, 1.5))
+
+    @staticmethod
+    def _clear():
+        solver._plan.cache_clear()
+        solver._kernel_table.cache_clear()
+
+    @given(_solve_cases(), st.sampled_from([solver._BLOCK_VALUES, 256]))
+    def test_hit_after_other_data_equals_a_cleared_solve(self, case, block):
+        spec, f, g, U = case
+        # other data with the same kernels make the plan, after the last
+        # of them alone, which draws fewer kernels where there are more
+        other = [d if d.kind == "zero"
+                 else SourceDescriptor.gaussian(-0.5, 2.0) for d in case[1:]]
+        present = [i for i, d in enumerate(other) if d.kind != "zero"]
+        last = [d if i == present[-1] else self._ZERO
+                for i, d in enumerate(other)]
+        with mock.patch.object(solver, "_BLOCK_VALUES", block):
+            _messages(spec, *last, self._GRID)
+            _messages(spec, *other, self._GRID)
+            hits = solver._plan.cache_info().hits
+            hit = _messages(spec, f, g, U, self._GRID)
+            assert solver._plan.cache_info().hits == hits + 1
+            self._clear()
+            cleared = _messages(spec, f, g, U, self._GRID)
+        assert hit[0].tobytes() == cleared[0].tobytes()
+        assert hit[1] == cleared[1]
+
+    @pytest.mark.parametrize("one, other", [
+        (dict(theta=0.0), dict(theta=-0.0)),
+        (dict(lam=1), dict(lam=1 + 0j)),
+    ], ids=["theta_zero_sign", "lam_int_complex"])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_equal_specs_share_a_plan_in_either_order(self, one, other,
+                                                      swap):
+        specs = [ProblemSpec(alpha=1.4, beta=1.6, mu=0.5, **kw)
+                 for kw in (one, other)]
+        if swap:
+            specs.reverse()
+        self._clear()
+        first, second = (_messages(sp, self._GAUSS, self._BOX, self._BOX,
+                                   self._GRID) for sp in specs)
+        info = solver._plan.cache_info()
+        assert (info.hits, info.currsize) == (1, 1)
+        self._clear()
+        alone = _messages(specs[1], self._GAUSS, self._BOX, self._BOX,
+                          self._GRID)
+        assert first[0].tobytes() == second[0].tobytes() \
+            == alone[0].tobytes()
+        assert first[1] == second[1] == alone[1]
+
+    _NARROW = SpaceTimeGrid(-3.0, 3.0, 64, (0.5, 1.0, 2.0))
+
+    @pytest.mark.parametrize("spec, data, grid, block, text, blocks", [
+        # every kernel and the riesz_feller source factor, 2 blocks
+        (ProblemSpec(alpha=1.4, beta=1.6, theta=0.1, gamma=1.2, phi=0.1,
+                     mu=0.6), "fgU", _GRID, 256, "under-resolved", 2),
+        # the window check's inverse FFT runs on the miss alone
+        (ProblemSpec(alpha=0.8, beta=1.1), "f", _NARROW,
+         solver._BLOCK_VALUES, "mass outside", 1),
+        (ProblemSpec(alpha=0.8, beta=1.5, mu=0.5, source_mode="identity"),
+         "U", _NARROW, 512, "mass outside", 2),
+        (ProblemSpec(alpha=1.8, beta=1.2, theta=0.5), "f",
+         SpaceTimeGrid(-10.0, 10.0, 64, (0.9,)), solver._BLOCK_VALUES,
+         "grows with |k|", 1),
+    ], ids=["rf_source_two_blocks", "window", "source_window", "growing"])
+    def test_hit_derives_nothing_from_spec_and_grid(
+            self, monkeypatch, spec, data, grid, block, text, blocks):
+        f = self._GAUSS if "f" in data else self._ZERO
+        g = self._BOX if "g" in data else self._ZERO
+        U = self._BOX if "U" in data else self._ZERO
+        counts = dict.fromkeys(["ml", "symbol", "growth", "ifft"], 0)
+
+        def counting(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        for module, attr, name in [
+                (green, "mittag_leffler_array", "ml"),
+                (green, "riesz_feller_symbol", "symbol"),
+                (solver, "riesz_feller_symbol", "symbol"),
+                (solver, "_growing_phase", "growth"),
+                (np.fft, "ifft", "ifft")]:
+            monkeypatch.setattr(module, attr,
+                                counting(name, getattr(module, attr)))
+        monkeypatch.setattr(solver, "_BLOCK_VALUES", block)
+        self._clear()
+        values, miss = _messages(spec, f, g, U, grid)
+        assert counts["ml"] > 0 and counts["growth"] == 1
+        assert counts["ifft"] == blocks + (text == "mass outside")
+        counts.update(dict.fromkeys(counts, 0))
+        again, hit = _messages(spec, f, g, U, grid)
+        assert counts == dict(ml=0, symbol=0, growth=0, ifft=blocks)
+        assert again.tobytes() == values.tobytes() and hit == miss
+        assert len(hit) == sum(text in m for m in hit) == 1
+
+    def test_underflowed_source_adds_no_term(self):
+        # s mu m_S U_hat is zero in every mode: U adds no kernel, no
+        # warning and no bytes, as for a U of zero transform
+        spec = ProblemSpec(alpha=0.8, beta=1.1, mu=5e-324,
+                           source_mode="identity")
+        faint = SourceDescriptor.from_samples(np.full(64, 1e-3))
+        self._clear()
+        values, caught = _messages(spec, self._ZERO, self._ZERO, faint,
+                                   self._NARROW)
+        assert not values.any() and caught == []
+        assert solver._kernel_table.cache_info().misses == 0
+        with_u = _messages(spec, self._GAUSS, self._ZERO, faint,
+                           self._NARROW)
+        self._clear()
+        without = _messages(spec, self._GAUSS, self._ZERO, self._ZERO,
+                            self._NARROW)
+        assert with_u[0].tobytes() == without[0].tobytes()
+        assert with_u[1] == without[1]
