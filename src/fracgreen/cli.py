@@ -9,6 +9,7 @@ violation, 3 numerical-tolerance failure.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -223,7 +224,10 @@ def _cmd_solve(args):
 def _cmd_oracle(args):
     spec = _spec_from_args(args)
     grid = SpaceTimeGrid(args.x_range[0], args.x_range[1], args.nx, args.t)
-    n = int(round(grid.times[-1] / args.dt))
+    # a dt that is not positive and finite takes no steps, and
+    # OracleConfig names it
+    steps = grid.times[-1] / args.dt if args.dt else math.inf
+    n = int(round(steps)) if math.isfinite(steps) else 0
     field = oracle_solve(spec, args.f, grid, OracleConfig(args.dt, n))
     _write_lines(args.output, _field_lines(grid, field.values))
     return EXIT_OK

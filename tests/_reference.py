@@ -6,7 +6,9 @@ expansion, the six-gamma Mellin-Barnes integrand of the kernels'
 H-function and its residue series, the Riesz-Feller derivative from
 its real-space integral representation, the self-coupled kernels at
 x = 0 from their k integral, and any kernel at x != 0 from scipy's
-Fourier-weighted quadrature of its transform.
+Fourier-weighted quadrature of its transform.  The Grunwald-Letnikov
+step loop that the oracle replaced by mode blocks is kept here as the
+oracle's reference.
 """
 
 import functools
@@ -20,7 +22,8 @@ from scipy.interpolate import CubicSpline
 from scipy.special import loggamma
 
 from fracgreen.fracmath import MLConvergenceError
-from fracgreen.operators import SymbolParams
+from fracgreen.operators import SymbolParams, gl_weights
+from fracgreen.oracle import OracleInstabilityError
 
 
 def ml_mpmath(alpha: float, beta: float, z: complex) -> complex:
@@ -270,3 +273,31 @@ def fourier_inverse_qawf(kind, spec, t: float, x: float) -> complex:
     re = part("cos", 0, "real") + sgn * part("sin", 1, "imag")
     im = part("cos", 0, "imag") - sgn * part("sin", 1, "real")
     return complex(re, im) / (2.0 * math.pi)
+
+
+def gl_mode_evolve_loop(alpha: float, coeffs, init, cfg):
+    """oracle_mode_evolve as one loop over steps for all modes at once,
+    each step's memory sum a tensordot over the reversed history."""
+    c = np.asarray(coeffs, dtype=complex)
+    v = np.asarray(init, dtype=complex)
+    if c.shape != v.shape:
+        raise ValueError("coeffs and init must have matching shapes")
+    dt, n = cfg.dt, cfg.n_steps
+    w = gl_weights(alpha, n)
+    denom = 1.0 + c * dt ** alpha
+    if np.any(np.abs(denom) < 1e-12):
+        raise OracleInstabilityError(
+            "implicit GL step is singular; reduce dt")
+    out = np.empty((n,) + c.shape, dtype=complex)
+    scale = dt ** (alpha - 1.0) * v
+    for i in range(n):
+        mem = np.zeros_like(c)
+        if i > 0:
+            mem = np.tensordot(w[1:i + 1], out[i - 1::-1], axes=(0, 0))
+        rhs = (scale if i == 0 else 0.0) - mem
+        out[i] = rhs / denom
+        peak = np.max(np.abs(out[i]))
+        if not np.isfinite(peak) or peak > 1e12 * (1.0 + np.max(np.abs(v))):
+            raise OracleInstabilityError(
+                f"GL iteration diverged at step {i + 1}")
+    return out

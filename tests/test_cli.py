@@ -224,6 +224,13 @@ class TestSolveCompare:
                     "-o", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "t,x,re,im"
 
+    @pytest.mark.parametrize("dt", ["nan", "inf", "0"])
+    def test_oracle_bad_dt_is_named(self, dt, tmp_path, capsys):
+        assert run(["oracle", "--alpha", "0.8", "--beta", "1.6",
+                    "--x-range", "-20", "20", "--nx", "32", "--t", "0.5",
+                    "--dt", dt, "-o", str(tmp_path / "o.csv")]) == 2
+        assert "dt must be positive and finite" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_ok(self, capsys):

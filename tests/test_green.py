@@ -248,9 +248,10 @@ def _outcome(kind, xs, t, spec):
         return type(exc), str(exc)
 
 
-class TestAlgebraicTail:
-    """The corners that the algebraic tail of the real-axis quadrature,
-    which the rotated rays replaced, could not close or closed wrongly."""
+class TestCornerValues:
+    """green_points at the corners that the real-axis quadrature, which
+    the rotated rays replaced, could not close or closed wrongly: values
+    against independent references, and the named refusal at alpha 2."""
 
     @pytest.mark.parametrize("alpha, beta, theta", [
         (0.5, 0.7071, 0.1), (0.31, 0.6117, 0.0), (0.8, 0.9137, 0.0)])

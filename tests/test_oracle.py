@@ -1,14 +1,17 @@
 """Unit tests for the Grunwald-Letnikov reference path."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from _reference import gl_mode_evolve_loop
 from fracgreen.green import ProblemSpec
 from fracgreen.oracle import (OracleConfig, OracleInstabilityError,
                               oracle_mode_evolve, oracle_solve)
-from fracgreen.solver import SourceDescriptor, SpaceTimeGrid, solve
+from fracgreen.solver import (SourceDescriptor, SpaceTimeGrid, _padded_fft,
+                              _padded_wavenumbers, solve)
 
 
 def _evolve_scalar(alpha, c, dt, n):
@@ -61,10 +64,74 @@ class TestModeEvolve:
                                OracleConfig(0.01, 4))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            OracleConfig(0.0, 4)
+        for dt in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="dt must be"):
+                OracleConfig(dt, 4)
         with pytest.raises(ValueError):
             OracleConfig(0.01, 0)
+
+
+def _modes(n_modes, spread=40.0):
+    """Dissipative, mildly skewed rates and a complex datum per mode."""
+    rng = np.random.default_rng(n_modes)
+    c = rng.uniform(0.0, spread, n_modes) \
+        * np.exp(1j * rng.uniform(-0.3, 0.3, n_modes))
+    return c, rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
+
+
+def _rel_gap(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+class TestModeBlocks:
+    """oracle_mode_evolve, which steps the modes in blocks, against the
+    one loop over steps for all modes in tests/_reference.py."""
+
+    @pytest.mark.parametrize("n_modes", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("n_steps", [1, 5, 64, 512])
+    def test_block_seams_match_the_loop(self, n_modes, n_steps):
+        c, v = _modes(n_modes)
+        cfg = OracleConfig(1.0 / n_steps, n_steps)
+        got = oracle_mode_evolve(0.8, c, v, cfg)
+        assert got.shape == (n_steps, n_modes)
+        assert _rel_gap(got, gl_mode_evolve_loop(0.8, c, v, cfg)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha, tol", [
+        (0.3, 1e-12), (0.9, 1e-12), (1.5, 1e-12), (1.8, 1e-12),
+        # near alpha = 2 the recursion amplifies round-off
+        (1.99, 5e-12)])
+    def test_long_runs_match_the_loop(self, alpha, tol):
+        c, v = _modes(130)
+        cfg = OracleConfig(1.0 / 1024, 1024)
+        got = oracle_mode_evolve(alpha, c, v, cfg)
+        assert _rel_gap(got, gl_mode_evolve_loop(alpha, c, v, cfg)) <= tol
+
+    def test_mode_shape_is_kept(self):
+        c, v = _modes(6)
+        cfg = OracleConfig(0.01, 7)
+        got = oracle_mode_evolve(0.8, c.reshape(2, 3), v.reshape(2, 3), cfg)
+        assert got.shape == (7, 2, 3)
+        assert np.array_equal(got.reshape(7, 6),
+                              oracle_mode_evolve(0.8, c, v, cfg))
+
+    @pytest.mark.filterwarnings("error")
+    def test_earliest_divergence_over_blocks_is_named(self):
+        # growing modes (c < 0): the one in the third block outgrows the
+        # bound at step 18, the first block's at step 106, and both
+        # overflow well before the last step
+        dt, n = 0.05, 1000
+        c = np.zeros(150, dtype=complex)
+        c[3], c[140] = -4.0, -12.0
+        v = np.ones(150)
+        cfg = OracleConfig(dt, n)
+        with pytest.raises(OracleInstabilityError) as ref:
+            gl_mode_evolve_loop(0.9, c, v, cfg)
+        with pytest.raises(OracleInstabilityError) as first_alone:
+            gl_mode_evolve_loop(0.9, c[:64], v[:64], cfg)
+        assert str(ref.value) != str(first_alone.value)
+        with pytest.raises(OracleInstabilityError) as got:
+            oracle_mode_evolve(0.9, c, v, cfg)
+        assert str(got.value) == str(ref.value)
 
 
 class TestOracleSolve:
@@ -108,6 +175,39 @@ class TestOracleSolve:
         err = np.linalg.norm(got.values[0] - ref.values[0]) \
             / np.linalg.norm(ref.values[0])
         assert err < 5e-3
+
+    def test_values_own_their_data(self):
+        # a kept field must not hold the padded (n_times, M) transform
+        spec = ProblemSpec(alpha=0.8, beta=1.6)
+        f = SourceDescriptor.gaussian(0.0, 1.0)
+        for times in ((1.0,), (0.5, 1.0)):
+            grid = SpaceTimeGrid(-20.0, 20.0, 64, times)
+            values = oracle_solve(spec, f, grid,
+                                  OracleConfig(1.0 / 64, 64)).values
+            assert values.base is None or values.flags.owndata
+            assert values.shape == (len(times), 64)
+
+    def test_keeps_only_the_output_steps(self):
+        # the history lives one 64-mode block at a time (512 x 64 complex
+        # values, 0.5 MB); the whole history of the 512 modes is 4 MB
+        spec = ProblemSpec(alpha=0.8, beta=1.6)
+        grid = SpaceTimeGrid(-40.0, 40.0, 128, (0.5, 1.0))
+        f = SourceDescriptor.gaussian(0.0, 1.0)
+        cfg = OracleConfig(1.0 / 512, 512)
+        oracle_solve(spec, f, grid, cfg)
+        tracemalloc.start()
+        try:
+            got = oracle_solve(spec, f, grid, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+        # the kept rows are those of the all-steps evolution
+        M, k = _padded_wavenumbers(grid)
+        modes = oracle_mode_evolve(spec.alpha, spec.rate(k, False),
+                                   _padded_fft(f, grid, M), cfg)
+        assert np.array_equal(got.values,
+                              np.fft.ifft(modes[[255, 511]])[:, :grid.nx])
 
     def test_off_lattice_time_rejected(self):
         spec = ProblemSpec(alpha=0.7, beta=1.4)
