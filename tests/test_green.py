@@ -248,10 +248,10 @@ def _outcome(kind, xs, t, spec):
         return type(exc), str(exc)
 
 
-class TestCornerValues:
-    """green_points at the corners that the real-axis quadrature, which
-    the rotated rays replaced, could not close or closed wrongly: values
-    against independent references, and the named refusal at alpha 2."""
+class TestAlgebraicTail:
+    """green_points at small |x| and small beta, where the real-axis
+    quadrature that the rotated rays replaced needed a several-term
+    algebraic tail: values against the residue series."""
 
     @pytest.mark.parametrize("alpha, beta, theta", [
         (0.5, 0.7071, 0.1), (0.31, 0.6117, 0.0), (0.8, 0.9137, 0.0)])
@@ -266,6 +266,12 @@ class TestCornerValues:
         ref = h_residue_series(alpha, beta, rho, alpha, xs) / (beta * xs)
         got = green_points(GreenKind.G, xs, 1.0, spec)
         assert np.max(np.abs(got - ref)) <= 1e-9
+
+
+class TestCornerValues:
+    """green_points at the corners that the real-axis quadrature, which
+    the rotated rays replaced, could not close or closed wrongly: values
+    against independent references, and the named refusal at alpha 2."""
 
     def test_small_order_batch_matches_the_closed_form(self):
         # at beta 0.236 |w| = |k|^beta reaches 10 only at |k| = 1.7e4
