@@ -3,7 +3,8 @@
 Three evaluation routes: Fourier-space values (green_hat), real-space
 quadrature of the Fourier inverse on rays rotated off the real k axis,
 on an x array (green_points), and the closed H-function form
-(green_point_closed) where it exists.  All share one convention:
+(green_point_closed) where it exists.  Every G_hat value, on the real
+axis or on a ray, comes from _kernel_rows.  All share one convention:
 f_hat(k) = Int exp(+ikx) f(x) dx, inversion with exp(-ikx), and the
 space operator acts as multiplication by -Psi.
 """
@@ -16,8 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .fracmath import (HAccuracyError, HFunctionParams, h_function,
-                       mittag_leffler_array, rgamma)
+from .fracmath import (_H_ABS_TOL, HAccuracyError, HFunctionParams,
+                       h_function, mittag_leffler_array, rgamma)
 from .operators import (SymbolParams, order_skew_problems,
                         riesz_feller_symbol)
 
@@ -106,11 +107,10 @@ class ProblemSpec:
 
     def rate(self, k, self_coupled: bool = False):
         """lam Psi_beta(k), plus mu Psi_gamma(k) when self-coupled: mode k
-        relaxes as E_alpha(-rate t^alpha)."""
-        r = self.lam * riesz_feller_symbol(self.space_symbol(), k)
-        if self_coupled:
-            r = r + self.mu * riesz_feller_symbol(self.source_symbol(), k)
-        return r
+        relaxes as E_alpha(-rate t^alpha); the sum of _rate_terms."""
+        terms = [c * riesz_feller_symbol(SymbolParams(order, skew), k)
+                 for c, skew, order in _rate_terms(self, self_coupled)]
+        return sum(terms[1:], terms[0])
 
 
 # green_points halves a ray's trapezoid step at most until the ray of one
@@ -166,8 +166,8 @@ def _finite_xs(x) -> np.ndarray:
 
 
 def _kernel_rows(kern: _Kernel, k: np.ndarray, times, spec: ProblemSpec):
-    """kern at the wavenumber array k for every t in times, one row per
-    time, from one mittag_leffler_array call over all the arguments."""
+    """kern at the wavenumber array k, real or complex, for every t in
+    times, one row per time, from one mittag_leffler_array call."""
     for t in times:
         _check_time(t)
     a = spec.alpha
@@ -202,9 +202,9 @@ def _rate_terms(spec: ProblemSpec, self_coupled: bool):
 def _leading_coeffs(terms):
     """Large-|k| coefficients of sum c Psi_{order,skew}(k) / |k|^top on
     k > 0 and k < 0, over (c, skew, order) terms: the top-order terms'
-    c e^(+-i skew pi/2), summed."""
+    c Psi_{order,skew}(+-1), summed."""
     top = max(order for _, _, order in terms)
-    return [sum(c * cmath.exp(1j * sgn * skew * math.pi / 2.0)
+    return [sum(c * riesz_feller_symbol(SymbolParams(order, skew), sgn)
                 for c, skew, order in terms if order == top)
             for sgn in (1.0, -1.0)]
 
@@ -240,46 +240,24 @@ def _check_dissipative(spec: ProblemSpec, kinds_self: bool):
         )
 
 
-def _ray_symbol(terms, r: np.ndarray, rot: float) -> np.ndarray:
-    """sum c Psi_{order,skew}(k) over (c, skew, order) terms, continued
-    off k > 0 onto the ray k = r e^(-i rot) and off k < 0 onto
-    k = -r e^(i rot): the rows (up, down)."""
-    out = np.zeros((2, r.size), dtype=complex)
-    for term in terms:
-        for row, lead, sgn in zip(out, _leading_coeffs([term]), (1.0, -1.0)):
-            row += lead * cmath.exp(-1j * sgn * rot * term[2]) * r ** term[2]
-    return out
-
-
-def _ray_kernel(kern: _Kernel, spec: ProblemSpec, t: float, r: np.ndarray,
-                rot: float) -> np.ndarray:
-    """kern on the rays of _ray_symbol, from one mittag_leffler_array call
-    over both; with real coefficients the rows' arguments are conjugate,
-    and the fold evaluates them once."""
-    rate = _ray_symbol(_rate_terms(spec, kern.self_coupled), r, rot)
-    out = t ** kern.tpow * mittag_leffler_array(
-        spec.alpha, kern.ml_index, -rate * t ** spec.alpha)
-    if kern.mult_order:
-        out *= _ray_symbol([(1.0, spec.phi, kern.mult_order)], r, rot)
-    return out
-
-
 def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec, *,
                  abs_tol: float = 1e-9) -> np.ndarray:
     """Kernel values on an x array, each to the absolute error abs_tol.
 
     G(x) = (1/2pi) Int exp(-ikx) G_hat(k) dk.  At x != 0 both half lines
-    turn onto the rays of _ray_symbol, rot = phi sign(x), where exp(-ikx)
-    decays as exp(-r |x| sin phi), as in Zolotarev's integral for stable
-    laws (Nolan, Commun. Statist. Stochastic Models 13(4), 1997); phi is
-    half the largest rotation, at most pi/2, that keeps the Mittag-Leffler
-    argument out of its growth sector |arg| < alpha pi/2 at large |k|.
-    Each ray is summed by the trapezoid rule in u = log r (Trefethen &
-    Weideman, SIAM Review 56(3), 2014), halving the step until two levels
-    agree, on nodes shared by the points of one sign; a point's ray ends
-    where its own tail is below abs_tol / 100, so its value depends on its
-    x alone.  x = 0 takes the Mellin transform of E_{a,b} with one rate
-    order, and the unrotated ray with two."""
+    turn onto the rays k = r e^(-i rot) and k = -r e^(i rot),
+    rot = phi sign(x), where _kernel_rows evaluates G_hat as on the real
+    axis and exp(-ikx) decays as exp(-r |x| sin phi), as in Zolotarev's
+    integral for stable laws (Nolan, Commun. Statist. Stochastic Models
+    13(4), 1997); phi is half the largest rotation, at most pi/2, that
+    keeps the Mittag-Leffler argument out of its growth sector
+    |arg| < alpha pi/2 at large |k|.  Each ray is summed by the trapezoid
+    rule in u = log r (Trefethen & Weideman, SIAM Review 56(3), 2014),
+    halving the step until two levels agree, on nodes shared by the points
+    of one sign; a point's ray ends where its own tail is below
+    abs_tol / 100, so its value depends on its x alone.  x = 0 takes the
+    Mellin transform of E_{a,b} with one rate order, and the unrotated ray
+    with two."""
     kern = _kernel(kind, spec)
     _check_time(t)
     xs = _finite_xs(xs)
@@ -401,8 +379,9 @@ def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec, *,
             # the first level takes every node, each later one the new half
             idx = np.arange(0 if first else 1, n.max(), 1 if first else 2)
             r = np.exp(u_lo + h * idx)
-            up, dn = _ray_kernel(kern, spec, t, r, rot) * r \
-                * np.array([[cmath.exp(-1j * rot)], [cmath.exp(1j * rot)]])
+            turn = np.array([[cmath.exp(-1j * rot)], [cmath.exp(1j * rot)]])
+            up, dn = _kernel_rows(kern, turn * r * [[1.0], [-1.0]], (t,),
+                                  spec)[0] * r * turn
             gp, gm = up + dn, up - dn
             new = np.zeros(act.size, dtype=complex)
             block = max(1, 2 ** 18 // act.size)
@@ -492,6 +471,17 @@ def green_point_closed(kind: GreenKind, x, t: float, spec: ProblemSpec):
             params = HFunctionParams(a, b, rho, kern.ml_index)
             h[side] = h_function(params, np.exp(log_arg[side]))
     out = t ** kern.tpow / (b * ax) * h
+    # the contour stops at the absolute _H_ABS_TOL; carried through the
+    # prefactor, that stop may exceed both the value and _H_ABS_TOL itself
+    # (tiny |x|), and then no digit of the value is certain
+    stop = _H_ABS_TOL * t ** kern.tpow / (b * ax)
+    lost = ((stop > np.abs(out)) & (stop > _H_ABS_TOL)).ravel()
+    if lost.any():
+        i = np.flatnonzero(lost)[0]
+        raise HAccuracyError(
+            f"at x = {xs.ravel()[i]:g}, t = {t:g} the H contour's absolute "
+            f"tolerance {_H_ABS_TOL:g} becomes {stop.ravel()[i]:.3g} in G, "
+            f"above the value {out.ravel()[i]:.3g}")
     return float(out) if xs.ndim == 0 else out
 
 

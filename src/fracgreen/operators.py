@@ -45,26 +45,37 @@ def riesz_feller_symbol(p: SymbolParams, k):
     """Fourier symbol Psi(k) = |k|^order * exp(i sign(k) skew pi/2).
 
     The operator itself acts as multiplication by -Psi; the value at
-    k = 0 is 0 by continuity.  Accepts scalars or arrays.
+    k = 0 is 0 by continuity.  Accepts scalars or arrays.  A complex k
+    takes the analytic continuation from the half line s = sign(Re k),
+    (s k)^order exp(i s skew pi/2), and refuses Re k = 0 != k.
     """
-    k = np.asarray(k, dtype=float)
+    k = np.asarray(k)
     scalar = k.ndim == 0
     k = np.atleast_1d(k)
-    mag = np.abs(k) ** p.order
-    phase = np.exp(1j * np.sign(k) * p.skew * np.pi / 2.0)
-    out = np.where(k == 0.0, 0.0 + 0.0j, mag * phase)
+    if np.iscomplexobj(k):
+        s = np.sign(k.real)
+        cut = (s == 0.0) & (k != 0.0)
+        if cut.any():
+            raise ValueError(f"k = {k[cut][0]} lies between the "
+                             f"continuations from k > 0 and k < 0")
+        z = s * k
+        out = np.abs(z) ** p.order * np.exp(
+            1j * (p.order * np.angle(z) + s * p.skew * np.pi / 2.0))
+    else:
+        k = k.astype(float)
+        mag = np.abs(k) ** p.order
+        phase = np.exp(1j * np.sign(k) * p.skew * np.pi / 2.0)
+        out = np.where(k == 0.0, 0.0 + 0.0j, mag * phase)
     return complex(out[0]) if scalar else out
 
 
 def gl_weights(order: float, n: int) -> np.ndarray:
-    """Binomial weights (-1)^j C(order, j), j = 0..n, by the usual recursion."""
+    """Binomial weights (-1)^j C(order, j), j = 0..n, by the usual recursion
+    w_j = w_(j-1) (1 - (order + 1) / j), one running product."""
     if order <= 0:
         raise ValueError("order must be positive")
     if n < 0:
         raise ValueError("n must be non-negative")
-    w = np.empty(n + 1)
-    w[0] = 1.0
-    for j in range(1, n + 1):
-        w[j] = w[j - 1] * (1.0 - (order + 1.0) / j)
-    return w
+    steps = 1.0 - (order + 1.0) / np.arange(1.0, n + 1.0)
+    return np.cumprod(np.concatenate(([1.0], steps)))
 

@@ -24,6 +24,11 @@ class OracleInstabilityError(Exception):
 # stays small; wider blocks run faster but keep more history alive.
 _BLOCK_MODES = 64
 
+# The most steps one run may take: 16x the 1024 of a dt = 1/1024 run to
+# t = 1, with a 16 MiB history per block.  The work grows as n_steps^2,
+# so a tiny dt is refused rather than left to run for hours.
+_MAX_STEPS = 2 ** 14
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -35,6 +40,10 @@ class OracleConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.n_steps < 1:
             raise ValueError("need at least one step")
+        if self.n_steps > _MAX_STEPS:
+            raise ValueError(f"dt = {self.dt:g} needs {self.n_steps:.6g} "
+                             f"steps, over the oracle's bound of "
+                             f"{_MAX_STEPS}; raise dt")
 
 
 def _evolve(alpha, c, v, cfg, rows):

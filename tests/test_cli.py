@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fracgreen import cli
 
@@ -106,6 +109,17 @@ class TestGreen:
         err = capsys.readouterr().err
         assert "rate 0 " in err and "|theta_eff| = 2 - alpha" in err
 
+    def test_auto_exits_3_where_both_methods_refuse(self, tmp_path, capsys):
+        # at x = 1e-100 the closed form cannot bound its value and the rays
+        # run out of the double range: auto falls back, and the rays' error
+        # is the one reported
+        out = tmp_path / "g.csv"
+        assert run(["green", "--alpha", "0.3", "--beta", "0.3",
+                    "--x-range", "1e-100", "2e-100", "--nx", "2",
+                    "--t", "2", "-o", str(out)]) == 3
+        assert "the ray at x = 1e-100 runs to" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_x_zero_on_the_grid(self, tmp_path, capsys):
         # the closed form has a 1/|x| prefactor: auto answers the whole
         # time by quadrature, closed refuses
@@ -152,6 +166,50 @@ class TestGreen:
         assert run(["green", "--alpha", "0.5", "--beta", "2",
                     "--theta", "0.1", "--t", "1",
                     "--x-range", "-1", "1", "--nx", "3"]) == 2
+
+
+@st.composite
+def _quadrature_requests(draw):
+    """Flags of a `green --method quadrature` request on an admissible
+    one-order spec; a symmetric range with odd nx holds x = 0."""
+    kind = draw(st.sampled_from(["G", "G1", "G2"]))
+    alpha = draw(st.floats(1.05, 1.9) if kind == "G2" else st.floats(0.3, 1.9))
+    beta, gamma = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+    theta = draw(st.floats(-0.9, 0.9)) * min(beta, 2.0 - beta)
+    phi = draw(st.floats(-0.9, 0.9)) * min(gamma, 2.0 - gamma)
+    lo = draw(st.floats(-6.0, -0.05))
+    hi = draw(st.just(-lo) | st.floats(0.05, 6.0))
+    return ["green", "--kind", kind, "--alpha", repr(alpha),
+            "--beta", repr(beta), "--gamma", repr(gamma),
+            f"--theta={theta!r}", f"--phi={phi!r}",
+            "--x-range", repr(lo), repr(hi),
+            "--nx", str(draw(st.integers(2, 5))),
+            "--t", repr(draw(st.floats(0.3, 2.0))), "--method", "quadrature"]
+
+
+class TestColdWarm:
+    # each example starts a fresh interpreter (about 0.3 s), so it draws
+    # 10 rather than the profile's 40; python_env is the same for all
+    @settings(max_examples=10,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_quadrature_requests())
+    def test_quadrature_csv_is_the_same_cold_and_warm(self, python_env,
+                                                      args):
+        # the values are a function of the request alone: a fresh process
+        # and two calls in this warm one write the same bytes, or refuse
+        # alike
+        with tempfile.TemporaryDirectory() as tmp:
+            cold, warm = os.path.join(tmp, "cold.csv"), os.path.join(tmp, "w")
+            proc = subprocess.run(
+                [sys.executable, "-m", "fracgreen.cli", *args, "-o", cold],
+                env=python_env, capture_output=True, text=True)
+            assert proc.returncode in (0, 3), proc.stderr
+            codes = [run(args + ["-o", warm + f"{i}.csv"]) for i in (1, 2)]
+            assert codes == [proc.returncode] * 2, proc.stderr
+            if proc.returncode == 0:
+                want = open(cold, "rb").read()
+                for i in (1, 2):
+                    assert open(warm + f"{i}.csv", "rb").read() == want
 
 
 class TestSolveCompare:
@@ -230,6 +288,14 @@ class TestSolveCompare:
                     "--x-range", "-20", "20", "--nx", "32", "--t", "0.5",
                     "--dt", dt, "-o", str(tmp_path / "o.csv")]) == 2
         assert "dt must be positive and finite" in capsys.readouterr().err
+
+    def test_oracle_tiny_dt_is_refused_by_step_count(self, tmp_path, capsys):
+        assert run(["oracle", "--alpha", "0.8", "--beta", "1.6",
+                    "--x-range", "-20", "20", "--nx", "32", "--t", "0.5",
+                    "--dt", "1e-300", "-o", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "dt = 1e-300 needs 5e+299 steps" in err
+        assert not (tmp_path / "o.csv").exists()
 
 
 class TestValidate:

@@ -117,12 +117,17 @@ class TestGreenHat:
         gh = green_hat(GreenKind.G, k, 0.7, spec)
         assert np.allclose(gh, np.exp(-0.7 * k * k), atol=1e-12)
 
-    def test_zero_mode_is_mass(self):
-        spec = ProblemSpec(alpha=0.6, beta=1.5, theta=0.1)
-        t = 1.3
-        gh = green_hat(GreenKind.G, np.array([0.0]), t, spec)
-        assert gh[0].real == pytest.approx(green_mass(GreenKind.G, t, spec),
-                                           rel=1e-13)
+    @given(_admissible(), st.sampled_from([GreenKind.G, GreenKind.G2]),
+           st.floats(0.01, 100.0), st.complex_numbers(max_magnitude=10.0))
+    @example((0.6, 1.5, 0.1), GreenKind.G, 1.3, 1.0 + 0.0j)
+    def test_zero_mode_is_mass(self, abt, kind, t, lam):
+        # the rate vanishes at k = 0 for every coefficient, so G_hat(0, t)
+        # is t^tpow E_{a,b}(0) = t^tpow / Gamma(b), the mass, exactly
+        alpha, beta, theta = abt
+        if kind == GreenKind.G2 and alpha <= 1.0:
+            reject()
+        spec = ProblemSpec(alpha=alpha, beta=beta, theta=theta, lam=lam)
+        assert green_hat(kind, 0.0, t, spec) == green_mass(kind, t, spec)
 
     def test_source_kernel_riesz_mode_carries_symbol(self):
         spec = ProblemSpec(alpha=0.7, beta=1.5, gamma=0.9, theta=0.1)
@@ -637,6 +642,22 @@ class TestClosedForm:
                   for x in xs])
         with pytest.raises(ValueError):
             green_point_closed(GreenKind.G, np.array([1.0, 0.0]), 1.0, spec)
+
+    def test_tiny_x_past_the_contour_tolerance_is_named(self):
+        # at x = 1e-100 the contour's absolute stop 1e-12, divided by
+        # beta |x|, is 2e88 in G, and the value read -9.96e66 where the
+        # small-|x| law gives +5.4e38; each x alone raises too
+        spec = ProblemSpec(alpha=0.3, beta=0.3)
+        for xs in ([1e-100, 2e-100], [2e-100], -1e-100):
+            with pytest.raises(HAccuracyError,
+                               match=r"at x = -?[12]e-100, t = 2 the H "
+                                     r"contour's absolute tolerance 1e-12 "
+                                     r"becomes .* above the value"):
+                green_point_closed(GreenKind.G, xs, 2.0, spec)
+        # further out the closed form answers, as the rays do
+        got = green_point_closed(GreenKind.G, 1e-6, 2.0, spec)
+        ray = green_points(GreenKind.G, [1e-6], 2.0, spec)[0]
+        assert got == pytest.approx(ray.real, rel=1e-12)
 
     @pytest.mark.parametrize("alpha, beta, theta",
                              [(0.8, 1.7, 0.1), (0.6, 1.3, 0.0),

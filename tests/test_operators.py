@@ -30,6 +30,22 @@ class TestSymbol:
         w = riesz_feller_symbol(p, -2.0)
         assert w == pytest.approx(v.conjugate())
 
+    def test_complex_k_continues_each_half_line(self):
+        # k = r e^(-i rot) continues k > 0 and k = -r e^(i rot) continues
+        # k < 0; the two rays' values are exact conjugates
+        p = SymbolParams(order=1.3, skew=0.4)
+        r, rot = np.array([0.5, 2.0, 7.0]), 0.3
+        up = riesz_feller_symbol(p, r * np.exp(-1j * rot))
+        ref = r ** 1.3 * np.exp(1j * (0.4 * np.pi / 2.0 - 1.3 * rot))
+        assert np.allclose(up, ref, rtol=1e-14, atol=0.0)
+        down = riesz_feller_symbol(p, -r * np.exp(1j * rot))
+        assert np.array_equal(down, up.conjugate())
+        k = np.array([-3.0, -0.5, 0.0, 0.5, 3.0])
+        assert np.allclose(riesz_feller_symbol(p, k + 0j),
+                           riesz_feller_symbol(p, k), rtol=1e-15, atol=0.0)
+        with pytest.raises(ValueError, match=r"k = 2j lies between"):
+            riesz_feller_symbol(p, [1.0 + 1j, 2j])
+
     def test_scalar_input_returns_scalar(self):
         assert isinstance(riesz_feller_symbol(SymbolParams(1.0), 3.0),
                           complex)
@@ -62,6 +78,15 @@ class TestGLWeights:
         s800 = abs(gl_weights(a, 800).sum())
         assert s800 < s200
         assert s800 < 0.02
+
+    @pytest.mark.parametrize("order", [0.3, 0.8, 1.5, 1.99])
+    def test_running_product_repeats_the_loop_bytes(self, order):
+        for n in (0, 1, 2, 7, 64, 1000, 4096):
+            ref = np.empty(n + 1)
+            ref[0] = 1.0
+            for j in range(1, n + 1):
+                ref[j] = ref[j - 1] * (1.0 - (order + 1.0) / j)
+            assert gl_weights(order, n).tobytes() == ref.tobytes()
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

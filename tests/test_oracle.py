@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from _reference import gl_mode_evolve_loop
+from fracgreen import oracle
 from fracgreen.green import ProblemSpec
 from fracgreen.oracle import (OracleConfig, OracleInstabilityError,
                               oracle_mode_evolve, oracle_solve)
@@ -69,6 +70,16 @@ class TestModeEvolve:
                 OracleConfig(dt, 4)
         with pytest.raises(ValueError):
             OracleConfig(0.01, 0)
+
+    def test_step_count_is_bounded(self):
+        # refused on construction, before any weights or history exist
+        with pytest.raises(ValueError,
+                           match=r"dt = 1e-300 needs 1e\+300 steps, over "
+                                 r"the oracle's bound of 16384"):
+            OracleConfig(1e-300, 10 ** 300)
+        with pytest.raises(ValueError, match="needs 16385 steps"):
+            OracleConfig(1.0 / 16384, oracle._MAX_STEPS + 1)
+        assert OracleConfig(1.0 / 16384, oracle._MAX_STEPS).n_steps == 16384
 
 
 def _modes(n_modes, spread=40.0):
