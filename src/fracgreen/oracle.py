@@ -7,6 +7,7 @@ the closed-form path is a genuine cross-check.
 """
 
 from dataclasses import dataclass
+from decimal import Context, Decimal
 
 import numpy as np
 
@@ -41,9 +42,9 @@ class OracleConfig:
         if self.n_steps < 1:
             raise ValueError("need at least one step")
         if self.n_steps > _MAX_STEPS:
-            raise ValueError(f"dt = {self.dt:g} needs {self.n_steps:.6g} "
-                             f"steps, over the oracle's bound of "
-                             f"{_MAX_STEPS}; raise dt")
+            steps = Decimal(int(self.n_steps)).normalize(Context(prec=6))
+            raise ValueError(f"dt = {self.dt:g} needs {steps:g} steps, over "
+                             f"the oracle's bound of {_MAX_STEPS}; raise dt")
 
 
 def _evolve(alpha, c, v, cfg, rows):

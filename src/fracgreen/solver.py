@@ -215,20 +215,29 @@ def _padded_fft(desc: SourceDescriptor, grid: SpaceTimeGrid, M: int):
     return np.fft.fft(col, n=M) if col.any() else np.zeros(M, dtype=complex)
 
 
-def _window_verdict(ghat, M, nx):
-    """The warning that the padded convolution cannot be trusted, or None.
-
-    First the resolution: when |G_hat| at the largest padded wavenumber is
-    not small against |G_hat(0)|, the grid under-resolves the kernel and
-    its transform rings round the whole ring, so far "mass" is an artefact
-    and the remedy is a finer grid.  Otherwise kernel mass beyond half the
-    (M - nx)/2 grid offsets of slack on either side is about to wrap onto
-    the window and corrupt the convolution.
-    """
-    ratio = abs(ghat[M // 2]) / max(abs(ghat[0]), 1e-300)
+def _under_resolved(p, M):
+    """The warning that the grid under-resolves the transform p, or None.
+    The scale is max |p|, as m_S(0) = 0 in the riesz_feller source mode;
+    |p(k_N)| at most 1e-2 |p(0)| or 1e-2 |p(k_1)| needs no pass over p."""
+    edge = abs(p[M // 2])
+    if edge <= 1e-2 * max(abs(p[0]), abs(p[1])):
+        return None
+    ratio = edge / np.abs(p).max()
     if ratio > 1e-2:
-        return (f"kernel under-resolved: |G_hat| at the largest wavenumber "
-                f"is {ratio:.1e} of |G_hat(0)|; increase nx")
+        return (f"field under-resolved: |N_hat| at the largest wavenumber "
+                f"is {ratio:.1e} of its largest value; increase nx")
+    return None
+
+
+@functools.lru_cache(maxsize=16)
+def _far_mass(kern, spec: ProblemSpec, M: int, dx: float, ts: tuple, nx):
+    """The warning that the kernel of a _kernel_table key, at the last of
+    ts, has mass beyond half the (M - nx)/2 offsets of slack on either
+    side, about to wrap onto the window, or None.  A kernel the grid does
+    not resolve rings, and its far "mass" is an artefact: it goes unread."""
+    ghat = _kernel_table(kern, spec, M, dx, ts)[-1]
+    if _under_resolved(ghat, M) is not None:
+        return None
     h = np.abs(np.fft.ifft(ghat))
     offs = np.minimum(np.arange(M), M - np.arange(M))
     far = h[offs > (M - nx) // 2].sum() / max(h.sum(), 1e-300)
@@ -238,11 +247,7 @@ def _window_verdict(ghat, M, nx):
     return None
 
 
-# a plan's window verdict before the first solve reads it
-_UNREAD = object()
-
-
-@dataclass
+@dataclass(frozen=True)
 class _SolvePlan:
     """What solve derives from (spec, grid, kinds, block step) alone.
 
@@ -250,16 +255,12 @@ class _SolvePlan:
     nonzero data in the order f, g, U; blocks the (first row, times) of
     each block of output times; source the read-only factor s mu m_S of
     the source datum, or None; grows the growth warning's text, or None.
-    window is the window warning's text, or None, and _UNREAD until the
-    first solve on the plan reads the first kernel's table at the last
-    time; solves that race to read it write the same text.
     """
 
     kernels: tuple
     blocks: tuple
     source: object
     grows: str
-    window: object
 
 
 @functools.lru_cache(maxsize=16)
@@ -274,7 +275,7 @@ def _plan(spec: ProblemSpec, grid: SpaceTimeGrid, kinds: tuple,
     source = None
     if _SOURCE in kinds:
         # s mu m_S stays on the datum side: the source kernel keeps its
-        # positive k = 0 value t^a / Gamma(a + 1) for the window check
+        # positive k = 0 value t^a / Gamma(a + 1) for the far-mass check
         m_s = (-riesz_feller_symbol(spec.source_symbol(),
                                     _padded_wavenumbers(grid)[1])
                if spec.source_mode == "riesz_feller" else 1.0)
@@ -289,11 +290,8 @@ def _plan(spec: ProblemSpec, grid: SpaceTimeGrid, kinds: tuple,
                  f"{ph / math.pi:.4g} pi inside alpha pi/2 = "
                  f"{spec.alpha / 2.0:.4g} pi; the kernel has no real-space "
                  f"form and the field does not converge in nx")
-    # the localization heuristic only makes sense for dissipative kernels;
-    # dispersive (imaginary-coefficient) ones never localize
-    window = _UNREAD if spec.lam.real > 0.0 and ph is None else None
     return _SolvePlan(tuple(_kernel(kind, spec) for kind in kinds), blocks,
-                      source, grows, window)
+                      source, grows)
 
 
 def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
@@ -315,8 +313,8 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
     identical arguments are evaluated once; past _BLOCK_VALUES values the
     times go in blocks, one call per block, so working memory does not
     grow with their number.  A zero datum costs nothing.  Each row of
-    the result equals the single-time solve at its t.  The window check
-    reads the first term's kernel (G or G3 when f is given) at the last t.
+    the result equals the single-time solve at its t.  The window checks
+    read the transform inverted at the last t, then the first term's kernel.
 
     What does not depend on the data is reused within a process.  The 16
     most recently used kernel tables are kept, keyed on (kernel, spec,
@@ -325,12 +323,12 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
     nx = 2048.  The 16 most recently used plans are kept, keyed on (spec,
     grid, the kernels of the nonzero data, the block step): the time
     blocks, s mu m_S (at most M values, 2 MB for all 16 up to
-    nx = 2048), the growth warning and the window check's verdict.  A
-    repeated solve on a (spec, grid) then renders and transforms each
-    datum given, multiplies by the kept tables and makes one inverse FFT
-    per block: no Mittag-Leffler call, no symbol and no window check.
-    The values do not depend on which solves came before, and the
-    warnings are raised on every call.
+    nx = 2048) and the growth warning; each table key's far-mass verdict
+    is kept too.  A repeated solve on a (spec, grid) then renders and
+    transforms each datum given, multiplies by the kept tables and makes
+    one inverse FFT per block: no Mittag-Leffler call and no symbol.  The
+    values do not depend on which solves came before, and the warnings
+    are raised on every call.
     """
     if g.kind != "zero" and spec.alpha <= 1.0:
         raise SpecValidationError(
@@ -375,13 +373,14 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
         warnings.warn(plan.grows, stacklevel=2)
     out = np.empty((len(grid.times), nx), dtype=complex)
     for lo, ts in plan.blocks:
-        rows = [_kernel_table(kern, spec, M, grid.dx, ts)
-                for _, kern in zip(data, plan.kernels)]
-        nhat = functools.reduce(np.add, (datum * r for datum, r
-                                         in zip(data, rows)))
+        nhat = functools.reduce(np.add, (
+            datum * _kernel_table(kern, spec, M, grid.dx, ts)
+            for datum, kern in zip(data, plan.kernels)))
         out[lo:lo + len(ts)] = np.fft.ifft(nhat, axis=1)[:, :nx]
-    if plan.window is _UNREAD:
-        plan.window = _window_verdict(rows[0][-1], M, nx)
-    if plan.window is not None:
-        warnings.warn(plan.window, stacklevel=2)
+    # dispersive (imaginary-coefficient) kernels never localize
+    if spec.lam.real > 0.0 and plan.grows is None:
+        window = (_under_resolved(nhat[-1], M)
+                  or _far_mass(plan.kernels[0], spec, M, grid.dx, ts, nx))
+        if window is not None:
+            warnings.warn(window, stacklevel=2)
     return Field(grid=grid, values=out)

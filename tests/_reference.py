@@ -8,7 +8,8 @@ its real-space integral representation, the self-coupled kernels at
 x = 0 from their k integral, and any kernel at x != 0 from scipy's
 Fourier-weighted quadrature of its transform.  The Grunwald-Letnikov
 step loop that the oracle replaced by mode blocks is kept here as the
-oracle's reference.
+oracle's reference, and the oracle's field extrapolated in dt as a
+sharp check on solve.
 """
 
 import functools
@@ -23,7 +24,8 @@ from scipy.special import loggamma
 
 from fracgreen.fracmath import MLConvergenceError
 from fracgreen.operators import SymbolParams, gl_weights
-from fracgreen.oracle import OracleInstabilityError
+from fracgreen.oracle import (OracleConfig, OracleInstabilityError,
+                              oracle_solve)
 
 
 def ml_mpmath(alpha: float, beta: float, z: complex) -> complex:
@@ -301,3 +303,15 @@ def gl_mode_evolve_loop(alpha: float, coeffs, init, cfg):
             raise OracleInstabilityError(
                 f"GL iteration diverged at step {i + 1}")
     return out
+
+
+def oracle_richardson(spec, f, grid):
+    """oracle_solve's field on grid from dt = T/256, T/512 and T/1024, T
+    the last output time, with two Richardson levels.  The
+    Grunwald-Letnikov error has an expansion in whole powers of dt (Lubich,
+    SIAM J. Math. Anal. 17(3), 1986): the first level removes its dt term,
+    the second its dt^2 term."""
+    u = [oracle_solve(spec, f, grid, OracleConfig(grid.times[-1] / n, n))
+         .values for n in (256, 512, 1024)]
+    once = [2.0 * fine - coarse for coarse, fine in zip(u, u[1:])]
+    return (4.0 * once[1] - once[0]) / 3.0

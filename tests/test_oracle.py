@@ -2,11 +2,12 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from _reference import gl_mode_evolve_loop
+from _reference import gl_mode_evolve_loop, oracle_richardson
 from fracgreen import oracle
 from fracgreen.green import ProblemSpec
 from fracgreen.oracle import (OracleConfig, OracleInstabilityError,
@@ -77,6 +78,10 @@ class TestModeEvolve:
                            match=r"dt = 1e-300 needs 1e\+300 steps, over "
                                  r"the oracle's bound of 16384"):
             OracleConfig(1e-300, 10 ** 300)
+        # past the float range the count is still named, as an integer
+        with pytest.raises(ValueError,
+                           match=r"dt = 0\.001 needs 1e\+400 steps"):
+            OracleConfig(1e-3, 10 ** 400)
         with pytest.raises(ValueError, match="needs 16385 steps"):
             OracleConfig(1.0 / 16384, oracle._MAX_STEPS + 1)
         assert OracleConfig(1.0 / 16384, oracle._MAX_STEPS).n_steps == 16384
@@ -226,3 +231,28 @@ class TestOracleSolve:
         with pytest.raises(ValueError):
             oracle_solve(spec, SourceDescriptor.delta(), grid,
                          OracleConfig(1.0 / 64, 64))
+
+
+class TestRichardson:
+    """The oracle extrapolated twice in dt holds solve far tighter than
+    criterion 6's first-order gaps of 1.9e-4 to 4.3e-4 at dt = 1/1024."""
+
+    @pytest.mark.parametrize("spec, warn", [
+        (ProblemSpec(alpha=0.6, beta=1.4, theta=0.2), None),
+        (ProblemSpec(alpha=0.9, beta=1.8), None),
+        (ProblemSpec(alpha=1.5, beta=1.9), None),
+        # the gamma = 0.9 operator's |x|^-1.9 far field leaves the window,
+        # and the oracle runs on the same periodic modes
+        (ProblemSpec(alpha=0.8, beta=1.6, gamma=0.9, theta=0.1, phi=0.05,
+                     mu=0.7, source_coupling="self"), "mass outside"),
+    ], ids=["criterion6_a0.6", "criterion6_a0.9", "criterion6_a1.5", "G3"])
+    def test_extrapolated_oracle_matches_solve(self, spec, warn):
+        grid = SpaceTimeGrid(-40.0, 40.0, 256, (1.0,))
+        f, z = SourceDescriptor.gaussian(0.0, 1.0), SourceDescriptor.zero()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ref = solve(spec, f, z, z, grid).values[-1]
+        assert [warn in str(w.message) for w in caught] \
+            == ([True] if warn else [])
+        got = oracle_richardson(spec, f, grid)[-1]
+        assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-7

@@ -177,7 +177,11 @@ class TestSolve:
                            source_mode="identity")
         grid = SpaceTimeGrid(-30.0, 30.0, 128, (1.0,))
         U = SourceDescriptor.gaussian(0.0, 1.5)
-        fld = solve(spec, self._zero(), self._zero(), U, grid)
+        # the kernel alone reads under-resolved (5.1e-2 at k_N); the
+        # product with the Gaussian's transform is 0 there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fld = solve(spec, self._zero(), self._zero(), U, grid)
         # exact per mode: mu U_hat t^a E_{a,a+1}(-lam Psi t^a)
         from fracgreen.solver import _padded_wavenumbers
         M, k = _padded_wavenumbers(grid)
@@ -197,7 +201,11 @@ class TestSolve:
                            phi=0.1, mu=0.6, source_mode="riesz_feller")
         grid = SpaceTimeGrid(-20.0, 20.0, 128, (1.0,))
         U = SourceDescriptor.gaussian(0.0, 1.5)
-        fld = solve(spec, self._zero(), self._zero(), U, grid)
+        # resolved: the product with the Gaussian's transform is 0 at k_N,
+        # where the kernel alone is 3.1e-2 (alpha 1) or 4.1e-2 (1.45)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fld = solve(spec, self._zero(), self._zero(), U, grid)
         from fracgreen.solver import _padded_wavenumbers
         M, k = _padded_wavenumbers(grid)
         col = np.zeros(M, dtype=complex)
@@ -281,8 +289,9 @@ class TestSolve:
             solve(spec, f, self._zero(), self._zero(), grid)
 
     def test_under_resolved_grid_asks_for_more_points(self):
-        # |G_hat| at the largest wavenumber is 0.13 of |G_hat(0)| here: the
-        # far "mass" is ringing, so widening the grid would make it worse
+        # |N_hat| at the largest wavenumber is 0.062 of its largest value
+        # here (the kernel's own ratio is 0.13): the far "mass" is ringing,
+        # so widening the grid would make it worse
         spec = ProblemSpec(alpha=1.0, beta=1.5, theta=0.2)
         grid = SpaceTimeGrid(-60.0, 60.0, 64, (1.0,))
         f = SourceDescriptor.gaussian(0.0, 1.0)
@@ -290,7 +299,7 @@ class TestSolve:
             warnings.simplefilter("always")
             solve(spec, f, self._zero(), self._zero(), grid)
         text = " ".join(str(w.message) for w in caught)
-        assert "increase nx" in text and "1.3e-01" in text
+        assert "increase nx" in text and "6.2e-02" in text
         assert "widen the grid" not in text
 
     def test_growing_kernel_warning_names_the_growth(self):
@@ -553,10 +562,12 @@ class TestKernelMemo:
             specs.reverse()
         box = SourceDescriptor.box(-1.0, 1.5)
         solver._kernel_table.cache_clear()
+        solver._far_mass.cache_clear()
         first, second = (_messages(sp, self._GAUSS, box, box, self._GRID)[0]
                          for sp in specs)
-        # the second solve read the first one's G, G2 and source tables
-        assert solver._kernel_table.cache_info().hits == 3
+        # the first solve's far-mass check read its G table, and the second
+        # solve read the first one's G, G2 and source tables
+        assert solver._kernel_table.cache_info().hits == 4
         solver._kernel_table.cache_clear()
         alone, _ = _messages(specs[1], self._GAUSS, box, box, self._GRID)
         assert first.tobytes() == second.tobytes() == alone.tobytes()
@@ -577,6 +588,7 @@ class TestPlan:
     def _clear():
         solver._plan.cache_clear()
         solver._kernel_table.cache_clear()
+        solver._far_mass.cache_clear()
 
     @given(_solve_cases(), st.sampled_from([solver._BLOCK_VALUES, 256]))
     def test_hit_after_other_data_equals_a_cleared_solve(self, case, block):
@@ -625,9 +637,10 @@ class TestPlan:
     _NARROW = SpaceTimeGrid(-3.0, 3.0, 64, (0.5, 1.0, 2.0))
 
     @pytest.mark.parametrize("spec, data, grid, block, text, blocks", [
-        # every kernel and the riesz_feller source factor, 2 blocks
+        # every kernel and the riesz_feller source factor, 2 blocks; f is a
+        # delta ("d"), whose flat transform leaves the field unresolved
         (ProblemSpec(alpha=1.4, beta=1.6, theta=0.1, gamma=1.2, phi=0.1,
-                     mu=0.6), "fgU", _GRID, 256, "under-resolved", 2),
+                     mu=0.6), "dgU", _GRID, 256, "under-resolved", 2),
         # the window check's inverse FFT runs on the miss alone
         (ProblemSpec(alpha=0.8, beta=1.1), "f", _NARROW,
          solver._BLOCK_VALUES, "mass outside", 1),
@@ -639,7 +652,8 @@ class TestPlan:
     ], ids=["rf_source_two_blocks", "window", "source_window", "growing"])
     def test_hit_derives_nothing_from_spec_and_grid(
             self, monkeypatch, spec, data, grid, block, text, blocks):
-        f = self._GAUSS if "f" in data else self._ZERO
+        f = (self._GAUSS if "f" in data else SourceDescriptor.delta()
+             if "d" in data else self._ZERO)
         g = self._BOX if "g" in data else self._ZERO
         U = self._BOX if "U" in data else self._ZERO
         counts = dict.fromkeys(["ml", "symbol", "growth", "ifft"], 0)
@@ -668,6 +682,25 @@ class TestPlan:
         assert counts == dict(ml=0, symbol=0, growth=0, ifft=blocks)
         assert again.tobytes() == values.tobytes() and hit == miss
         assert len(hit) == sum(text in m for m in hit) == 1
+
+    def test_resolution_is_judged_on_each_solves_data(self):
+        # one plan, whose source kernel reads 1.4e-1 at the largest
+        # wavenumber: a box's slowly decaying transform leaves the field
+        # unresolved there, a Gaussian's does not
+        spec = ProblemSpec(alpha=0.93, beta=1.6, mu=0.7,
+                           source_mode="identity")
+        grid = SpaceTimeGrid(-30.0, 30.0, 64, (1.0,))
+        box, gauss = SourceDescriptor.box(-1.0, 1.0), self._GAUSS
+        self._clear()
+        for U in (box, gauss, box, gauss):
+            _, caught = _messages(spec, self._ZERO, self._ZERO, U, grid)
+            if U is box:
+                assert len(caught) == 1
+                assert "under-resolved" in caught[0]
+                assert "is 4.6e-02 of" in caught[0]
+            else:
+                assert caught == []
+        assert solver._plan.cache_info().hits == 3
 
     def test_underflowed_source_adds_no_term(self):
         # s mu m_S U_hat is zero in every mode: U adds no kernel, no
