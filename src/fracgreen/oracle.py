@@ -39,11 +39,14 @@ class OracleConfig:
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if self.n_steps < 1:
-            raise ValueError("need at least one step")
+        if not self.n_steps >= 1:
+            raise ValueError(f"need at least one step, got {self.n_steps}")
         if self.n_steps > _MAX_STEPS:
-            steps = Decimal(int(self.n_steps)).normalize(Context(prec=6))
-            raise ValueError(f"dt = {self.dt:g} needs {steps:g} steps, over "
+            try:
+                steps = f"{self.n_steps:.6g}"
+            except OverflowError:  # an integer past the float range
+                steps = f"{Decimal(self.n_steps).normalize(Context(prec=6)):g}"
+            raise ValueError(f"dt = {self.dt:g} needs {steps} steps, over "
                              f"the oracle's bound of {_MAX_STEPS}; raise dt")
 
 

@@ -69,8 +69,9 @@ class TestModeEvolve:
         for dt in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="dt must be"):
                 OracleConfig(dt, 4)
-        with pytest.raises(ValueError):
-            OracleConfig(0.01, 0)
+        for n in (0, math.nan):
+            with pytest.raises(ValueError, match="need at least one step"):
+                OracleConfig(0.01, n)
 
     def test_step_count_is_bounded(self):
         # refused on construction, before any weights or history exist
@@ -82,6 +83,8 @@ class TestModeEvolve:
         with pytest.raises(ValueError,
                            match=r"dt = 0\.001 needs 1e\+400 steps"):
             OracleConfig(1e-3, 10 ** 400)
+        with pytest.raises(ValueError, match=r"dt = 0\.001 needs inf steps"):
+            OracleConfig(1e-3, math.inf)
         with pytest.raises(ValueError, match="needs 16385 steps"):
             OracleConfig(1.0 / 16384, oracle._MAX_STEPS + 1)
         assert OracleConfig(1.0 / 16384, oracle._MAX_STEPS).n_steps == 16384

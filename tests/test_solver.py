@@ -289,9 +289,9 @@ class TestSolve:
             solve(spec, f, self._zero(), self._zero(), grid)
 
     def test_under_resolved_grid_asks_for_more_points(self):
-        # |N_hat| at the largest wavenumber is 0.062 of its largest value
-        # here (the kernel's own ratio is 0.13): the far "mass" is ringing,
-        # so widening the grid would make it worse
+        # |N_hat| reaches 0.094 of its largest value near the largest
+        # wavenumber here (the kernel's own ratio at k_N is 0.13): the far
+        # "mass" is ringing, so widening the grid would make it worse
         spec = ProblemSpec(alpha=1.0, beta=1.5, theta=0.2)
         grid = SpaceTimeGrid(-60.0, 60.0, 64, (1.0,))
         f = SourceDescriptor.gaussian(0.0, 1.0)
@@ -299,7 +299,7 @@ class TestSolve:
             warnings.simplefilter("always")
             solve(spec, f, self._zero(), self._zero(), grid)
         text = " ".join(str(w.message) for w in caught)
-        assert "increase nx" in text and "6.2e-02" in text
+        assert "increase nx" in text and "9.4e-02" in text
         assert "widen the grid" not in text
 
     def test_growing_kernel_warning_names_the_growth(self):
@@ -565,9 +565,10 @@ class TestKernelMemo:
         solver._far_mass.cache_clear()
         first, second = (_messages(sp, self._GAUSS, box, box, self._GRID)[0]
                          for sp in specs)
-        # the first solve's far-mass check read its G table, and the second
-        # solve read the first one's G, G2 and source tables
-        assert solver._kernel_table.cache_info().hits == 4
+        # the field is under-resolved (the box over 2 points), so no
+        # far-mass check reads a table; the second solve read the first
+        # one's G, G2 and source tables
+        assert solver._kernel_table.cache_info().hits == 3
         solver._kernel_table.cache_clear()
         alone, _ = _messages(specs[1], self._GAUSS, box, box, self._GRID)
         assert first.tobytes() == second.tobytes() == alone.tobytes()
@@ -637,10 +638,9 @@ class TestPlan:
     _NARROW = SpaceTimeGrid(-3.0, 3.0, 64, (0.5, 1.0, 2.0))
 
     @pytest.mark.parametrize("spec, data, grid, block, text, blocks", [
-        # every kernel and the riesz_feller source factor, 2 blocks; f is a
-        # delta ("d"), whose flat transform leaves the field unresolved
+        # every kernel and the riesz_feller source factor, 2 blocks
         (ProblemSpec(alpha=1.4, beta=1.6, theta=0.1, gamma=1.2, phi=0.1,
-                     mu=0.6), "dgU", _GRID, 256, "under-resolved", 2),
+                     mu=0.6), "fgU", _GRID, 256, "under-resolved", 2),
         # the window check's inverse FFT runs on the miss alone
         (ProblemSpec(alpha=0.8, beta=1.1), "f", _NARROW,
          solver._BLOCK_VALUES, "mass outside", 1),
@@ -652,8 +652,7 @@ class TestPlan:
     ], ids=["rf_source_two_blocks", "window", "source_window", "growing"])
     def test_hit_derives_nothing_from_spec_and_grid(
             self, monkeypatch, spec, data, grid, block, text, blocks):
-        f = (self._GAUSS if "f" in data else SourceDescriptor.delta()
-             if "d" in data else self._ZERO)
+        f = self._GAUSS if "f" in data else self._ZERO
         g = self._BOX if "g" in data else self._ZERO
         U = self._BOX if "U" in data else self._ZERO
         counts = dict.fromkeys(["ml", "symbol", "growth", "ifft"], 0)
@@ -686,21 +685,25 @@ class TestPlan:
     def test_resolution_is_judged_on_each_solves_data(self):
         # one plan, whose source kernel reads 1.4e-1 at the largest
         # wavenumber: a box's slowly decaying transform leaves the field
-        # unresolved there, a Gaussian's does not
+        # unresolved there, a Gaussian's does not.  The box over the 4
+        # points -1.875 ... 0.9375 sums to 0 at k_N itself, so the rule
+        # must read the wavenumbers next to k_N as well
         spec = ProblemSpec(alpha=0.93, beta=1.6, mu=0.7,
                            source_mode="identity")
         grid = SpaceTimeGrid(-30.0, 30.0, 64, (1.0,))
-        box, gauss = SourceDescriptor.box(-1.0, 1.0), self._GAUSS
+        odd, even = SourceDescriptor.box(-1.0, 1.0), \
+            SourceDescriptor.box(-2.0, 1.0)
+        ratios = {odd: "4.9e-02", even: "3.1e-02", self._GAUSS: None}
         self._clear()
-        for U in (box, gauss, box, gauss):
+        for U in (odd, self._GAUSS, even, odd, self._GAUSS, even):
             _, caught = _messages(spec, self._ZERO, self._ZERO, U, grid)
-            if U is box:
+            if ratios[U] is None:
+                assert caught == []
+            else:
                 assert len(caught) == 1
                 assert "under-resolved" in caught[0]
-                assert "is 4.6e-02 of" in caught[0]
-            else:
-                assert caught == []
-        assert solver._plan.cache_info().hits == 3
+                assert f"reaches {ratios[U]} of" in caught[0]
+        assert solver._plan.cache_info().hits == 5
 
     def test_underflowed_source_adds_no_term(self):
         # s mu m_S U_hat is zero in every mode: U adds no kernel, no
