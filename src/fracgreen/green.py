@@ -136,15 +136,16 @@ _SOURCE = object()
 def _kernel(kind, spec: ProblemSpec) -> _Kernel:
     """The kernel table, GreenKinds and _SOURCE; G2/G4 need 1 < alpha <= 2."""
     a = spec.alpha
+    # the gamma-operator symbol m_S multiplies G1 and the source kernel
+    mult = spec.gamma if spec.source_mode == "riesz_feller" else 0.0
     if kind is _SOURCE:
-        return _Kernel(a + 1.0, a, 0.0, False)
+        return _Kernel(a + 1.0, a, mult, False)
     kind = GreenKind(kind)
     if kind in (GreenKind.G2, GreenKind.G4):
         if a <= 1.0:
             raise RegimeError(f"{kind.value} requires 1 < alpha <= 2, got {a}")
         return _Kernel(a - 1.0, a - 2.0, 0.0, kind == GreenKind.G4)
     if kind == GreenKind.G1:
-        mult = spec.gamma if spec.source_mode == "riesz_feller" else 0.0
         return _Kernel(a, 0.0, mult, False)
     return _Kernel(a, a - 1.0, 0.0, kind == GreenKind.G3)
 
