@@ -261,6 +261,8 @@ def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec, *,
     with two."""
     kern = _kernel(kind, spec)
     _check_time(t)
+    if not 0.0 < abs_tol < math.inf:
+        raise ValueError(f"abs_tol must be positive and finite, got {abs_tol}")
     xs = _finite_xs(xs)
     _check_dissipative(spec, kern.self_coupled)
     a, b, p = spec.alpha, kern.ml_index, kern.mult_order

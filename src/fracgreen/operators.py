@@ -45,27 +45,21 @@ def riesz_feller_symbol(p: SymbolParams, k):
     """Fourier symbol Psi(k) = |k|^order * exp(i sign(k) skew pi/2).
 
     The operator itself acts as multiplication by -Psi; the value at
-    k = 0 is 0 by continuity.  Accepts scalars or arrays.  A complex k
-    takes the analytic continuation from the half line s = sign(Re k),
-    (s k)^order exp(i s skew pi/2), and refuses Re k = 0 != k.
+    k = 0 is 0 by continuity.  Accepts scalars or arrays.  Every k, real
+    or complex, takes the continuation from the half line s = sign(Re k),
+    (s k)^order exp(i s skew pi/2), which refuses Re k = 0 != k.
     """
-    k = np.asarray(k)
+    k = np.asarray(k, dtype=complex) + 0j  # + 0j: k = -0.0 becomes 0
     scalar = k.ndim == 0
     k = np.atleast_1d(k)
-    if np.iscomplexobj(k):
-        s = np.sign(k.real)
-        cut = (s == 0.0) & (k != 0.0)
-        if cut.any():
-            raise ValueError(f"k = {k[cut][0]} lies between the "
-                             f"continuations from k > 0 and k < 0")
-        z = s * k
-        out = np.abs(z) ** p.order * np.exp(
-            1j * (p.order * np.angle(z) + s * p.skew * np.pi / 2.0))
-    else:
-        k = k.astype(float)
-        mag = np.abs(k) ** p.order
-        phase = np.exp(1j * np.sign(k) * p.skew * np.pi / 2.0)
-        out = np.where(k == 0.0, 0.0 + 0.0j, mag * phase)
+    s = np.sign(k.real)
+    cut = (s == 0.0) & (k != 0.0)
+    if cut.any():
+        raise ValueError(f"k = {k[cut][0]} lies between the "
+                         f"continuations from k > 0 and k < 0")
+    z = s * k
+    out = np.abs(z) ** p.order * np.exp(
+        1j * (p.order * np.angle(z) + s * p.skew * np.pi / 2.0))
     return complex(out[0]) if scalar else out
 
 

@@ -7,7 +7,6 @@ the closed-form path is a genuine cross-check.
 """
 
 from dataclasses import dataclass
-from decimal import Context, Decimal
 
 import numpy as np
 
@@ -44,10 +43,14 @@ class OracleConfig:
         if self.n_steps > _MAX_STEPS:
             try:
                 steps = f"{self.n_steps:.6g}"
-            except OverflowError:  # an integer past the float range
-                steps = f"{Decimal(self.n_steps).normalize(Context(prec=6)):g}"
+            except OverflowError:  # an integer past the float range: round
+                # its digits to 6 figures, half to even as :.6g would
+                d = str(round(self.n_steps, 6 - len(str(self.n_steps))))
+                steps = f"{d[0]}.{d[1:6]}".rstrip("0.") + f"e+{len(d) - 1}"
             raise ValueError(f"dt = {self.dt:g} needs {steps} steps, over "
                              f"the oracle's bound of {_MAX_STEPS}; raise dt")
+        if not isinstance(self.n_steps, (int, np.integer)):
+            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
 
 
 def _evolve(alpha, c, v, cfg, rows):

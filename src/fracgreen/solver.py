@@ -214,23 +214,6 @@ def _padded_fft(desc: SourceDescriptor, grid: SpaceTimeGrid, M: int):
     return np.fft.fft(col, n=M) if col.any() else np.zeros(M, dtype=complex)
 
 
-def _under_resolved(p, M):
-    """The warning that the grid under-resolves the transform p, or None.
-    It reads max |p| over |k| >= 7 k_N / 8, as a datum's sampled transform
-    can vanish at k_N itself (a box over an even number of points does).
-    The scale is max |p|, as m_S(0) = 0 in the riesz_feller source mode;
-    a top at most 1e-2 of |p| at k = 0, k_1 or k_N / 8 needs no pass over
-    all of p."""
-    top = np.abs(p[M // 2 - M // 16:M // 2 + M // 16 + 1]).max()
-    if top <= 1e-2 * max(abs(p[0]), abs(p[1]), abs(p[M // 16])):
-        return None
-    ratio = top / np.abs(p).max()
-    if ratio > 1e-2:
-        return (f"field under-resolved: |N_hat| near the largest wavenumber "
-                f"reaches {ratio:.1e} of its largest value; increase nx")
-    return None
-
-
 # solve warns that the field wraps round the padded period where |N| over
 # the middle half of the padding, at the last output time, exceeds this
 # fraction of its largest value in the window; the wrap error on the
@@ -239,13 +222,23 @@ def _under_resolved(p, M):
 _WRAP_RATIO = 1.5e-4
 
 
-def _mass_outside(row, nx):
-    """The warning that the field row, one inverse FFT of M values whose
-    first nx are the window, has mass in the padding about to wrap onto
-    the window, or None."""
-    q = (row.size - nx) // 4
-    far = np.abs(row[nx + q:row.size - q]).max()
-    near = np.abs(row[:nx]).max()
+def _window_verdict(nhat, row, nx):
+    """The warning that the window misses the field, or None: nhat is
+    its padded transform at one time, row the inverse FFT (window first).
+    Under-resolved: max |nhat| over |k| >= 7 k_N / 8 (a sampled box can
+    vanish at k_N itself) passes 1e-2 of max |nhat| (not of |nhat(0)|,
+    as m_S(0) = 0).  Else mass outside: max |N| over the middle half of
+    the padding passes _WRAP_RATIO of max |N| in the window."""
+    M = nhat.size
+    a = np.abs(nhat)
+    top = a[M // 2 - M // 16:M // 2 + M // 16 + 1].max()
+    ratio = top / a.max() if top else 0.0  # all of nhat may be 0
+    if ratio > 1e-2:
+        return (f"field under-resolved: |N_hat| near the largest wavenumber "
+                f"reaches {ratio:.1e} of its largest value; increase nx")
+    a = np.abs(row)
+    q = (M - nx) // 4
+    far, near = a[nx + q:M - q].max(), a[:nx].max()
     if far > _WRAP_RATIO * near:
         return (f"field mass outside the spatial window: |N| in the padding "
                 f"reaches {far / near:.1e} of its largest value in the "
@@ -306,9 +299,10 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
     identical arguments are evaluated once; past _BLOCK_VALUES values the
     times go in blocks, one call per block, so working memory does not
     grow with their number.  A zero datum costs nothing.  Each row of
-    the result equals the single-time solve at its t.  The window checks
-    read the last t: its transform for resolution, then its inverse FFT
-    over the whole padded period for mass about to wrap onto the window.
+    the result equals the single-time solve at its t.  One window check
+    (_window_verdict) reads the last t once: its transform for
+    resolution, then, if resolved, its inverse FFT over the whole padded
+    period for mass about to wrap onto the window.
 
     What does not depend on the data is kept within a process, the 16
     most recently used of each: kernel tables (_kernel_table), at most
@@ -366,7 +360,7 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
     verdict = plan.grows
     # dispersive (imaginary-coefficient) kernels never localize
     if verdict is None and spec.lam.real > 0.0:
-        verdict = _under_resolved(nhat[-1], M) or _mass_outside(rows[-1], nx)
+        verdict = _window_verdict(nhat[-1], rows[-1], nx)
     if verdict is not None:
         warnings.warn(verdict, stacklevel=2)
     return Field(grid=grid, values=out)

@@ -776,6 +776,15 @@ def test_non_finite_x_named(evaluate, x):
         evaluate(GreenKind.G, [0.5, x], 1.0, spec)
 
 
+@pytest.mark.parametrize("abs_tol", [0.0, -1e-9, math.inf, math.nan])
+def test_bad_abs_tol_named_before_any_evaluation(abs_tol, monkeypatch):
+    monkeypatch.setattr(green, "mittag_leffler_array", None)
+    spec = ProblemSpec(alpha=0.8, beta=1.6, theta=0.1)
+    with pytest.raises(ValueError, match=f"abs_tol must be positive and "
+                                         f"finite, got {abs_tol}"):
+        green_points(GreenKind.G, [0.0, 0.5], 1.0, spec, abs_tol=abs_tol)
+
+
 class TestMass:
     def test_mass_law_values(self):
         spec = ProblemSpec(alpha=0.5, beta=1.5)

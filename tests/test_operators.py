@@ -8,6 +8,7 @@ import pytest
 from scipy.special import binom
 
 from fracgreen.operators import SymbolParams, gl_weights, riesz_feller_symbol
+from fracgreen.solver import SpaceTimeGrid, _padded_wavenumbers
 
 from _reference import riesz_feller_apply
 
@@ -40,11 +41,28 @@ class TestSymbol:
         assert np.allclose(up, ref, rtol=1e-14, atol=0.0)
         down = riesz_feller_symbol(p, -r * np.exp(1j * rot))
         assert np.array_equal(down, up.conjugate())
-        k = np.array([-3.0, -0.5, 0.0, 0.5, 3.0])
-        assert np.allclose(riesz_feller_symbol(p, k + 0j),
-                           riesz_feller_symbol(p, k), rtol=1e-15, atol=0.0)
         with pytest.raises(ValueError, match=r"k = 2j lies between"):
             riesz_feller_symbol(p, [1.0 + 1j, 2j])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_real_k_is_the_real_axis_formula_bit_for_bit(self, seed):
+        # the continuation on the real axis, word for word, including the
+        # signed zeros: -0.0 is the first padded wavenumber
+        rng = np.random.default_rng(seed)
+        order = rng.uniform(0.05, 2.0)
+        bound = min(order, 2.0 - order)
+        skew = rng.choice([-bound, 0.0, bound, rng.uniform(-bound, bound)])
+        p = SymbolParams(order, skew)
+        _, k = _padded_wavenumbers(SpaceTimeGrid(-10.0, 10.0, 64, (1.0,)))
+        k = np.concatenate([k, [0.0, -0.0]])
+        ref = np.where(k == 0, 0, np.abs(k) ** order
+                       * np.exp(1j * np.sign(k) * skew * np.pi / 2))
+        np.testing.assert_array_equal(
+            riesz_feller_symbol(p, k).view(np.uint64), ref.view(np.uint64))
+        for j in (0, 1, -3, -1):  # scalars: -0.0, k_1, k_-1 and -0.0
+            np.testing.assert_array_equal(
+                np.array([riesz_feller_symbol(p, k[j])]).view(np.uint64),
+                ref[[j]].view(np.uint64))
 
     def test_scalar_input_returns_scalar(self):
         assert isinstance(riesz_feller_symbol(SymbolParams(1.0), 3.0),

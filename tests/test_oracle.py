@@ -73,6 +73,14 @@ class TestModeEvolve:
             with pytest.raises(ValueError, match="need at least one step"):
                 OracleConfig(0.01, n)
 
+    def test_step_count_must_be_an_integer(self):
+        # refused on construction, not as a TypeError inside oracle_solve
+        for n in (2.5, 3.0):
+            with pytest.raises(ValueError,
+                               match=f"n_steps must be an integer, got {n}"):
+                OracleConfig(0.01, n)
+        assert OracleConfig(0.01, np.int64(3)).n_steps == 3
+
     def test_step_count_is_bounded(self):
         # refused on construction, before any weights or history exist
         with pytest.raises(ValueError,

@@ -490,6 +490,18 @@ def _messages(spec, f, g, U, grid):
     return values, [str(w.message) for w in caught]
 
 
+def test_field_underflowing_in_every_mode_warns_nothing():
+    # a datum of subnormal samples times the kernel is 0 in every mode:
+    # the window check has no scale to divide by, and stays silent
+    col = np.zeros(16)
+    col[:2] = 5e-324, -5e-324
+    values, caught = _messages(
+        ProblemSpec(alpha=1.0, beta=2.0), SourceDescriptor.from_samples(col),
+        SourceDescriptor.zero(), SourceDescriptor.zero(),
+        SpaceTimeGrid(-8.0, 8.0, 16, (20.0,)))
+    assert not values.any() and caught == []
+
+
 def _wrap_draw(rng, case):
     """A seeded spec for one kind of solve (G, G2, either source mode or
     G3), a Gaussian datum's samples and one output time."""
