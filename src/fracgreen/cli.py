@@ -10,6 +10,7 @@ violation, 3 numerical-tolerance failure.
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -265,8 +266,18 @@ def _cmd_validate(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, as are its subparsers, that reads a token of '-'
+    then a digit (-1e-4, -1,0.5) as a value; argparse alone reads only
+    the forms -1 and -.5 so.  No fracgreen option starts that way."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def _build_parser():
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="fracgreen",
         description="Green functions and solutions of space-time "
                     "fractional diffusion-wave equations")

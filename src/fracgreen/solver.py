@@ -9,6 +9,7 @@ Int_0^t s^(a-1) E_{a,a}(-c s^a) ds = t^a E_{a,a+1}(-c t^a).
 
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -39,6 +40,10 @@ class SourceDescriptor:
         if self.kind == "gaussian" and not self.width > 0.0:
             raise ValueError(
                 f"gaussian width must be positive, got {self.width}")
+        if self.kind == "gaussian" and not (math.isfinite(self.center)
+                                            and math.isfinite(self.width)):
+            raise ValueError(f"gaussian center and width must be finite, "
+                             f"got {self.center}, {self.width}")
         if self.kind == "box" and not self.lo < self.hi:
             raise ValueError(f"box needs lo < hi, got [{self.lo}, {self.hi}]")
 
@@ -98,6 +103,11 @@ class SpaceTimeGrid:
     times: tuple
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "nx", operator.index(self.nx))
+        except TypeError:
+            raise ValueError(f"nx must be an integer, got {self.nx!r}") \
+                from None
         if self.nx < 8:
             raise ValueError("nx must be at least 8")
         if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)
@@ -193,18 +203,27 @@ def _wavenumbers(M: int, dx: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _kernel_table(kern, spec: ProblemSpec, M: int, dx: float, ts: tuple):
-    """Read-only _kernel_rows(kern, k, ts, spec) on the wavenumbers k of
-    (M, dx), solve's propagator for one kernel and block of output times.
+def _kernel_table(kind, spec: ProblemSpec, M: int, dx: float, ts: tuple):
+    """solve's propagator for one kernel kind (GreenKind or _SOURCE) and
+    block of output times: the read-only _kernel_rows on the wavenumbers
+    of (M, dx), and the warning that the kernel grows with |k|, or None.
 
-    The key holds every input of the table, and a Mittag-Leffler value
-    depends on its (alpha, beta, z) alone, so a hit returns the bytes a
-    miss computes.  A table holds at most max(_BLOCK_VALUES, M) values:
+    The key holds every input of both, and a Mittag-Leffler value depends
+    on its (alpha, beta, z) alone, so a hit returns the bytes and the text
+    a miss computes.  A table holds at most max(_BLOCK_VALUES, M) values:
     2 MB for the 16 kept on grids up to M = 8192 (nx <= 2048).
     """
+    kern = _kernel(kind, spec)
     table = _kernel_rows(kern, _wavenumbers(M, dx), ts, spec)
     table.flags.writeable = False
-    return table
+    ph = _growing_phase(spec, kern.self_coupled)
+    if ph is None:
+        return table, None
+    # refining the grid only admits larger |G_hat|
+    return table, (f"G_hat grows with |k|: Mittag-Leffler argument phase "
+                   f"{ph / math.pi:.4g} pi inside alpha pi/2 = "
+                   f"{spec.alpha / 2.0:.4g} pi; the kernel has no real-space "
+                   f"form and the field does not converge in nx")
 
 
 def _padded_fft(desc: SourceDescriptor, grid: SpaceTimeGrid, M: int):
@@ -246,40 +265,6 @@ def _window_verdict(nhat, row, nx):
     return None
 
 
-@dataclass(frozen=True)
-class _SolvePlan:
-    """What solve derives from (spec, grid, kinds, block step) alone.
-
-    kernels holds the kernel of each kind in kinds, the kinds of the
-    nonzero data in the order f, g, U; blocks the (first row, times) of
-    each block of output times; grows the growth warning's text, or None.
-    """
-
-    kernels: tuple
-    blocks: tuple
-    grows: str
-
-
-@functools.lru_cache(maxsize=16)
-def _plan(spec: ProblemSpec, grid: SpaceTimeGrid, kinds: tuple,
-          step: int) -> _SolvePlan:
-    """solve's plan for the data of the given kernel kinds, step output
-    times to a block.  It holds no per-mode values."""
-    times = grid.times
-    blocks = tuple((lo, times[lo:lo + step])
-                   for lo in range(0, len(times), step))
-    ph = _growing_phase(spec, spec.source_coupling == "self")
-    grows = None
-    if ph is not None:
-        # refining the grid only admits larger |G_hat|
-        grows = (f"G_hat grows with |k|: Mittag-Leffler argument phase "
-                 f"{ph / math.pi:.4g} pi inside alpha pi/2 = "
-                 f"{spec.alpha / 2.0:.4g} pi; the kernel has no real-space "
-                 f"form and the field does not converge in nx")
-    return _SolvePlan(tuple(_kernel(kind, spec) for kind in kinds), blocks,
-                      grows)
-
-
 def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
           U: SourceDescriptor, grid: SpaceTimeGrid) -> Field:
     """Solution field from initial data f (and g for alpha > 1) plus source U.
@@ -304,12 +289,12 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
     resolution, then, if resolved, its inverse FFT over the whole padded
     period for mass about to wrap onto the window.
 
-    What does not depend on the data is kept within a process, the 16
-    most recently used of each: kernel tables (_kernel_table), at most
-    2 MB on grids up to nx = 2048, and plans (_plan: the time blocks and
-    the growth warning).  A repeated solve on a (spec, grid) then renders
-    and transforms each datum given, multiplies by the kept tables and
-    makes one inverse FFT per block: no Mittag-Leffler call and no symbol.
+    What does not depend on the data is kept within a process: the 16
+    most recently used kernel tables (_kernel_table), each with its
+    growth warning, at most 2 MB on grids up to nx = 2048.  A repeated
+    solve on a (spec, grid) then renders and transforms each datum
+    given, multiplies by the kept tables and makes one inverse FFT per
+    block: no Mittag-Leffler call and no symbol.
     The values do not depend on which solves came before, and the warnings
     are raised on every call.
     """
@@ -349,15 +334,18 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
     if not data:
         return Field(grid, np.zeros((len(grid.times), nx), dtype=complex))
 
-    plan = _plan(spec, grid, tuple(kinds), max(1, _BLOCK_VALUES // M))
     out = np.empty((len(grid.times), nx), dtype=complex)
-    for lo, ts in plan.blocks:
+    step = max(1, _BLOCK_VALUES // M)
+    for lo in range(0, len(grid.times), step):
+        ts = grid.times[lo:lo + step]
+        tables = [_kernel_table(kind, spec, M, grid.dx, ts) for kind in kinds]
         nhat = functools.reduce(np.add, (
-            datum * _kernel_table(kern, spec, M, grid.dx, ts)
-            for datum, kern in zip(data, plan.kernels)))
+            datum * table for datum, (table, _) in zip(data, tables)))
         rows = np.fft.ifft(nhat, axis=1)
         out[lo:lo + len(ts)] = rows[:, :nx]
-    verdict = plan.grows
+    # every kernel of one solve has the same rate: G3 and G4 come only
+    # self-coupled, the source kernel only external
+    verdict = tables[0][1]
     # dispersive (imaginary-coefficient) kernels never localize
     if verdict is None and spec.lam.real > 0.0:
         verdict = _window_verdict(nhat[-1], rows[-1], nx)

@@ -252,6 +252,16 @@ class TestSolveCompare:
         assert run(args) == 1
         assert "width must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("datum", ["gaussian:nan,1", "gaussian:inf,1",
+                                       "gaussian:0,inf"])
+    def test_non_finite_gaussian_is_usage_error(self, datum, tmp_path,
+                                                capsys):
+        args = self._solve_args(tmp_path / "f.csv")
+        args[args.index("--f") + 1] = datum
+        assert run(args) == 1
+        assert "center and width must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()
+
     def test_delta_outside_the_window_is_constraint_error(self, tmp_path,
                                                           capsys):
         args = self._solve_args(tmp_path / "f.csv")
@@ -321,6 +331,41 @@ class TestValidate:
         # lambda = i hbar/(2m); pure imaginary coefficient is accepted
         assert run(["validate", "--alpha", "1", "--beta", "2",
                     "--schrodinger", "1", "1"]) == 0
+
+
+class TestNegativeValues:
+    """A value that starts with '-' is a value in every number form the
+    CLI reads, exponent form and re,im pairs included."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--theta", "-1e-1"), ("--lambda", "-1,0.5"), ("--mu", "-0.5,0.1"),
+        ("--theta", "-.1E+0"), ("--lambda", "-1e0,-5e-1")])
+    def test_validate_reads_the_value(self, flag, value, capsys):
+        assert run(["validate", "--alpha", "0.8", "--beta", "1.6",
+                    flag, value]) == 0
+        assert capsys.readouterr().out == "ok\n"
+
+    def test_ml_argument_in_exponent_form(self, capsys):
+        lines = []
+        for z in (["--z", "-1e-4"], ["--z=-1e-4"]):
+            assert run(["ml", "--alpha", "0.8", "--beta", "1.8"] + z) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1] != ""
+
+    @pytest.mark.parametrize("lo", ["-2e0", "-2.0e+0", "-20E-1"])
+    def test_range_bound_in_exponent_form(self, lo, tmp_path):
+        outs = []
+        for bound in (lo, "-2"):
+            out = tmp_path / "sym.csv"
+            assert run(["symbol", "--order", "1.5", "--k-range", bound, "1",
+                        "--nk", "4", "-o", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_option_names_stay_options(self, capsys):
+        # a token that is not a number still reads as an option
+        assert run(["ml", "--alpha", "0.8", "--z", "-x"]) == 1
+        assert "expected one argument" in capsys.readouterr().err
 
 
 _BAD_SPECS = {

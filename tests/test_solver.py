@@ -72,6 +72,17 @@ class TestGrid:
         assert grid.dx == pytest.approx(0.25)
         assert grid.x[0] == pytest.approx(-2.0)
 
+    def test_nx_is_an_integer(self):
+        grid = SpaceTimeGrid(-20.0, 20.0, np.int64(32), (1.0,))
+        assert type(grid.nx) is int and grid == SpaceTimeGrid(
+            -20.0, 20.0, 32, (1.0,))
+        zero = SourceDescriptor.zero()
+        assert solve(ProblemSpec(alpha=0.8, beta=1.6),
+                     SourceDescriptor.gaussian(0.0, 1.0), zero, zero,
+                     grid).values.shape == (1, 32)
+        with pytest.raises(ValueError, match="nx must be an integer, got 9.0"):
+            SpaceTimeGrid(-20.0, 20.0, 9.0, (1.0,))
+
     def test_field_shape_checked(self):
         grid = SpaceTimeGrid(-2.0, 2.0, 16, (1.0,))
         with pytest.raises(ValueError):
@@ -89,9 +100,16 @@ class TestGrid:
     lambda: SourceDescriptor.gaussian(0.0, -1.0),
     lambda: SourceDescriptor.box(1.0, 1.0),
     lambda: SourceDescriptor.box(2.0, -2.0),
+    lambda: SpaceTimeGrid(0.0, 1.0, 8.5, (1.0,)),
+    lambda: SpaceTimeGrid(0.0, 1.0, np.float64(16.0), (1.0,)),
+    lambda: SourceDescriptor.gaussian(math.nan, 1.0),
+    lambda: SourceDescriptor.gaussian(-math.inf, 1.0),
+    lambda: SourceDescriptor.gaussian(0.0, math.inf),
 ], ids=["grid_reversed", "grid_empty", "grid_time_nan", "grid_time_inf",
         "grid_x_max_inf", "grid_x_min_inf", "gaussian_zero_width",
-        "gaussian_negative_width", "box_empty", "box_reversed"])
+        "gaussian_negative_width", "box_empty", "box_reversed",
+        "grid_nx_fraction", "grid_nx_numpy_float", "gaussian_center_nan",
+        "gaussian_center_inf", "gaussian_width_inf"])
 def test_malformed_inputs_rejected(build):
     with pytest.raises(ValueError):
         build()
@@ -561,12 +579,21 @@ def test_mass_outside_warning_tracks_the_wrap_error():
 
 
 class TestKernelMemo:
-    """solve keeps its latest kernel tables; a hit must give the bytes and
-    the warnings of a miss."""
+    """solve keeps its latest kernel tables, each with its growth warning,
+    and derives nothing else without the data; a solve on kept tables
+    must give the bytes and the warnings of a solve after the memo is
+    cleared."""
 
     _ZERO = SourceDescriptor.zero()
     _GAUSS = SourceDescriptor.gaussian(0.0, 1.0)
+    _BOX = SourceDescriptor.box(-1.0, 1.5)
     _GRID = SpaceTimeGrid(-20.0, 20.0, 32, (0.5, 1.0))
+    # 3 times of 128 padded modes: one block, or two of 256 values
+    _GRID3 = SpaceTimeGrid(-20.0, 20.0, 32, (0.5, 1.0, 1.5))
+
+    @staticmethod
+    def _clear():
+        solver._kernel_table.cache_clear()
 
     @given(_solve_cases())
     def test_hit_evicted_and_cleared_solves_agree(self, case):
@@ -614,8 +641,8 @@ class TestKernelMemo:
     def test_cached_table_is_read_only(self):
         spec = ProblemSpec(alpha=0.8, beta=1.6)
         M, _ = solver._padded_wavenumbers(self._GRID)
-        table = solver._kernel_table(green._kernel(green.GreenKind.G, spec),
-                                     spec, M, self._GRID.dx, (1.0,))
+        table = solver._kernel_table(green.GreenKind.G, spec, M,
+                                     self._GRID.dx, (1.0,))[0]
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
@@ -633,81 +660,46 @@ class TestKernelMemo:
             specs.reverse()
         box = SourceDescriptor.box(-1.0, 1.5)
         solver._kernel_table.cache_clear()
-        first, second = (_messages(sp, self._GAUSS, box, box, self._GRID)[0]
+        first, second = (_messages(sp, self._GAUSS, box, box, self._GRID)
                          for sp in specs)
         # the second solve read the first one's G, G2 and source tables
         assert solver._kernel_table.cache_info().hits == 3
         solver._kernel_table.cache_clear()
-        alone, _ = _messages(specs[1], self._GAUSS, box, box, self._GRID)
-        assert first.tobytes() == second.tobytes() == alone.tobytes()
-
-
-class TestPlan:
-    """solve keeps, per (spec, grid, kernels, block step), all it derives
-    without the data; a solve on a kept plan does data work alone and must
-    give the bytes and the warnings of a solve after every memo is
-    cleared."""
-
-    _ZERO = SourceDescriptor.zero()
-    _GAUSS = SourceDescriptor.gaussian(0.0, 1.0)
-    _BOX = SourceDescriptor.box(-1.0, 1.5)
-    _GRID = SpaceTimeGrid(-20.0, 20.0, 32, (0.5, 1.0, 1.5))
-
-    @staticmethod
-    def _clear():
-        solver._plan.cache_clear()
-        solver._kernel_table.cache_clear()
+        alone = _messages(specs[1], self._GAUSS, box, box, self._GRID)
+        assert first[0].tobytes() == second[0].tobytes() \
+            == alone[0].tobytes()
+        assert first[1] == second[1] == alone[1]
 
     @given(_solve_cases(), st.sampled_from([solver._BLOCK_VALUES, 256]))
     def test_hit_after_other_data_equals_a_cleared_solve(self, case, block):
         spec, f, g, U = case
-        # other data with the same kernels make the plan, after the last
-        # of them alone, which draws fewer kernels where there are more
+        # other data with the same kernels make the tables, after the
+        # last of them alone, which draws fewer kernels where there are more
         other = [d if d.kind == "zero"
                  else SourceDescriptor.gaussian(-0.5, 2.0) for d in case[1:]]
         present = [i for i, d in enumerate(other) if d.kind != "zero"]
         last = [d if i == present[-1] else self._ZERO
                 for i, d in enumerate(other)]
+        blocks = 1 if block == solver._BLOCK_VALUES else 2
         with mock.patch.object(solver, "_BLOCK_VALUES", block):
-            _messages(spec, *last, self._GRID)
-            _messages(spec, *other, self._GRID)
-            hits = solver._plan.cache_info().hits
-            hit = _messages(spec, f, g, U, self._GRID)
-            assert solver._plan.cache_info().hits == hits + 1
+            _messages(spec, *last, self._GRID3)
+            _messages(spec, *other, self._GRID3)
+            hits = solver._kernel_table.cache_info().hits
+            hit = _messages(spec, f, g, U, self._GRID3)
+            # one table per kernel per block, each read once
+            assert solver._kernel_table.cache_info().hits \
+                == hits + len(present) * blocks
             self._clear()
-            cleared = _messages(spec, f, g, U, self._GRID)
+            cleared = _messages(spec, f, g, U, self._GRID3)
         assert hit[0].tobytes() == cleared[0].tobytes()
         assert hit[1] == cleared[1]
-
-    @pytest.mark.parametrize("one, other", [
-        (dict(theta=0.0), dict(theta=-0.0)),
-        (dict(lam=1), dict(lam=1 + 0j)),
-    ], ids=["theta_zero_sign", "lam_int_complex"])
-    @pytest.mark.parametrize("swap", [False, True])
-    def test_equal_specs_share_a_plan_in_either_order(self, one, other,
-                                                      swap):
-        specs = [ProblemSpec(alpha=1.4, beta=1.6, mu=0.5, **kw)
-                 for kw in (one, other)]
-        if swap:
-            specs.reverse()
-        self._clear()
-        first, second = (_messages(sp, self._GAUSS, self._BOX, self._BOX,
-                                   self._GRID) for sp in specs)
-        info = solver._plan.cache_info()
-        assert (info.hits, info.currsize) == (1, 1)
-        self._clear()
-        alone = _messages(specs[1], self._GAUSS, self._BOX, self._BOX,
-                          self._GRID)
-        assert first[0].tobytes() == second[0].tobytes() \
-            == alone[0].tobytes()
-        assert first[1] == second[1] == alone[1]
 
     _NARROW = SpaceTimeGrid(-3.0, 3.0, 64, (0.5, 1.0, 2.0))
 
     @pytest.mark.parametrize("spec, data, grid, block, text, blocks", [
         # every kernel, the riesz_feller source's with m_S, 2 blocks
         (ProblemSpec(alpha=1.4, beta=1.6, theta=0.1, gamma=1.2, phi=0.1,
-                     mu=0.6), "fgU", _GRID, 256, "under-resolved", 2),
+                     mu=0.6), "fgU", _GRID3, 256, "under-resolved", 2),
         # the window check reads the last inverse FFT, on a hit as well
         (ProblemSpec(alpha=0.8, beta=1.1), "f", _NARROW,
          solver._BLOCK_VALUES, "mass outside", 1),
@@ -740,7 +732,8 @@ class TestPlan:
         monkeypatch.setattr(solver, "_BLOCK_VALUES", block)
         self._clear()
         values, miss = _messages(spec, f, g, U, grid)
-        assert counts["ml"] > 0 and counts["growth"] == 1
+        # one growth verdict per table made: one per kernel per block
+        assert counts["ml"] > 0 and counts["growth"] == len(data) * blocks
         assert counts["ifft"] == blocks
         counts.update(dict.fromkeys(counts, 0))
         again, hit = _messages(spec, f, g, U, grid)
@@ -749,7 +742,7 @@ class TestPlan:
         assert len(hit) == sum(text in m for m in hit) == 1
 
     def test_resolution_is_judged_on_each_solves_data(self):
-        # one plan, whose source kernel reads 1.4e-1 at the largest
+        # one table, whose source kernel reads 1.4e-1 at the largest
         # wavenumber: a box's slowly decaying transform leaves the field
         # unresolved there, a Gaussian's does not.  The box over the 4
         # points -1.875 ... 0.9375 sums to 0 at k_N itself, so the rule
@@ -769,7 +762,7 @@ class TestPlan:
                 assert len(caught) == 1
                 assert "under-resolved" in caught[0]
                 assert f"reaches {ratios[U]} of" in caught[0]
-        assert solver._plan.cache_info().hits == 5
+        assert solver._kernel_table.cache_info().hits == 5
 
     def test_underflowed_source_adds_no_term(self):
         # s mu U_hat is zero in every mode: U adds no kernel, no
