@@ -225,11 +225,14 @@ def _cmd_solve(args):
 def _cmd_oracle(args):
     spec = _spec_from_args(args)
     grid = SpaceTimeGrid(args.x_range[0], args.x_range[1], args.nx, args.t)
-    # a dt that is not positive and finite takes no steps, and
-    # OracleConfig names it
-    steps = grid.times[-1] / args.dt if args.dt else math.inf
-    n = int(round(steps)) if math.isfinite(steps) else 0
-    field = oracle_solve(spec, args.f, grid, OracleConfig(args.dt, n))
+    t, dt = grid.times[-1], args.dt
+    # t / dt rounded, from the exact ratios: it may pass the float range; a
+    # dt that is not positive and finite takes 0, and OracleConfig names it
+    n = 0
+    if 0.0 < dt < math.inf:
+        (p, q), (r, s) = t.as_integer_ratio(), dt.as_integer_ratio()
+        n = (2 * p * s + q * r) // (2 * q * r)
+    field = oracle_solve(spec, args.f, grid, OracleConfig(dt, n))
     _write_lines(args.output, _field_lines(grid, field.values))
     return EXIT_OK
 

@@ -210,14 +210,18 @@ def _leading_coeffs(terms):
             for sgn in (1.0, -1.0)]
 
 
-def _growing_phase(spec: ProblemSpec, self_coupled: bool):
-    """The phase pi + arg(lead), reduced to (-pi, pi], of the large-|k|
-    Mittag-Leffler argument -rate(k) t^alpha on a half line where it lies
-    strictly inside alpha pi/2, so that G_hat grows with |k|; else None."""
+def _growth(spec: ProblemSpec, self_coupled: bool):
+    """The text saying that G_hat grows with |k|, or None: where the
+    phase pi + arg(lead), reduced to (-pi, pi], of the large-|k|
+    Mittag-Leffler argument -rate(k) t^alpha on a half line is below
+    alpha pi/2 in size.  solve warns it and _check_dissipative raises it."""
     for lead in _leading_coeffs(_rate_terms(spec, self_coupled)):
         ph = math.remainder(math.pi + cmath.phase(lead), 2.0 * math.pi)
         if abs(ph) < spec.alpha * math.pi / 2.0:
-            return ph
+            return (f"G_hat grows with |k|: Mittag-Leffler argument phase "
+                    f"{ph / math.pi:.4g} pi inside alpha pi/2 = "
+                    f"{spec.alpha / 2.0:.4g} pi; the kernel has no "
+                    f"real-space form and the field does not converge in nx")
     return None
 
 
@@ -231,14 +235,9 @@ def _check_dissipative(spec: ProblemSpec, kinds_self: bool):
                 "Re(coefficient * symbol) is not positive; the real-space "
                 "kernel does not decay (Fourier-space evaluation only)"
             )
-    ph = _growing_phase(spec, kinds_self)
-    if ph is not None:
-        raise FourierOnlyError(
-            f"Mittag-Leffler argument phase {ph / math.pi:.6g} pi lies "
-            f"inside alpha pi/2 = {spec.alpha / 2.0:.6g} pi, so G_hat grows "
-            f"with |k| and the real-space kernel does not exist "
-            f"(Fourier-space evaluation only)"
-        )
+    growth = _growth(spec, kinds_self)
+    if growth is not None:
+        raise FourierOnlyError(f"{growth} (Fourier-space evaluation only)")
 
 
 def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec, *,
@@ -303,9 +302,9 @@ def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec, *,
                 f"Mittag-Leffler argument lies on the edge of its growth "
                 f"sector (alpha = {a:g}), so no rotation is left")
     if s <= 1.0 and not np.all(flat):
-        raise ToleranceNotMetError(
-            f"kernel diverges at x = 0: G_hat falls as |k|^-{s:.6g}, and "
-            f"{s:.6g} <= 1")
+        trend = (f"falls as |k|^-{s:.6g}, and {s:.6g} <= 1" if s > 0.0 else
+                 f"grows as |k|^{-s:.6g}" if s < 0.0 else "does not fall")
+        raise ToleranceNotMetError(f"kernel diverges at x = 0: G_hat {trend}")
 
     def log_reach(width):
         """log of the R (inf where s <= 1) past which G_hat integrates to
@@ -490,9 +489,6 @@ def green_point_closed(kind: GreenKind, x, t: float, spec: ProblemSpec):
 
 def green_mass(kind: GreenKind, t: float, spec: ProblemSpec):
     """Total x-integral of the kernel, i.e. its k = 0 Fourier value."""
-    kind = GreenKind(kind)
-    if kind not in (GreenKind.G, GreenKind.G2):
+    if GreenKind(kind) not in (GreenKind.G, GreenKind.G2):
         raise ValueError("mass defined for G and G2")
-    kern = _kernel(kind, spec)
-    _check_time(t)
-    return t ** kern.tpow * rgamma(kern.ml_index)
+    return green_hat(kind, 0.0, t, spec).real

@@ -116,15 +116,19 @@ def oracle_solve(spec: ProblemSpec, f: SourceDescriptor,
 
     Works mode by mode: FFT the initial datum, run the GL recursion for
     every wavenumber at once, inverse-FFT at the requested output times.
-    Output times must sit on the dt lattice, and only their steps are
-    kept.  The modes are the same 4x-extended set as solve's, so
+    Output times must sit on the dt lattice within the run, and only their
+    steps are kept.  The modes are the same 4x-extended set as solve's, so
     differences against it measure the time discretization alone.
     """
     rows = []
     for t in grid.times:
-        n = int(round(t / cfg.dt)) - 1
-        if not (0 <= n < cfg.n_steps
-                and abs((n + 1) * cfg.dt - t) < 1e-9 * max(t, cfg.dt)):
+        steps = t / cfg.dt
+        if not steps < cfg.n_steps + 0.5:
+            raise ValueError(
+                f"output time {t} lies past the run: {cfg.n_steps} steps of "
+                f"dt = {cfg.dt:g} end at t = {cfg.n_steps * cfg.dt:g}")
+        n = int(round(steps)) - 1
+        if not (0 <= n and abs((n + 1) * cfg.dt - t) < 1e-9 * max(t, cfg.dt)):
             raise ValueError(f"output time {t} is off the dt lattice")
         rows.append(n)
     M, k = _padded_wavenumbers(grid)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .green import (_SOURCE, GreenKind, ProblemSpec, SpecValidationError,
-                    _growing_phase, _kernel, _kernel_rows)
+                    _check_time, _growth, _kernel, _kernel_rows)
 
 
 @dataclass(frozen=True)
@@ -116,9 +116,10 @@ class SpaceTimeGrid:
                              f"x_min = {self.x_min}, both finite")
         ts = tuple(float(t) for t in self.times)
         object.__setattr__(self, "times", ts)
-        if not ts or ts[0] <= 0.0 or not all(map(math.isfinite, ts)):
-            raise ValueError(f"times must start above 0 (kernels are singular "
-                             f"at t = 0) and be finite, got {ts}")
+        if not ts:
+            raise ValueError("the grid needs at least one time")
+        for t in ts:
+            _check_time(t)
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("times must be strictly increasing")
 
@@ -216,14 +217,7 @@ def _kernel_table(kind, spec: ProblemSpec, M: int, dx: float, ts: tuple):
     kern = _kernel(kind, spec)
     table = _kernel_rows(kern, _wavenumbers(M, dx), ts, spec)
     table.flags.writeable = False
-    ph = _growing_phase(spec, kern.self_coupled)
-    if ph is None:
-        return table, None
-    # refining the grid only admits larger |G_hat|
-    return table, (f"G_hat grows with |k|: Mittag-Leffler argument phase "
-                   f"{ph / math.pi:.4g} pi inside alpha pi/2 = "
-                   f"{spec.alpha / 2.0:.4g} pi; the kernel has no real-space "
-                   f"form and the field does not converge in nx")
+    return table, _growth(spec, kern.self_coupled)
 
 
 def _padded_fft(desc: SourceDescriptor, grid: SpaceTimeGrid, M: int):

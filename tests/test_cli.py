@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,9 +208,9 @@ class TestColdWarm:
             codes = [run(args + ["-o", warm + f"{i}.csv"]) for i in (1, 2)]
             assert codes == [proc.returncode] * 2, proc.stderr
             if proc.returncode == 0:
-                want = open(cold, "rb").read()
+                want = Path(cold).read_bytes()
                 for i in (1, 2):
-                    assert open(warm + f"{i}.csv", "rb").read() == want
+                    assert Path(warm + f"{i}.csv").read_bytes() == want
 
 
 class TestSolveCompare:
@@ -313,6 +314,18 @@ class TestSolveCompare:
                     "--dt", "1e-300", "-o", str(tmp_path / "o.csv")]) == 2
         err = capsys.readouterr().err
         assert "dt = 1e-300 needs 5e+299 steps" in err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_oracle_dt_past_the_float_quotient_is_refused_by_step_count(
+            self, tmp_path, capsys):
+        # 0.5 / dt overflows to inf; the count comes from the exact ratio
+        # (the double nearest 1e-320 is 9.99989e-321)
+        assert run(["oracle", "--alpha", "0.8", "--beta", "1.6",
+                    "--x-range", "-20", "20", "--nx", "32", "--t", "0.5",
+                    "--dt", "1e-320", "-o", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "dt = 9.99989e-321 needs 5.00006e+319 steps" in err
+        assert "bound of 16384" in err
         assert not (tmp_path / "o.csv").exists()
 
 

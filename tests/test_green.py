@@ -15,7 +15,7 @@ from fracgreen import green
 from fracgreen.fracmath import HAccuracyError, mittag_leffler_array
 from fracgreen.green import (FourierOnlyError, GreenKind, ProblemSpec,
                              RegimeError, SpecValidationError,
-                             ToleranceNotMetError, _growing_phase,
+                             ToleranceNotMetError, _growth,
                              green_hat, green_mass, green_point_closed,
                              green_points)
 from fracgreen.operators import riesz_feller_symbol
@@ -218,7 +218,22 @@ class TestGreenPoint:
     ])
     def test_growth_rule(self, spec, grows):
         self_coupled = spec.source_coupling == "self"
-        assert (_growing_phase(spec, self_coupled) is not None) == grows
+        assert (_growth(spec, self_coupled) is not None) == grows
+
+    def test_one_growth_text_for_solve_and_real_space(self):
+        spec = ProblemSpec(alpha=1.8, beta=1.2, theta=0.5)
+        texts = []
+        for evaluate in (green_points, green_point_closed):
+            with pytest.raises(FourierOnlyError) as info:
+                evaluate(GreenKind.G, [0.4, 1.1], 0.9, spec)
+            texts.append(str(info.value))
+        grid = SpaceTimeGrid(-10.0, 10.0, 64, (0.9,))
+        with pytest.warns(UserWarning) as caught:
+            solve(spec, SourceDescriptor.delta(), SourceDescriptor.zero(),
+                  SourceDescriptor.zero(), grid)
+        [warned] = [str(w.message) for w in caught]
+        assert "no real-space form" in warned and "converge in nx" in warned
+        assert texts == [warned + " (Fourier-space evaluation only)"] * 2
 
     def test_schrodinger_coefficient_keeps_its_refusal(self):
         spec = ProblemSpec(alpha=1.0, beta=2.0, lam=1j)
@@ -441,6 +456,17 @@ class TestRays:
         with pytest.raises(ToleranceNotMetError, match=match):
             green_points(GreenKind.G, [x], t, spec)
         assert calls == []
+
+    def test_growing_transform_at_zero_is_named_as_growing(self):
+        # G1's gamma-operator symbol outgrows the Mittag-Leffler tail:
+        # G_hat ~ |k|^(gamma - 2 beta) = |k|^1.2853
+        spec = ProblemSpec(alpha=0.3921, beta=0.3064, theta=0.1049,
+                           gamma=1.8981, phi=-0.038, mu=0.0738)
+        with pytest.raises(ToleranceNotMetError) as info:
+            green_points(GreenKind.G1, [0.0], 1.0, spec)
+        assert "diverges at x = 0: G_hat grows as |k|^1.2853" \
+            in str(info.value)
+        assert "^--" not in str(info.value)
 
     @given(_closed_form_cases())
     def test_matches_the_closed_form(self, case):

@@ -243,6 +243,16 @@ class TestOracleSolve:
             oracle_solve(spec, SourceDescriptor.delta(), grid,
                          OracleConfig(1.0 / 64, 64))
 
+    def test_time_past_the_last_step_is_named(self):
+        # 0.5 is step 128 of dt = 1/256, on the lattice but past step 100
+        spec = ProblemSpec(alpha=0.7, beta=1.4)
+        grid = SpaceTimeGrid(-10.0, 10.0, 32, (0.25, 0.5))
+        with pytest.raises(ValueError, match=r"output time 0\.5 lies past "
+                           r"the run: 100 steps of dt = 0\.00390625 end at "
+                           r"t = 0\.390625"):
+            oracle_solve(spec, SourceDescriptor.delta(), grid,
+                         OracleConfig(1.0 / 256, 100))
+
 
 class TestRichardson:
     """The oracle extrapolated twice in dt holds solve far tighter than

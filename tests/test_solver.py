@@ -725,7 +725,7 @@ class TestKernelMemo:
         for module, attr, name in [
                 (green, "mittag_leffler_array", "ml"),
                 (green, "riesz_feller_symbol", "symbol"),
-                (solver, "_growing_phase", "growth"),
+                (solver, "_growth", "growth"),
                 (np.fft, "ifft", "ifft")]:
             monkeypatch.setattr(module, attr,
                                 counting(name, getattr(module, attr)))
