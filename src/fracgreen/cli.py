@@ -21,7 +21,7 @@ from .green import (FourierOnlyError, GreenKind, ProblemSpec, RegimeError,
                     SpecValidationError, ToleranceNotMetError,
                     green_point_closed, green_points)
 from .operators import SymbolParams, riesz_feller_symbol
-from .oracle import OracleConfig, OracleInstabilityError, oracle_solve
+from .oracle import OracleConfig, OracleInstabilityError, _step, oracle_solve
 from .solver import SourceDescriptor, SpaceTimeGrid, solve
 
 EXIT_OK = 0
@@ -225,13 +225,9 @@ def _cmd_solve(args):
 def _cmd_oracle(args):
     spec = _spec_from_args(args)
     grid = SpaceTimeGrid(args.x_range[0], args.x_range[1], args.nx, args.t)
-    t, dt = grid.times[-1], args.dt
-    # t / dt rounded, from the exact ratios: it may pass the float range; a
-    # dt that is not positive and finite takes 0, and OracleConfig names it
-    n = 0
-    if 0.0 < dt < math.inf:
-        (p, q), (r, s) = t.as_integer_ratio(), dt.as_integer_ratio()
-        n = (2 * p * s + q * r) // (2 * q * r)
+    dt = args.dt
+    # a dt not positive and finite takes 0 steps, and OracleConfig names it
+    n = _step(grid.times[-1], dt) if 0.0 < dt < math.inf else 0
     field = oracle_solve(spec, args.f, grid, OracleConfig(dt, n))
     _write_lines(args.output, _field_lines(grid, field.values))
     return EXIT_OK

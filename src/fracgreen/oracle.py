@@ -110,6 +110,13 @@ def oracle_mode_evolve(alpha: float, coeffs, init, cfg: OracleConfig):
     return out.reshape((cfg.n_steps,) + c.shape)
 
 
+def _step(t, dt):
+    """t / dt rounded half up from the exact ratios of the two floats, so
+    it holds past the float range: an output time's step, a run's count."""
+    (p, q), (r, s) = float(t).as_integer_ratio(), float(dt).as_integer_ratio()
+    return (2 * p * s + q * r) // (2 * q * r)
+
+
 def oracle_solve(spec: ProblemSpec, f: SourceDescriptor,
                  grid: SpaceTimeGrid, cfg: OracleConfig) -> Field:
     """Reference field for the pure initial-value problem (g = 0, U = 0).
@@ -122,15 +129,14 @@ def oracle_solve(spec: ProblemSpec, f: SourceDescriptor,
     """
     rows = []
     for t in grid.times:
-        steps = t / cfg.dt
-        if not steps < cfg.n_steps + 0.5:
+        n = _step(t, cfg.dt)
+        if n > cfg.n_steps:
             raise ValueError(
                 f"output time {t} lies past the run: {cfg.n_steps} steps of "
                 f"dt = {cfg.dt:g} end at t = {cfg.n_steps * cfg.dt:g}")
-        n = int(round(steps)) - 1
-        if not (0 <= n and abs((n + 1) * cfg.dt - t) < 1e-9 * max(t, cfg.dt)):
+        if not (n >= 1 and abs(n * cfg.dt - t) < 1e-9 * max(t, cfg.dt)):
             raise ValueError(f"output time {t} is off the dt lattice")
-        rows.append(n)
+        rows.append(n - 1)
     M, k = _padded_wavenumbers(grid)
     rate = spec.rate(k, spec.source_coupling == "self")
     modes = _evolve(spec.alpha, rate, _padded_fft(f, grid, M), cfg,

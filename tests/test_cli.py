@@ -328,6 +328,18 @@ class TestSolveCompare:
         assert "bound of 16384" in err
         assert not (tmp_path / "o.csv").exists()
 
+    def test_oracle_half_step_time_is_off_the_lattice(self, tmp_path,
+                                                      capsys):
+        # 0.5 / 0.2 is 2.5 in floats but just below it in the exact ratio;
+        # the run and its last time take one step count, so 0.5 is named
+        # as off the lattice, not as past the run
+        assert run(["oracle", "--alpha", "0.8", "--beta", "1.6",
+                    "--x-range", "-20", "20", "--nx", "32", "--t", "0.5",
+                    "--dt", "0.2", "-o", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "output time 0.5 is off the dt lattice" in err
+        assert not (tmp_path / "o.csv").exists()
+
 
 class TestValidate:
     def test_ok(self, capsys):

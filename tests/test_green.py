@@ -12,7 +12,7 @@ from _reference import (fourier_inverse_qawf, h_residue_series,
                         self_coupled_at_zero)
 
 from fracgreen import green
-from fracgreen.fracmath import HAccuracyError, mittag_leffler_array
+from fracgreen.fracmath import HAccuracyError, mittag_leffler_array, rgamma
 from fracgreen.green import (FourierOnlyError, GreenKind, ProblemSpec,
                              RegimeError, SpecValidationError,
                              ToleranceNotMetError, _growth,
@@ -122,12 +122,18 @@ class TestGreenHat:
     @example((0.6, 1.5, 0.1), GreenKind.G, 1.3, 1.0 + 0.0j)
     def test_zero_mode_is_mass(self, abt, kind, t, lam):
         # the rate vanishes at k = 0 for every coefficient, so G_hat(0, t)
-        # is t^tpow E_{a,b}(0) = t^tpow / Gamma(b), the mass, exactly
+        # is t^tpow E_{a,b}(0) = t^tpow / Gamma(b) exactly, with
+        # (tpow, b) = (alpha - 1, alpha) for G and (alpha - 2, alpha - 1)
+        # for G2; green_mass is its real part
         alpha, beta, theta = abt
         if kind == GreenKind.G2 and alpha <= 1.0:
             reject()
         spec = ProblemSpec(alpha=alpha, beta=beta, theta=theta, lam=lam)
-        assert green_hat(kind, 0.0, t, spec) == green_mass(kind, t, spec)
+        tpow, b = ((alpha - 1.0, alpha) if kind == GreenKind.G
+                   else (alpha - 2.0, alpha - 1.0))
+        gh = green_hat(kind, 0.0, t, spec)
+        assert gh == t ** tpow * rgamma(b)
+        assert green_mass(kind, t, spec) == gh.real
 
     def test_source_kernel_riesz_mode_carries_symbol(self):
         spec = ProblemSpec(alpha=0.7, beta=1.5, gamma=0.9, theta=0.1)
