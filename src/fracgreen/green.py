@@ -23,11 +23,11 @@ from .operators import (SymbolParams, order_skew_problems,
                         riesz_feller_symbol)
 
 
-class FourierOnlyError(Exception):
+class FourierOnlyError(ArithmeticError):
     """Real-space evaluation refused; the kernel only exists in Fourier space."""
 
 
-class ToleranceNotMetError(Exception):
+class ToleranceNotMetError(ArithmeticError):
     """A value of green_points cannot be given to its tolerance: the
     kernel's scale lies far outside the double range, the k integral does
     not decay on any ray (no room to rotate, at alpha = 2 and on the edge
@@ -39,7 +39,7 @@ class ToleranceNotMetError(Exception):
     raises it too."""
 
 
-class RegimeError(Exception):
+class RegimeError(ValueError):
     """Kernel requested outside its range of the time order alpha."""
 
 
@@ -157,6 +157,16 @@ def _check_time(t: float):
                          f"at t = 0) and be finite, got t = {t}")
 
 
+def _time_power(t: float, p: float, alpha: float) -> float:
+    """t ** p, a power of the time order alpha; OverflowError names t and
+    alpha where it leaves the double range."""
+    try:
+        return t ** p
+    except OverflowError:
+        raise OverflowError(f"t^{p:.6g} overflows the double range at "
+                            f"t = {t:g}, alpha = {alpha:g}") from None
+
+
 def _finite_xs(x) -> np.ndarray:
     """x as a float array; raises ValueError naming a non-finite x."""
     xs = np.asarray(x, dtype=float)
@@ -168,15 +178,14 @@ def _finite_xs(x) -> np.ndarray:
 
 def _kernel_rows(kern: _Kernel, k: np.ndarray, times, spec: ProblemSpec):
     """kern at the wavenumber array k, real or complex, for every t in
-    times, one row per time, from one mittag_leffler_array call."""
-    for t in times:
-        _check_time(t)
+    times, which the caller has checked, one row per time, from one
+    mittag_leffler_array call."""
     a = spec.alpha
     col = (-1,) + (1,) * k.ndim
     # powers as Python floats: numpy's array power can differ in the last
     # bit, and green_hat's values must not depend on the times beside t
-    ta = np.array([t ** a for t in times]).reshape(col)
-    tpow = np.array([t ** kern.tpow for t in times]).reshape(col)
+    ta = np.array([_time_power(t, a, a) for t in times]).reshape(col)
+    tpow = np.array([_time_power(t, kern.tpow, a) for t in times]).reshape(col)
     arg = -spec.rate(k, kern.self_coupled) * ta
     out = tpow * mittag_leffler_array(a, kern.ml_index, arg)
     if kern.mult_order:
@@ -186,9 +195,10 @@ def _kernel_rows(kern: _Kernel, k: np.ndarray, times, spec: ProblemSpec):
 
 def green_hat(kind: GreenKind, k, t: float, spec: ProblemSpec):
     """Fourier transform of the requested kernel at wavenumber(s) k, time t."""
+    kern = _kernel(kind, spec)
+    _check_time(t)
     arr = np.asarray(k, dtype=float)
-    out = _kernel_rows(_kernel(kind, spec), np.atleast_1d(arr), (t,),
-                       spec)[0]
+    out = _kernel_rows(kern, np.atleast_1d(arr), (t,), spec)[0]
     return complex(out[0]) if arr.ndim == 0 else out
 
 
@@ -268,12 +278,17 @@ def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec, *,
     rate = _rate_terms(spec, kern.self_coupled)
     top = max(order for _, _, order in rate)
     leads = _leading_coeffs(rate)
-    ta, pref = t ** a, abs(t ** kern.tpow)
+    try:
+        ta = t ** a
+    except OverflowError:  # A is then inf, refused below
+        ta = math.inf
     # |w| ~ A r^top at large r; the kernel's scale k1 is where |w| = 1
     A = min(map(abs, leads)) * ta
     if not 0.0 < A < math.inf or abs(math.log(A)) > 300.0 * top:
-        raise ToleranceNotMetError(f"A = {A:.3g} puts the kernel's scale, "
-                                   f"|w| = 1, far outside the double range")
+        raise ToleranceNotMetError(f"A = {A:.3g} at t = {t:g}, alpha = {a:g} "
+                                   f"puts the kernel's scale, |w| = 1, far "
+                                   f"outside the double range")
+    pref = abs(_time_power(t, kern.tpow, a))
     k1 = A ** (-1.0 / top)
     # amp r^-s bounds G_hat at large r: the n = 2 term of E_{a,b}(-w) ~
     # -sum_n (-w)^-n / Gamma(b - a n), n = 1 vanishing, and 1/2 for the

@@ -16,7 +16,7 @@ from .solver import (Field, SourceDescriptor, SpaceTimeGrid, _padded_fft,
                      _padded_wavenumbers)
 
 
-class OracleInstabilityError(Exception):
+class OracleInstabilityError(ArithmeticError):
     pass
 
 
@@ -66,12 +66,17 @@ def _evolve(alpha, c, v, cfg, rows):
     """
     dt, n = cfg.dt, cfg.n_steps
     w = gl_weights(alpha, n)
-    denom = 1.0 + c * dt ** alpha
+    try:
+        denom = 1.0 + c * dt ** alpha
+        scale = dt ** (alpha - 1.0) * v
+    except OverflowError:
+        raise OverflowError(f"dt^alpha or dt^(alpha - 1) overflows the double "
+                            f"range at dt = {dt:g}, alpha = {alpha:g}") \
+            from None
     if np.any(np.abs(denom) < 1e-12):
         raise OracleInstabilityError(
             "implicit GL step is singular; reduce dt")
     bound = 1e12 * (1.0 + np.max(np.abs(v)))
-    scale = dt ** (alpha - 1.0) * v
     out = np.empty((len(rows), c.size), dtype=complex)
     first_bad = n
     for lo in range(0, c.size, _BLOCK_MODES):

@@ -114,6 +114,9 @@ class SpaceTimeGrid:
                 and self.x_max > self.x_min):
             raise ValueError(f"x_max = {self.x_max} must exceed "
                              f"x_min = {self.x_min}, both finite")
+        if not math.isfinite(self.x_max - self.x_min):
+            raise ValueError(f"the window width x_max - x_min overflows the "
+                             f"double range: [{self.x_min}, {self.x_max}]")
         ts = tuple(float(t) for t in self.times)
         object.__setattr__(self, "times", ts)
         if not ts:

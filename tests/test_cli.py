@@ -14,6 +14,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fracgreen import cli
+from fracgreen.fracmath import HAccuracyError, MLConvergenceError
+from fracgreen.green import (FourierOnlyError, RegimeError,
+                             SpecValidationError, ToleranceNotMetError)
+from fracgreen.oracle import OracleInstabilityError
 
 
 def run(args):
@@ -439,6 +443,18 @@ class TestPlumbing:
         assert run(["validate", "--config", "/nonexistent/x.cfg",
                     "--alpha", "1", "--beta", "2"]) == 1
 
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        # an unreadable config is a usage error; an unreadable CSV given
+        # to compare stays a constraint error
+        bad = tmp_path / "run.cfg"
+        bad.write_bytes(b"alpha=0.8\nbeta=\xc0\n")
+        assert run(["validate", "--config", str(bad), "--alpha", "0.8",
+                    "--beta", "1.5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{bad}: 'utf-8' codec can't decode byte 0xc0")
+        assert run(["compare", str(bad), str(bad)]) == 2
+        assert "can't decode byte 0xc0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("alpha, code, out", [("0.8", 0, "ok\n"),
                                                   ("2.5", 2, "")],
                              ids=["admissible", "alpha_above_2"])
@@ -504,3 +520,52 @@ class TestPlumbing:
         assert [rc for rc, _ in blocked] == [0] * len(requests)
         assert all(text.count("\n") > 4 for _, text in blocked)
         assert blocked == free
+
+
+_ERROR_BASES = [
+    (SpecValidationError, ValueError), (RegimeError, ValueError),
+    (ToleranceNotMetError, ArithmeticError),
+    (FourierOnlyError, ArithmeticError), (HAccuracyError, ArithmeticError),
+    (MLConvergenceError, ArithmeticError),
+    (OracleInstabilityError, ArithmeticError),
+    # any other arithmetic failure exits 3 as well, with its message
+    (ZeroDivisionError, ArithmeticError),
+]
+
+
+@pytest.mark.parametrize("cls, base", _ERROR_BASES,
+                         ids=[cls.__name__ for cls, _ in _ERROR_BASES])
+def test_each_error_kind_has_one_exit_code(cls, base, monkeypatch, capsys):
+    # an input outside the domain exits 2, no number within tolerance 3
+    assert issubclass(cls, base)
+
+    def refuse(args):
+        raise (cls(["the refusal"]) if cls is SpecValidationError
+               else cls("the refusal"))
+
+    monkeypatch.setattr(cli, "_cmd_ml", refuse)
+    code = {ValueError: 2, ArithmeticError: 3}[base]
+    assert run(["ml", "--alpha", "0.5", "--z", "0"]) == code
+    assert capsys.readouterr().err == "the refusal\n"
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    (["solve", "--t", "1e250", "--f", "gaussian:0,1"], 3,
+     "t^1.5 overflows the double range at t = 1e+250, alpha = 1.5"),
+    (["green", "--t", "1e300", "--method", "quadrature"], 3,
+     "A = inf at t = 1e+300, alpha = 1.5 puts the kernel's scale"),
+    (["oracle", "--t", "1e300", "--dt", "1e299"], 3,
+     "dt^alpha or dt^(alpha - 1) overflows the double range at "
+     "dt = 1e+299, alpha = 1.5"),
+    (["solve", "--t", "1", "--f", "gaussian:0,1", "--x-range", "-1e308",
+      "1e308"], 2, "the window width x_max - x_min overflows"),
+], ids=["solve_t_alpha", "green_t_alpha", "oracle_dt_alpha",
+        "solve_window_width"])
+def test_out_of_range_powers_and_widths_named(argv, code, text, tmp_path,
+                                              capsys):
+    out = tmp_path / "out.csv"
+    assert run(argv[:1] + ["--alpha", "1.5", "--beta", "1.6", "--x-range",
+                           "-10", "10", "--nx", "16", "-o", str(out)]
+               + argv[1:]) == code
+    assert text in capsys.readouterr().err
+    assert not out.exists()

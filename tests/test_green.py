@@ -1,6 +1,7 @@
 """Unit tests for kernels: Fourier side, quadrature, closed form, mass."""
 
 import math
+import re
 import warnings
 
 import mpmath as mp
@@ -782,6 +783,14 @@ class TestClosedForm:
         with pytest.raises(RegimeError):
             green_point_closed(GreenKind.G2, 1.0, 1.0, spec)
 
+    @pytest.mark.parametrize("kind", [GreenKind.G1, GreenKind.G3,
+                                      GreenKind.G4])
+    def test_other_kinds_rejected(self, kind):
+        spec = ProblemSpec(alpha=1.5, beta=1.5, gamma=0.9, mu=0.5)
+        with pytest.raises(ValueError,
+                           match="closed form available for G and G2 only"):
+            green_point_closed(kind, 1.0, 1.0, spec)
+
 
 _KERNEL_ENTRY_POINTS = {
     "green_hat": lambda t, spec: green_hat(GreenKind.G, 1.0, t, spec),
@@ -830,3 +839,20 @@ class TestMass:
         with pytest.raises(RegimeError):
             green_mass(GreenKind.G2, 1.0, ProblemSpec(alpha=0.5, beta=1.5))
 
+    @pytest.mark.parametrize("kind", [GreenKind.G1, GreenKind.G3])
+    def test_other_kinds_rejected(self, kind):
+        with pytest.raises(ValueError, match="mass defined for G and G2"):
+            green_mass(kind, 1.0, ProblemSpec(alpha=0.5, beta=1.5))
+
+
+@pytest.mark.parametrize("kind, alpha, t, text", [
+    (GreenKind.G, 1.5, 1e250, "t^1.5 overflows the double range at "
+                              "t = 1e+250, alpha = 1.5"),
+    # G2's t^(alpha - 2) at the smallest double, where t^alpha underflows
+    (GreenKind.G2, 1.01, 5e-324, "t^-0.99 overflows the double range at "
+                                 "t = 4.94066e-324, alpha = 1.01"),
+], ids=["G_t_alpha", "G2_t_alpha_minus_2"])
+def test_time_power_overflow_named(kind, alpha, t, text):
+    spec = ProblemSpec(alpha=alpha, beta=1.6)
+    with pytest.raises(OverflowError, match=re.escape(text)):
+        green_hat(kind, 1.0, t, spec)

@@ -1,6 +1,7 @@
 """Unit tests for the Grunwald-Letnikov reference path."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -59,6 +60,15 @@ class TestModeEvolve:
         c = -1.0 / dt ** 0.5
         with pytest.raises(OracleInstabilityError):
             _evolve_scalar(0.5, c, dt, 8)
+
+    @pytest.mark.parametrize("alpha, dt", [(1.5, 1e299), (0.01, 1e-314)],
+                             ids=["dt_alpha", "dt_alpha_minus_1"])
+    def test_dt_power_overflow_named(self, alpha, dt):
+        with pytest.raises(OverflowError, match=re.escape(
+                f"dt^alpha or dt^(alpha - 1) overflows the double range at "
+                f"dt = {dt:g}, alpha = {alpha:g}")):
+            oracle_mode_evolve(alpha, np.ones(2), np.ones(2),
+                               OracleConfig(dt, 4))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

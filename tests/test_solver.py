@@ -83,6 +83,13 @@ class TestGrid:
         with pytest.raises(ValueError, match="nx must be an integer, got 9.0"):
             SpaceTimeGrid(-20.0, 20.0, 9.0, (1.0,))
 
+    def test_overflowing_window_width_named(self):
+        # each end is finite, but x_max - x_min and so dx would be inf
+        with pytest.raises(ValueError, match=r"window width x_max - x_min "
+                                             r"overflows the double range"):
+            SpaceTimeGrid(-1e308, 1e308, 16, (1.0,))
+        assert SpaceTimeGrid(-1e307, 1e307, 16, (1.0,)).dx == 1.25e306
+
     def test_field_shape_checked(self):
         grid = SpaceTimeGrid(-2.0, 2.0, 16, (1.0,))
         with pytest.raises(ValueError):
@@ -105,11 +112,15 @@ class TestGrid:
     lambda: SourceDescriptor.gaussian(math.nan, 1.0),
     lambda: SourceDescriptor.gaussian(-math.inf, 1.0),
     lambda: SourceDescriptor.gaussian(0.0, math.inf),
+    lambda: SpaceTimeGrid(0.0, 1.0, 7, (1.0,)),
+    lambda: SpaceTimeGrid(0.0, 1.0, 16, ()),
+    lambda: SourceDescriptor(kind="samples"),
 ], ids=["grid_reversed", "grid_empty", "grid_time_nan", "grid_time_inf",
         "grid_x_max_inf", "grid_x_min_inf", "gaussian_zero_width",
         "gaussian_negative_width", "box_empty", "box_reversed",
         "grid_nx_fraction", "grid_nx_numpy_float", "gaussian_center_nan",
-        "gaussian_center_inf", "gaussian_width_inf"])
+        "gaussian_center_inf", "gaussian_width_inf", "grid_nx_7",
+        "grid_no_times", "samples_without_values"])
 def test_malformed_inputs_rejected(build):
     with pytest.raises(ValueError):
         build()
@@ -158,6 +169,11 @@ class TestConvolutions:
     def test_zero_steps(self):
         out = convolve_time_singular(np.ones((1, 4)), 0.5, 0, 0.1)
         assert np.all(out == 0.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 2.5, math.nan])
+    def test_alpha_outside_the_range_rejected(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 2\]"):
+            convolve_time_singular(np.ones(5), alpha, 4, 0.25)
 
 
 class TestSolve:
@@ -340,6 +356,14 @@ class TestSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             solve(spec, f, self._zero(), self._zero(), grid)
+
+    def test_delta_source_rejected(self):
+        spec = ProblemSpec(alpha=0.7, beta=1.5, mu=1.0)
+        grid = SpaceTimeGrid(-10.0, 10.0, 64, (1.0,))
+        with pytest.raises(SpecValidationError,
+                           match="delta source U is not supported"):
+            solve(spec, self._zero(), self._zero(), SourceDescriptor.delta(),
+                  grid)
 
     def test_invalid_spec_rejected(self):
         grid = SpaceTimeGrid(-10.0, 10.0, 64, (1.0,))
