@@ -33,7 +33,12 @@ _FMT = "%.17g"
 
 
 def _fmt(v) -> str:
-    return _FMT % float(v)
+    return v if isinstance(v, str) else _FMT % float(v)
+
+
+def _rows(*cols):
+    """CSV lines of the zipped columns: numbers by _FMT, text as given."""
+    return [",".join(map(_fmt, row)) for row in zip(*cols)]
 
 
 def _parse_complex(text: str) -> complex:
@@ -106,14 +111,10 @@ def _add_grid_args(p):
 
 
 def _spec_echo(spec: ProblemSpec) -> dict:
-    return {
-        "alpha": spec.alpha, "beta": spec.beta, "gamma": spec.gamma,
-        "theta": spec.theta, "phi": spec.phi,
-        "lambda": [spec.lam.real, spec.lam.imag],
-        "mu": [spec.mu.real, spec.mu.imag],
-        "source_mode": spec.source_mode,
-        "source_coupling": spec.source_coupling,
-    }
+    """The spec's fields, lam as "lambda" and a complex value as [re, im]."""
+    return {"lambda" if name == "lam" else name:
+            [v.real, v.imag] if isinstance(v, complex) else v
+            for name, v in vars(spec).items()}
 
 
 def _write_lines(path, lines):
@@ -138,14 +139,9 @@ def _write_manifest(path, command, spec, grid, checks):
 
 
 def _field_lines(grid, values):
-    lines = ["t,x,re,im"]
-    x = grid.x
-    for it, t in enumerate(grid.times):
-        for j in range(grid.nx):
-            v = values[it, j]
-            lines.append(",".join(
-                (_fmt(t), _fmt(x[j]), _fmt(v.real), _fmt(v.imag))))
-    return lines
+    return ["t,x,re,im"] + _rows(
+        np.repeat(grid.times, grid.nx), np.tile(grid.x, len(grid.times)),
+        values.real.ravel(), values.imag.ravel())
 
 
 def _read_field_csv(path):
@@ -173,10 +169,7 @@ def _cmd_symbol(args):
     p = SymbolParams(order=args.order, skew=args.skew)
     ks = np.linspace(args.k_range[0], args.k_range[1], args.nk)
     vals = riesz_feller_symbol(p, ks)
-    lines = ["k,re,im"]
-    for k, v in zip(ks, np.atleast_1d(vals)):
-        lines.append(",".join((_fmt(k), _fmt(v.real), _fmt(v.imag))))
-    _write_lines(args.output, lines)
+    _write_lines(args.output, ["k,re,im"] + _rows(ks, vals.real, vals.imag))
     return EXIT_OK
 
 
@@ -197,10 +190,8 @@ def _cmd_green(args):
 
     for t in args.t:
         vals, method = eval_time(t)
-        for x, v in zip(xs, vals):
-            v = complex(v)
-            lines.append(",".join(
-                (_fmt(t), _fmt(x), _fmt(v.real), _fmt(v.imag), method)))
+        lines += _rows([t] * xs.size, xs, vals.real, vals.imag,
+                       [method] * xs.size)
     _write_lines(args.output, lines)
     return EXIT_OK
 

@@ -508,7 +508,8 @@ def _h_contour(params: HFunctionParams, zs: np.ndarray):
                 raise HAccuracyError("degenerate contour integrand")
             if mag[-1] > _H_ABS_TOL:
                 raise HAccuracyError(
-                    f"contour integrand not decayed at height {height:g}")
+                    f"contour integrand not decayed at height {height:g} "
+                    f"for z = {z:g}")
             val = (0.25 * 0.5 ** j / math.pi) * (f.real.sum() - 0.5 * f.real[0])
             if prev is not None and abs(val - prev) <= max(
                     _H_ABS_TOL, _H_REL_TOL * abs(val)):
@@ -516,7 +517,8 @@ def _h_contour(params: HFunctionParams, zs: np.ndarray):
                 break
             prev = val
         else:
-            raise HAccuracyError("Mellin-Barnes trapezoid did not converge")
+            raise HAccuracyError(
+                f"Mellin-Barnes trapezoid did not converge at z = {z:g}")
     return out
 
 

@@ -12,7 +12,7 @@ space operator acts as multiplication by -Psi.
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -33,7 +33,7 @@ class ToleranceNotMetError(ArithmeticError):
     not decay on any ray (no room to rotate, at alpha = 2 and on the edge
     |theta_eff| = 2 - alpha), the kernel diverges at x = 0, the ray to a
     tiny |x| runs so far that the round-off of its Mittag-Leffler values
-    passes abs_tol or its argument leaves the double range, or the
+    passes _ABS_TOL or its argument leaves the double range, or the
     trapezoid rule on a ray next to that edge needs more than _RAY_NODES
     nodes.  A message names at most one x, and the call with that x alone
     raises it too."""
@@ -98,6 +98,11 @@ class ProblemSpec:
                 problems.append(f"{name} = {coeff} is not finite")
         if problems:
             raise SpecValidationError(problems)
+        # Python numbers, whose powers raise OverflowError where a numpy
+        # scalar's return inf; the checks above refuse a string
+        for f in fields(self):
+            if f.type in (float, complex):
+                object.__setattr__(self, f.name, f.type(getattr(self, f.name)))
 
     def space_symbol(self) -> SymbolParams:
         return SymbolParams(self.beta, self.theta)
@@ -116,6 +121,9 @@ class ProblemSpec:
 # green_points halves a ray's trapezoid step at most until the ray of one
 # point holds this many nodes
 _RAY_NODES = 2 ** 18
+
+# the absolute error of every value of green_points
+_ABS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -150,11 +158,12 @@ def _kernel(kind, spec: ProblemSpec) -> _Kernel:
     return _Kernel(a, a - 1.0, 0.0, kind == GreenKind.G3)
 
 
-def _check_time(t: float):
-    """Raise ValueError unless t is finite and above 0."""
+def _time(t) -> float:
+    """float(t), once t is finite and above 0; else ValueError."""
     if not (math.isfinite(t) and t > 0.0):
         raise ValueError(f"times must start above 0 (kernels are singular "
                          f"at t = 0) and be finite, got t = {t}")
+    return float(t)
 
 
 def _time_power(t: float, p: float, alpha: float) -> float:
@@ -179,14 +188,22 @@ def _finite_xs(x) -> np.ndarray:
 def _kernel_rows(kern: _Kernel, k: np.ndarray, times, spec: ProblemSpec):
     """kern at the wavenumber array k, real or complex, for every t in
     times, which the caller has checked, one row per time, from one
-    mittag_leffler_array call."""
+    mittag_leffler_array call.  OverflowError names the first t and its
+    largest |k| where -rate(k) t^alpha leaves the double range."""
     a = spec.alpha
     col = (-1,) + (1,) * k.ndim
     # powers as Python floats: numpy's array power can differ in the last
     # bit, and green_hat's values must not depend on the times beside t
     ta = np.array([_time_power(t, a, a) for t in times]).reshape(col)
     tpow = np.array([_time_power(t, kern.tpow, a) for t in times]).reshape(col)
-    arg = -spec.rate(k, kern.self_coupled) * ta
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg = -spec.rate(k, kern.self_coupled) * ta
+    bad = ~np.isfinite(arg)
+    if bad.any():
+        row = int(np.argmax(bad.reshape(len(times), -1).any(axis=1)))
+        raise OverflowError(f"-rate(k) t^alpha leaves the double range at "
+                            f"t = {times[row]:g}, |k| = "
+                            f"{np.abs(k[bad[row]]).max():g}")
     out = tpow * mittag_leffler_array(a, kern.ml_index, arg)
     if kern.mult_order:
         out = out * riesz_feller_symbol(spec.source_symbol(), k)
@@ -196,7 +213,7 @@ def _kernel_rows(kern: _Kernel, k: np.ndarray, times, spec: ProblemSpec):
 def green_hat(kind: GreenKind, k, t: float, spec: ProblemSpec):
     """Fourier transform of the requested kernel at wavenumber(s) k, time t."""
     kern = _kernel(kind, spec)
-    _check_time(t)
+    t = _time(t)
     arr = np.asarray(k, dtype=float)
     out = _kernel_rows(kern, np.atleast_1d(arr), (t,), spec)[0]
     return complex(out[0]) if arr.ndim == 0 else out
@@ -250,9 +267,9 @@ def _check_dissipative(spec: ProblemSpec, kinds_self: bool):
         raise FourierOnlyError(f"{growth} (Fourier-space evaluation only)")
 
 
-def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec, *,
-                 abs_tol: float = 1e-9) -> np.ndarray:
-    """Kernel values on an x array, each to the absolute error abs_tol.
+def green_points(kind: GreenKind, xs, t: float,
+                 spec: ProblemSpec) -> np.ndarray:
+    """Kernel values on an x array, each to the absolute error _ABS_TOL.
 
     G(x) = (1/2pi) Int exp(-ikx) G_hat(k) dk.  At x != 0 both half lines
     turn onto the rays k = r e^(-i rot) and k = -r e^(i rot),
@@ -265,13 +282,11 @@ def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec, *,
     rule in u = log r (Trefethen & Weideman, SIAM Review 56(3), 2014),
     halving the step until two levels agree, on nodes shared by the points
     of one sign; a point's ray ends where its own tail is below
-    abs_tol / 100, so its value depends on its x alone.  x = 0 takes the
+    _ABS_TOL / 100, so its value depends on its x alone.  x = 0 takes the
     Mellin transform of E_{a,b} with one rate order, and the unrotated ray
     with two."""
     kern = _kernel(kind, spec)
-    _check_time(t)
-    if not 0.0 < abs_tol < math.inf:
-        raise ValueError(f"abs_tol must be positive and finite, got {abs_tol}")
+    t = _time(t)
     xs = _finite_xs(xs)
     _check_dissipative(spec, kern.self_coupled)
     a, b, p = spec.alpha, kern.ml_index, kern.mult_order
@@ -323,7 +338,7 @@ def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec, *,
 
     def log_reach(width):
         """log of the R (inf where s <= 1) past which G_hat integrates to
-        below abs_tol / 100 on a ray whose Mittag-Leffler argument keeps
+        below _ABS_TOL / 100 on a ray whose Mittag-Leffler argument keeps
         top * width off the growth sector: its tail amp r^-s, and its term
         (1/a) w^((1-b)/a) exp(w^(1/a)), decaying there as
         exp(-sin(top width / a) |w|^(1/a)); the lower order's share of
@@ -337,13 +352,13 @@ def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec, *,
         y = 1.0
         for _ in range(4):
             log_r = (a * math.log(y / decay) - math.log(A)) / top
-            y = max(1.0, math.log(100.0 * pref / (a * math.pi * abs_tol))
+            y = max(1.0, math.log(100.0 * pref / (a * math.pi * _ABS_TOL))
                     + (1.0 + p) * log_r
                     + (1.0 - b) / a * (math.log(A) + top * log_r))
         reach = [math.log(10.0) + max(reach), log_r]
         if amp:
             reach.append(math.log(100.0 * amp / (math.pi * (s - 1.0)
-                                                 * abs_tol)) / (s - 1.0))
+                                                 * _ABS_TOL)) / (s - 1.0))
         return max(reach)
 
     # x = 0 with one rate order takes the Mellin form, every other x a ray
@@ -353,7 +368,7 @@ def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec, *,
 
     def log_end(x):
         """log of the r, at most R, past which the ray at x integrates
-        exp(-r |x| sin phi) (f0 + amp r^-s) to below abs_tol / 1e5, and
+        exp(-r |x| sin phi) (f0 + amp r^-s) to below _ABS_TOL / 1e5, and
         of the smaller of it and 1 / (|x| sin phi)."""
         side = np.sign(x)
         if x == 0.0:
@@ -362,7 +377,7 @@ def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec, *,
         y = 1.0
         for _ in range(4):
             env = f0 + amp * math.exp(min(700.0, -s * (math.log(y) - log_c)))
-            y = max(1.0, math.log(1e5 * env / (math.pi * abs_tol)) - log_c)
+            y = max(1.0, math.log(1e5 * env / (math.pi * _ABS_TOL)) - log_c)
         end = min(math.log(y) - log_c, reach[side])
         return end, min(end, -log_c)
 
@@ -370,16 +385,19 @@ def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec, *,
                            for x, ray in zip(flat, on_ray)]).reshape(-1, 2).T
     log_rate = max(0.0, math.log(sum(abs(c) for c, _, _ in rate) * ta))
     for x, end, rho in zip(flat[on_ray], ends[on_ray], rhos[on_ray]):
-        # mittag_leffler_array's absolute error, about eps / |w|, times
-        # r^p exp(-r |x| sin phi) integrates to eps rho^(1 + p - top) / A
-        log_bound = math.log(2.2e-16 * pref / A) + (1.0 + p - top) * rho
-        if log_bound > math.log(abs_tol) or top * end + log_rate > 700.0:
+        # mittag_leffler_array's absolute error, eps below the kernel's
+        # scale k1 and about eps / |w| past it, times r^p exp(-r |x| sin phi)
+        # integrates to eps rho^(1 + p - top) / A, times (rho / k1)^top
+        # where rho < k1
+        log_bound = math.log(2.2e-16 * pref / A) + (1.0 + p - top) * rho \
+            + top * min(0.0, rho - math.log(k1))
+        if log_bound > math.log(_ABS_TOL) or top * end + log_rate > 700.0:
             raise ToleranceNotMetError(
                 f"the ray at x = {x:g} runs to r = exp({end:.4g}), where the "
                 f"Mittag-Leffler argument leaves the double range or the "
                 f"round-off of its values, exp({log_bound:.4g}), passes "
-                f"abs_tol = {abs_tol:g}")
-    u_lo = math.log(min(1e-5 * abs_tol / f0, 1e-3 * k1))
+                f"abs_tol = {_ABS_TOL:g}")
+    u_lo = math.log(min(1e-5 * _ABS_TOL / f0, 1e-3 * k1))
 
     def ray_sum(xg, ends, rot, width):
         """The values at the points xg, whose rays at the angle rot end at
@@ -414,8 +432,8 @@ def green_points(kind: GreenKind, xs, t: float, spec: ProblemSpec, *,
             prev = total[act]
             total[act] = h * new if first else 0.5 * prev + h * new
             if not first:
-                # two levels agree to abs_tol / 10
-                done = np.abs(total[act] - prev) <= 0.2 * math.pi * abs_tol
+                # two levels agree to _ABS_TOL / 10
+                done = np.abs(total[act] - prev) <= 0.2 * math.pi * _ABS_TOL
                 out[act[done]] = total[act[done]]
                 act = act[~done]
             first = False
@@ -458,7 +476,7 @@ def green_point_closed(kind: GreenKind, x, t: float, spec: ProblemSpec):
     kind = GreenKind(kind)
     if kind not in (GreenKind.G, GreenKind.G2):
         raise ValueError("closed form available for G and G2 only")
-    _check_time(t)
+    t = _time(t)
     xs = _finite_xs(x)
     if np.any(xs == 0.0):
         raise ValueError("closed form has a 1/|x| prefactor; x must be nonzero")

@@ -38,6 +38,8 @@ class OracleConfig:
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        # a Python float: its powers raise OverflowError, numpy's give inf
+        object.__setattr__(self, "dt", float(self.dt))
         if not self.n_steps >= 1:
             raise ValueError(f"need at least one step, got {self.n_steps}")
         if self.n_steps > _MAX_STEPS:

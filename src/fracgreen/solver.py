@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .green import (_SOURCE, GreenKind, ProblemSpec, SpecValidationError,
-                    _check_time, _growth, _kernel, _kernel_rows)
+                    _growth, _kernel, _kernel_rows, _time)
 
 
 @dataclass(frozen=True)
@@ -117,12 +117,16 @@ class SpaceTimeGrid:
         if not math.isfinite(self.x_max - self.x_min):
             raise ValueError(f"the window width x_max - x_min overflows the "
                              f"double range: [{self.x_min}, {self.x_max}]")
-        ts = tuple(float(t) for t in self.times)
+        # the largest padded wavenumber is pi / dx
+        if not (self.dx > 0.0 and math.isfinite(math.pi / self.dx)):
+            raise ValueError(f"the grid spacing dx = (x_max - x_min) / nx = "
+                             f"{self.dx:g} puts the wavenumber pi / dx "
+                             f"outside the double range: [{self.x_min}, "
+                             f"{self.x_max}], nx = {self.nx}")
+        ts = tuple(map(_time, self.times))
         object.__setattr__(self, "times", ts)
         if not ts:
             raise ValueError("the grid needs at least one time")
-        for t in ts:
-            _check_time(t)
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("times must be strictly increasing")
 

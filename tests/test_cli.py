@@ -124,6 +124,15 @@ class TestGreen:
                     "--t", "2", "-o", str(out)]) == 3
         assert "the ray at x = 1e-100 runs to" in capsys.readouterr().err
         assert not out.exists()
+        # next to the edge |theta_eff| = 2 - alpha the contour decays too
+        # slowly and the ray needs too many nodes
+        assert run(["green", "--alpha", "1.5", "--beta", "1.5", "--theta",
+                    "0.49999", "--x-range", "-1", "-1", "--nx", "1",
+                    "--t", "1", "-o", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "the ray at x = -1 needs over 262144 nodes: 5.24e-06 rad of "
+            "room either side is narrow next to |theta_eff| = 2 - alpha\n")
+        assert not out.exists()
 
     def test_x_zero_on_the_grid(self, tmp_path, capsys):
         # the closed form has a 1/|x| prefactor: auto answers the whole
@@ -296,6 +305,23 @@ class TestSolveCompare:
         b = tmp_path / "b.csv"
         b.write_text("t,x,re,im\n1,0.5,1,0\n")
         assert run(["compare", str(a), str(b)]) == 2
+        capsys.readouterr()
+        b.write_text("k,re,im\n1,0,1\n")
+        assert run(["compare", str(a), str(b)]) == 2
+        assert capsys.readouterr().err == f"{b}: not a field CSV\n"
+        b.write_text("t,x,re,im\n")
+        assert run(["compare", str(a), str(b)]) == 2
+        assert capsys.readouterr().err == f"{b}: empty field CSV\n"
+
+    # the overflow on the way is numpy's to warn; the exit code is checked
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning",
+                                "ignore::UserWarning")
+    def test_non_finite_field_is_tolerance_error(self, tmp_path, capsys):
+        assert run(["solve", "--alpha", "0.1", "--beta", "1.6", "--x-range",
+                    "-5", "5", "--nx", "16", "--t", "1e-10",
+                    "--f", "gaussian:0,1e-300",
+                    "-o", str(tmp_path / "f.csv")]) == 3
+        assert capsys.readouterr().err == "solve produced non-finite values\n"
 
     def test_oracle_subcommand(self, tmp_path):
         out = tmp_path / "o.csv"
@@ -428,10 +454,15 @@ class TestPlumbing:
     def test_usage_error(self):
         assert run(["no-such"]) == 1
         assert run([]) == 1
+        assert run(["validate", "--alpha", "0.8", "--beta", "1.6",
+                    "--lambda", "1,2,3"]) == 1
+        assert run(["solve", "--alpha", "0.8", "--beta", "1.6", "--x-range",
+                    "-5", "5", "--nx", "16", "--t", "1", "--f", "foo:1"]) == 1
+        assert run(["validate", "--alpha", "0.8", "--config"]) == 1
 
     def test_config_file_flags_lose_to_cli(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("alpha=0.5\nbeta=2\ntheta=0.1\n")
+        cfg.write_text("# a comment line\nalpha=0.5\nbeta=2\ntheta=0.1\n")
         # config alone violates the theta bound -> exit 2
         assert run(["validate", "--config", str(cfg)]) == 2
         capsys.readouterr()
@@ -559,8 +590,14 @@ def test_each_error_kind_has_one_exit_code(cls, base, monkeypatch, capsys):
      "dt = 1e+299, alpha = 1.5"),
     (["solve", "--t", "1", "--f", "gaussian:0,1", "--x-range", "-1e308",
       "1e308"], 2, "the window width x_max - x_min overflows"),
+    (["solve", "--t", "1", "--f", "gaussian:0,1", "--x-range", "0",
+      "5e-324"], 2, "dx = (x_max - x_min) / nx = 0 puts the wavenumber "
+                    "pi / dx outside the double range"),
+    (["solve", "--alpha", "0.5", "--t", "1", "--f", "gaussian:0,1",
+      "--x-range", "0", "1e-300"], 3,
+     "-rate(k) t^alpha leaves the double range at t = 1, |k| = 5.02655e+301"),
 ], ids=["solve_t_alpha", "green_t_alpha", "oracle_dt_alpha",
-        "solve_window_width"])
+        "solve_window_width", "solve_dx_zero", "solve_rate_overflows"])
 def test_out_of_range_powers_and_widths_named(argv, code, text, tmp_path,
                                               capsys):
     out = tmp_path / "out.csv"

@@ -244,6 +244,11 @@ class TestHFunction:
         d = _mod_2pi_i(params.theta_log(xi) - ref)
         assert np.max(np.abs(d) / np.maximum(1.0, np.abs(ref))) <= 1e-12
 
+    def test_rho_outside_the_unit_interval_rejected(self):
+        with pytest.raises(ValueError, match=r"need 0 < rho < 1 and beta > 0, "
+                                             r"got rho=1\.2, beta=1\.6"):
+            HFunctionParams(0.8, 1.6, 1.2, 0.8)
+
     @pytest.mark.parametrize("beta", [1.7, 1.9])
     def test_residue_series_matches_the_contour(self, beta):
         # for alpha < beta the residue series over the left poles converges

@@ -30,8 +30,11 @@ class TestProblemSpec:
 
     def test_collects_all_violations(self):
         with pytest.raises(SpecValidationError) as err:
-            ProblemSpec(alpha=3.0, beta=2.0, theta=0.5, gamma=-1.0)
-        assert len(err.value.problems) == 3
+            ProblemSpec(alpha=3.0, beta=2.0, theta=0.5, gamma=-1.0,
+                        source_mode="bare", source_coupling="mutual")
+        assert len(err.value.problems) == 5
+        assert err.value.problems[-2:] == ["unknown source_mode 'bare'",
+                                           "unknown source_coupling 'mutual'"]
         assert isinstance(err.value, ValueError)
 
     @pytest.mark.parametrize("name", ["lam", "mu"])
@@ -332,6 +335,23 @@ class TestCornerValues:
         got = green_points(GreenKind.G, xs, 1.0, spec)
         closed = green_point_closed(GreenKind.G, xs, 1.0, spec)
         assert np.max(np.abs(got - closed)) <= 1e-12
+
+    @pytest.mark.parametrize("kind, spec, xs", [
+        (GreenKind.G, ProblemSpec(alpha=0.8, beta=1.6),
+         [1e12, 1e15, 1e40, 1e300, -1e300]),
+        (GreenKind.G2, ProblemSpec(alpha=1.5, beta=1.7, theta=0.1),
+         [1e10, 1e15, 1e11, -1e200]),
+    ], ids=["G", "G2"])
+    def test_far_field_values_within_the_tolerance(self, kind, spec, xs):
+        # below the kernel's scale the Mittag-Leffler round-off is eps, not
+        # eps / |w|: a ray at large |x| stays short and its bound small
+        got = green_points(kind, xs, 1.0, spec)
+        assert np.max(np.abs(got)) < 1e-9
+        closed = green_point_closed(kind, xs[0], 1.0, spec)
+        assert abs(got[0] - closed) <= 1e-9
+        # the closed form's contour names the H argument it cannot reach
+        with pytest.raises(HAccuracyError, match=r"at z = \S+e\+1[45]$"):
+            green_point_closed(kind, xs[1], 1.0, spec)
 
     # the example sits next to the edge |theta| = 2 - alpha, where the
     # room to rotate is narrow on the side x < 0 and the ray is long
@@ -817,15 +837,6 @@ def test_non_finite_x_named(evaluate, x):
         evaluate(GreenKind.G, [0.5, x], 1.0, spec)
 
 
-@pytest.mark.parametrize("abs_tol", [0.0, -1e-9, math.inf, math.nan])
-def test_bad_abs_tol_named_before_any_evaluation(abs_tol, monkeypatch):
-    monkeypatch.setattr(green, "mittag_leffler_array", None)
-    spec = ProblemSpec(alpha=0.8, beta=1.6, theta=0.1)
-    with pytest.raises(ValueError, match=f"abs_tol must be positive and "
-                                         f"finite, got {abs_tol}"):
-        green_points(GreenKind.G, [0.0, 0.5], 1.0, spec, abs_tol=abs_tol)
-
-
 class TestMass:
     def test_mass_law_values(self):
         spec = ProblemSpec(alpha=0.5, beta=1.5)
@@ -851,7 +862,13 @@ class TestMass:
     # G2's t^(alpha - 2) at the smallest double, where t^alpha underflows
     (GreenKind.G2, 1.01, 5e-324, "t^-0.99 overflows the double range at "
                                  "t = 4.94066e-324, alpha = 1.01"),
-], ids=["G_t_alpha", "G2_t_alpha_minus_2"])
+    # numpy scalars become Python floats where they enter, so their powers
+    # raise as a float's do instead of returning inf
+    (GreenKind.G, 1.5, np.float64(1e250), "t^1.5 overflows the double "
+                                          "range at t = 1e+250, alpha = 1.5"),
+    (GreenKind.G, np.float64(1.5), 1e250, "t^1.5 overflows the double "
+                                          "range at t = 1e+250, alpha = 1.5"),
+], ids=["G_t_alpha", "G2_t_alpha_minus_2", "G_numpy_t", "G_numpy_alpha"])
 def test_time_power_overflow_named(kind, alpha, t, text):
     spec = ProblemSpec(alpha=alpha, beta=1.6)
     with pytest.raises(OverflowError, match=re.escape(text)):

@@ -61,8 +61,11 @@ class TestModeEvolve:
         with pytest.raises(OracleInstabilityError):
             _evolve_scalar(0.5, c, dt, 8)
 
-    @pytest.mark.parametrize("alpha, dt", [(1.5, 1e299), (0.01, 1e-314)],
-                             ids=["dt_alpha", "dt_alpha_minus_1"])
+    # a numpy dt becomes a Python float on entry, whose power raises
+    @pytest.mark.parametrize("alpha, dt", [(1.5, 1e299), (0.01, 1e-314),
+                                           (1.5, np.float64(1e299))],
+                             ids=["dt_alpha", "dt_alpha_minus_1",
+                                  "dt_alpha_numpy"])
     def test_dt_power_overflow_named(self, alpha, dt):
         with pytest.raises(OverflowError, match=re.escape(
                 f"dt^alpha or dt^(alpha - 1) overflows the double range at "

@@ -50,6 +50,12 @@ class TestDescriptors:
         vals = SourceDescriptor.box(-1.0, 1.0).render(grid.x, grid.dx)
         assert np.sum(vals.real) * grid.dx == pytest.approx(2.0, abs=0.11)
 
+    def test_zero_renders_zeros(self):
+        grid = SpaceTimeGrid(-5.0, 5.0, 16, (1.0,))
+        vals = SourceDescriptor.zero().render(grid.x, grid.dx)
+        assert vals.dtype == complex and vals.shape == (16,)
+        assert not vals.any()
+
     def test_samples_length_checked(self):
         grid = SpaceTimeGrid(-5.0, 5.0, 100, (1.0,))
         with pytest.raises(ValueError):
@@ -115,12 +121,17 @@ class TestGrid:
     lambda: SpaceTimeGrid(0.0, 1.0, 7, (1.0,)),
     lambda: SpaceTimeGrid(0.0, 1.0, 16, ()),
     lambda: SourceDescriptor(kind="samples"),
+    # dx underflows to 0, or pi / dx, the largest wavenumber, overflows
+    lambda: SpaceTimeGrid(0.0, 5e-324, 16, (1.0,)),
+    lambda: SpaceTimeGrid(0.0, 1e-310, 16, (1.0,)),
+    lambda: convolve_time_singular(np.ones(3), 0.5, 4, 0.25),
 ], ids=["grid_reversed", "grid_empty", "grid_time_nan", "grid_time_inf",
         "grid_x_max_inf", "grid_x_min_inf", "gaussian_zero_width",
         "gaussian_negative_width", "box_empty", "box_reversed",
         "grid_nx_fraction", "grid_nx_numpy_float", "gaussian_center_nan",
         "gaussian_center_inf", "gaussian_width_inf", "grid_nx_7",
-        "grid_no_times", "samples_without_values"])
+        "grid_no_times", "samples_without_values", "grid_dx_zero",
+        "grid_wavenumber_overflows", "convolve_too_few_samples"])
 def test_malformed_inputs_rejected(build):
     with pytest.raises(ValueError):
         build()
