@@ -200,15 +200,12 @@ def _cmd_solve(args):
     spec = _spec_from_args(args)
     grid = SpaceTimeGrid(args.x_range[0], args.x_range[1], args.nx, args.t)
     field = solve(spec, args.f, args.g, args.U, grid)
-    peak = float(np.max(np.abs(field.values)))
     _write_lines(args.output, _field_lines(grid, field.values))
     if args.manifest:
+        peak = float(np.max(np.abs(field.values)))
         checks = [["finite_values", bool(np.isfinite(peak)), peak]]
         _write_manifest(args.manifest, ["solve"] + args.raw_argv,
                         spec, grid, checks)
-    if not np.isfinite(peak):
-        print("solve produced non-finite values", file=sys.stderr)
-        return EXIT_TOLERANCE
     return EXIT_OK
 
 

@@ -449,8 +449,8 @@ class HFunctionParams:
     index: float
 
     def __post_init__(self):
-        if not (0.0 < self.rho < 1.0 and self.beta > 0.0):
-            raise ValueError(f"need 0 < rho < 1 and beta > 0, got "
+        if not (0.0 <= self.rho <= 1.0 and self.beta > 0.0):
+            raise ValueError(f"need 0 <= rho <= 1 and beta > 0, got "
                              f"rho={self.rho:g}, beta={self.beta:g}")
 
     def theta_log(self, xi) -> np.ndarray:
@@ -466,6 +466,10 @@ class HFunctionParams:
 _H_ABS_TOL = 1e-12
 _H_REL_TOL = 1e-9
 
+# The most nodes the step levels of one z may hold together, 128 MiB of
+# nodes and integrand; the answered cases hold at most 2.7e6
+_H_NODES = 2 ** 22
+
 
 def _h_contour(params: HFunctionParams, zs: np.ndarray):
     """Trapezoid values of the contour integral at each z.
@@ -476,6 +480,8 @@ def _h_contour(params: HFunctionParams, zs: np.ndarray):
     halves its own step until two levels agree.  By Stirling, the
     integrand decays as a power of Im xi times exp(-rate Im xi); the
     contour stops 100 past the height where that exponential is e^-45.
+    The levels one z uses hold at most _H_NODES nodes together, so those
+    kept for all of zs hold at most twice that.
     """
     a, b = params.alpha, params.beta
     c = -0.5 * min(1.0, b)
@@ -495,8 +501,13 @@ def _h_contour(params: HFunctionParams, zs: np.ndarray):
         j0 = 0
         while 0.25 * 0.5 ** j0 > 0.5 / max(1.0, abs(lnz)):
             j0 += 1
-        prev = None
+        prev, nodes = None, 0
         for j in range(j0, j0 + 8):
+            nodes += math.ceil(height / (0.25 * 0.5 ** j))
+            if nodes > _H_NODES:
+                raise HAccuracyError(
+                    f"Mellin-Barnes trapezoid needs over {_H_NODES} nodes "
+                    f"({nodes} by step level {j - j0 + 1}) at z = {z:g}")
             if j not in levels:
                 xi = c + 1j * np.arange(0.0, height, 0.25 * 0.5 ** j)
                 levels[j] = xi, params.theta_log(xi)
@@ -526,7 +537,8 @@ def h_function(params: HFunctionParams, z):
     """Mellin-Barnes integral of the kernels' H-function at z > 0.
 
     z is a scalar, giving a float, or an array, giving an array of its
-    shape; each value depends on z alone.  Every z is integrated along
+    shape; each value depends on z alone.  At rho = 0 the integrand's
+    sin(pi rho xi) vanishes, and so does H.  Every z is integrated along
     the line Re xi = -min(1, beta)/2 with an adaptive trapezoid rule, up
     to a height set by the integrand's Stirling decay rate
     pi (2 + theta_eff - alpha) / (2 beta), theta_eff = beta (1 - 2 rho).
@@ -537,5 +549,8 @@ def h_function(params: HFunctionParams, z):
     zs = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(zs) & (zs > 0)):
         raise ValueError("z must be finite and positive")
-    out = _h_contour(params, zs.ravel())
+    if params.rho == 0.0:
+        out = np.zeros(zs.size)
+    else:
+        out = _h_contour(params, zs.ravel())
     return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)

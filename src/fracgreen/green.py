@@ -185,26 +185,35 @@ def _finite_xs(x) -> np.ndarray:
     return xs
 
 
-def _kernel_rows(kern: _Kernel, k: np.ndarray, times, spec: ProblemSpec):
-    """kern at the wavenumber array k, real or complex, for every t in
-    times, which the caller has checked, one row per time, from one
-    mittag_leffler_array call.  OverflowError names the first t and its
-    largest |k| where -rate(k) t^alpha leaves the double range."""
+def _ml_arg(k: np.ndarray, times, spec: ProblemSpec, self_coupled: bool):
+    """The Mittag-Leffler argument -rate(k) t^alpha at the wavenumber array
+    k, real or complex, for every t in times, which the caller has
+    checked, one row per time.  OverflowError names the first t and its
+    largest |k| where it leaves the double range."""
     a = spec.alpha
-    col = (-1,) + (1,) * k.ndim
     # powers as Python floats: numpy's array power can differ in the last
     # bit, and green_hat's values must not depend on the times beside t
-    ta = np.array([_time_power(t, a, a) for t in times]).reshape(col)
-    tpow = np.array([_time_power(t, kern.tpow, a) for t in times]).reshape(col)
+    ta = np.array([_time_power(t, a, a) for t in times])
     with np.errstate(over="ignore", invalid="ignore"):
-        arg = -spec.rate(k, kern.self_coupled) * ta
+        arg = -spec.rate(k, self_coupled) * ta.reshape(-1, *(1,) * k.ndim)
     bad = ~np.isfinite(arg)
     if bad.any():
         row = int(np.argmax(bad.reshape(len(times), -1).any(axis=1)))
         raise OverflowError(f"-rate(k) t^alpha leaves the double range at "
                             f"t = {times[row]:g}, |k| = "
                             f"{np.abs(k[bad[row]]).max():g}")
-    out = tpow * mittag_leffler_array(a, kern.ml_index, arg)
+    return arg
+
+
+def _kernel_rows(kern: _Kernel, k: np.ndarray, times, spec: ProblemSpec):
+    """kern at the wavenumber array k, real or complex, for every t in
+    times, which the caller has checked, one row per time, from one
+    mittag_leffler_array call on _ml_arg's checked argument."""
+    a = spec.alpha
+    arg = _ml_arg(k, times, spec, kern.self_coupled)
+    tpow = np.array([_time_power(t, kern.tpow, a) for t in times])
+    out = tpow.reshape(-1, *(1,) * k.ndim) \
+        * mittag_leffler_array(a, kern.ml_index, arg)
     if kern.mult_order:
         out = out * riesz_feller_symbol(spec.source_symbol(), k)
     return out
@@ -471,7 +480,8 @@ def green_point_closed(kind: GreenKind, x, t: float, spec: ProblemSpec):
     and refused with FourierOnlyError where G_hat grows with |k|.
     x is a scalar, giving a float, or an array, giving an array of its
     shape; each value depends on x alone.  The x < 0 values are the
-    mirror kernel with the skew negated.
+    mirror kernel with the skew negated.  Where theta_eff = beta <= 1
+    (rho = 0) the density is one-sided, and the values are exactly 0.
     """
     kind = GreenKind(kind)
     if kind not in (GreenKind.G, GreenKind.G2):
@@ -500,17 +510,20 @@ def green_point_closed(kind: GreenKind, x, t: float, spec: ProblemSpec):
             f"x = {xs.ravel()[i]:g}, t = {t:g}")
     h = np.empty(xs.shape)
     pos = xs > 0
+    # h_function's exact 0 at rho = 0 takes no contour tolerance
+    contour = np.zeros(xs.shape, dtype=bool)
     for side, theta_eff in ((pos, spec.theta), (~pos, -spec.theta)):
         if side.any():
             rho = (b - theta_eff) / (2.0 * b)
             params = HFunctionParams(a, b, rho, kern.ml_index)
             h[side] = h_function(params, np.exp(log_arg[side]))
+            contour |= side & (rho > 0.0)
     out = t ** kern.tpow / (b * ax) * h
     # the contour stops at the absolute _H_ABS_TOL; carried through the
     # prefactor, that stop may exceed both the value and _H_ABS_TOL itself
     # (tiny |x|), and then no digit of the value is certain
     stop = _H_ABS_TOL * t ** kern.tpow / (b * ax)
-    lost = ((stop > np.abs(out)) & (stop > _H_ABS_TOL)).ravel()
+    lost = (contour & (stop > np.abs(out)) & (stop > _H_ABS_TOL)).ravel()
     if lost.any():
         i = np.flatnonzero(lost)[0]
         raise HAccuracyError(

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .green import ProblemSpec
+from .green import ProblemSpec, _ml_arg, _time_power
 from .operators import gl_weights
 from .solver import (Field, SourceDescriptor, SpaceTimeGrid, _padded_fft,
                      _padded_wavenumbers)
@@ -55,8 +55,9 @@ class OracleConfig:
             raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
 
 
-def _evolve(alpha, c, v, cfg, rows):
-    """GL evolution of the 1-D modes c, v; returns the steps listed in rows.
+def _evolve(alpha, arg, v, cfg, rows):
+    """GL evolution of the 1-D modes v with Mittag-Leffler argument arg =
+    -c dt^alpha at t = dt; returns the steps listed in rows.
 
     The modes run in blocks of _BLOCK_MODES.  A block keeps its history
     newest step first, filled from its last row up, so step i's memory
@@ -68,20 +69,15 @@ def _evolve(alpha, c, v, cfg, rows):
     """
     dt, n = cfg.dt, cfg.n_steps
     w = gl_weights(alpha, n)
-    try:
-        denom = 1.0 + c * dt ** alpha
-        scale = dt ** (alpha - 1.0) * v
-    except OverflowError:
-        raise OverflowError(f"dt^alpha or dt^(alpha - 1) overflows the double "
-                            f"range at dt = {dt:g}, alpha = {alpha:g}") \
-            from None
+    denom = 1.0 - arg
+    scale = _time_power(dt, alpha - 1.0, alpha) * v
     if np.any(np.abs(denom) < 1e-12):
         raise OracleInstabilityError(
             "implicit GL step is singular; reduce dt")
     bound = 1e12 * (1.0 + np.max(np.abs(v)))
-    out = np.empty((len(rows), c.size), dtype=complex)
+    out = np.empty((len(rows), arg.size), dtype=complex)
     first_bad = n
-    for lo in range(0, c.size, _BLOCK_MODES):
+    for lo in range(0, arg.size, _BLOCK_MODES):
         block = slice(lo, lo + _BLOCK_MODES)
         d = denom[block]
         hist = np.empty((n, d.size), dtype=complex)  # row n - 1 - i: step i
@@ -113,7 +109,8 @@ def oracle_mode_evolve(alpha: float, coeffs, init, cfg: OracleConfig):
     v = np.asarray(init, dtype=complex)
     if c.shape != v.shape:
         raise ValueError("coeffs and init must have matching shapes")
-    out = _evolve(alpha, c.ravel(), v.ravel(), cfg, np.arange(cfg.n_steps))
+    arg = -c.ravel() * _time_power(cfg.dt, alpha, alpha)
+    out = _evolve(alpha, arg, v.ravel(), cfg, np.arange(cfg.n_steps))
     return out.reshape((cfg.n_steps,) + c.shape)
 
 
@@ -145,8 +142,8 @@ def oracle_solve(spec: ProblemSpec, f: SourceDescriptor,
             raise ValueError(f"output time {t} is off the dt lattice")
         rows.append(n - 1)
     M, k = _padded_wavenumbers(grid)
-    rate = spec.rate(k, spec.source_coupling == "self")
-    modes = _evolve(spec.alpha, rate, _padded_fft(f, grid, M), cfg,
-                   np.array(rows))
+    v = _padded_fft(f, grid, M)
+    arg = _ml_arg(k, (cfg.dt,), spec, spec.source_coupling == "self")[0]
+    modes = _evolve(spec.alpha, arg, v, cfg, np.array(rows))
     values = np.fft.ifft(modes, axis=1)[:, :grid.nx].copy()
     return Field(grid=grid, values=values)

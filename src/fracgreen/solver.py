@@ -285,7 +285,9 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
     identical arguments are evaluated once; past _BLOCK_VALUES values the
     times go in blocks, one call per block, so working memory does not
     grow with their number.  A zero datum costs nothing.  Each row of
-    the result equals the single-time solve at its t.  One window check
+    the result equals the single-time solve at its t.  A field that
+    leaves the double range raises OverflowError naming its first such
+    t, without a warning on the way.  Then one window check
     (_window_verdict) reads the last t once: its transform for
     resolution, then, if resolved, its inverse FFT over the whole padded
     period for mass about to wrap onto the window.
@@ -312,38 +314,45 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
     nx, M = grid.nx, _padded_count(grid.nx)
     kind_f, kind_g = ((GreenKind.G3, GreenKind.G4) if self_coupled
                       else (GreenKind.G, GreenKind.G2))
-    # the padded transform and kind of each datum that is not all zero; a
-    # zero descriptor is neither rendered nor transformed
-    data, kinds = [], []
-    for desc, kind in ((f, kind_f), (g, kind_g), (U, _SOURCE)):
-        if desc.kind == "zero":
-            continue
-        datum = _padded_fft(desc, grid, M)
-        if kind is _SOURCE and datum.any():
-            if spec.mu == 0:
-                warnings.warn("source U given with mu = 0 adds nothing to "
-                              "the field", stacklevel=2)
+    # an overflow on the way leaves inf or nan in the field, named below
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the padded transform and kind of each datum that is not all
+        # zero; a zero descriptor is neither rendered nor transformed
+        data, kinds = [], []
+        for desc, kind in ((f, kind_f), (g, kind_g), (U, _SOURCE)):
+            if desc.kind == "zero":
                 continue
-            # s mu U_hat, which can underflow to zero; the source kernel's
-            # table holds m_S
-            datum = (-spec.mu if spec.source_mode == "riesz_feller"
-                     else spec.mu) * datum
-        if not datum.any():
-            continue
-        data.append(datum)
-        kinds.append(kind)
-    if not data:
-        return Field(grid, np.zeros((len(grid.times), nx), dtype=complex))
+            datum = _padded_fft(desc, grid, M)
+            if kind is _SOURCE and datum.any():
+                if spec.mu == 0:
+                    warnings.warn("source U given with mu = 0 adds nothing "
+                                  "to the field", stacklevel=2)
+                    continue
+                # s mu U_hat, which can underflow to zero; the source
+                # kernel's table holds m_S
+                datum = (-spec.mu if spec.source_mode == "riesz_feller"
+                         else spec.mu) * datum
+            if not datum.any():
+                continue
+            data.append(datum)
+            kinds.append(kind)
+        if not data:
+            return Field(grid, np.zeros((len(grid.times), nx), complex))
 
-    out = np.empty((len(grid.times), nx), dtype=complex)
-    step = max(1, _BLOCK_VALUES // M)
-    for lo in range(0, len(grid.times), step):
-        ts = grid.times[lo:lo + step]
-        tables = [_kernel_table(kind, spec, M, grid.dx, ts) for kind in kinds]
-        nhat = functools.reduce(np.add, (
-            datum * table for datum, (table, _) in zip(data, tables)))
-        rows = np.fft.ifft(nhat, axis=1)
-        out[lo:lo + len(ts)] = rows[:, :nx]
+        out = np.empty((len(grid.times), nx), dtype=complex)
+        step = max(1, _BLOCK_VALUES // M)
+        for lo in range(0, len(grid.times), step):
+            ts = grid.times[lo:lo + step]
+            tables = [_kernel_table(kind, spec, M, grid.dx, ts)
+                      for kind in kinds]
+            nhat = functools.reduce(np.add, (
+                datum * table for datum, (table, _) in zip(data, tables)))
+            rows = np.fft.ifft(nhat, axis=1)
+            out[lo:lo + len(ts)] = rows[:, :nx]
+    if not np.isfinite(out).all():
+        t = grid.times[int(np.argmin(np.isfinite(out).all(axis=1)))]
+        raise OverflowError(f"solve produced non-finite values at t = {t:g}: "
+                            f"the field leaves the double range")
     # every kernel of one solve has the same rate: G3 and G4 come only
     # self-coupled, the source kernel only external
     verdict = tables[0][1]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fracgreen import cli
+from fracgreen import cli, fracmath
 from fracgreen.fracmath import HAccuracyError, MLConvergenceError
 from fracgreen.green import (FourierOnlyError, RegimeError,
                              SpecValidationError, ToleranceNotMetError)
@@ -133,6 +133,33 @@ class TestGreen:
             "the ray at x = -1 needs over 262144 nodes: 5.24e-06 rad of "
             "room either side is narrow next to |theta_eff| = 2 - alpha\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("lo, hi", [("0.5", "2"), ("-2", "-0.5")])
+    def test_extremal_skew_closed_form(self, lo, hi, tmp_path):
+        # theta = beta <= 1: rho = 0 for x > 0, where G is exactly 0, and
+        # rho = 1 for x < 0
+        out = tmp_path / "g.csv"
+        assert run(["green", "--alpha", "0.7", "--beta", "0.6", "--theta",
+                    "0.6", "--x-range", lo, hi, "--nx", "3", "--t", "1",
+                    "--method", "closed", "-o", str(out)]) == 0
+        values = [float(row.split(",")[2])
+                  for row in out.read_text().splitlines()[1:]]
+        assert len(values) == 3
+        assert all(v == 0.0 for v in values) == (lo == "0.5")
+
+    def test_auto_falls_back_to_the_rays_past_the_node_cap(
+            self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(fracmath, "_H_NODES", 2 ** 10)
+        out = tmp_path / "g.csv"
+        argv = ["green", "--alpha", "0.8", "--beta", "1.6", "--x-range",
+                "2", "2", "--nx", "1", "--t", "1", "-o", str(out)]
+        assert run(argv + ["--method", "closed"]) == 3
+        assert capsys.readouterr().err == (
+            "Mellin-Barnes trapezoid needs over 1024 nodes (2400 by step "
+            "level 2) at z = 2\n")
+        assert not out.exists()
+        assert run(argv) == 0
+        assert out.read_text().splitlines()[1].endswith(",quadrature")
 
     def test_x_zero_on_the_grid(self, tmp_path, capsys):
         # the closed form has a 1/|x| prefactor: auto answers the whole
@@ -313,15 +340,16 @@ class TestSolveCompare:
         assert run(["compare", str(a), str(b)]) == 2
         assert capsys.readouterr().err == f"{b}: empty field CSV\n"
 
-    # the overflow on the way is numpy's to warn; the exit code is checked
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning",
-                                "ignore::UserWarning")
+    # solve names its overflowing field before any warning or output
     def test_non_finite_field_is_tolerance_error(self, tmp_path, capsys):
         assert run(["solve", "--alpha", "0.1", "--beta", "1.6", "--x-range",
                     "-5", "5", "--nx", "16", "--t", "1e-10",
                     "--f", "gaussian:0,1e-300",
                     "-o", str(tmp_path / "f.csv")]) == 3
-        assert capsys.readouterr().err == "solve produced non-finite values\n"
+        assert capsys.readouterr().err == (
+            "solve produced non-finite values at t = 1e-10: the field leaves "
+            "the double range\n")
+        assert not (tmp_path / "f.csv").exists()
 
     def test_oracle_subcommand(self, tmp_path):
         out = tmp_path / "o.csv"
@@ -585,9 +613,9 @@ def test_each_error_kind_has_one_exit_code(cls, base, monkeypatch, capsys):
      "t^1.5 overflows the double range at t = 1e+250, alpha = 1.5"),
     (["green", "--t", "1e300", "--method", "quadrature"], 3,
      "A = inf at t = 1e+300, alpha = 1.5 puts the kernel's scale"),
+    # the oracle's dt^alpha is t^alpha at t = dt
     (["oracle", "--t", "1e300", "--dt", "1e299"], 3,
-     "dt^alpha or dt^(alpha - 1) overflows the double range at "
-     "dt = 1e+299, alpha = 1.5"),
+     "t^1.5 overflows the double range at t = 1e+299, alpha = 1.5"),
     (["solve", "--t", "1", "--f", "gaussian:0,1", "--x-range", "-1e308",
       "1e308"], 2, "the window width x_max - x_min overflows"),
     (["solve", "--t", "1", "--f", "gaussian:0,1", "--x-range", "0",
@@ -596,13 +624,21 @@ def test_each_error_kind_has_one_exit_code(cls, base, monkeypatch, capsys):
     (["solve", "--alpha", "0.5", "--t", "1", "--f", "gaussian:0,1",
       "--x-range", "0", "1e-300"], 3,
      "-rate(k) t^alpha leaves the double range at t = 1, |k| = 5.02655e+301"),
+    # the oracle's one step, at t = dt, takes the same check
+    (["oracle", "--alpha", "0.5", "--t", "0.5", "--f", "gaussian:0,1",
+      "--x-range", "0", "1e-300"], 3,
+     "-rate(k) t^alpha leaves the double range at t = 0.000976562, "
+     "|k| = 5.02655e+301"),
 ], ids=["solve_t_alpha", "green_t_alpha", "oracle_dt_alpha",
-        "solve_window_width", "solve_dx_zero", "solve_rate_overflows"])
+        "solve_window_width", "solve_dx_zero", "solve_rate_overflows",
+        "oracle_rate_overflows"])
 def test_out_of_range_powers_and_widths_named(argv, code, text, tmp_path,
                                               capsys):
     out = tmp_path / "out.csv"
     assert run(argv[:1] + ["--alpha", "1.5", "--beta", "1.6", "--x-range",
                            "-10", "10", "--nx", "16", "-o", str(out)]
                + argv[1:]) == code
-    assert text in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert text in err
+    assert err.count("\n") == 1
     assert not out.exists()

@@ -2,13 +2,16 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.special import erfcx, loggamma as scipy_loggamma
 
-from fracgreen.fracmath import (HFunctionParams, h_function, loggamma,
-                                mittag_leffler, mittag_leffler_array, rgamma)
+from fracgreen import fracmath
+from fracgreen.fracmath import (HAccuracyError, HFunctionParams, h_function,
+                                loggamma, mittag_leffler,
+                                mittag_leffler_array, rgamma)
 
 from _reference import h_integrand_log, h_residue_series
 
@@ -245,9 +248,27 @@ class TestHFunction:
         assert np.max(np.abs(d) / np.maximum(1.0, np.abs(ref))) <= 1e-12
 
     def test_rho_outside_the_unit_interval_rejected(self):
-        with pytest.raises(ValueError, match=r"need 0 < rho < 1 and beta > 0, "
-                                             r"got rho=1\.2, beta=1\.6"):
+        with pytest.raises(ValueError, match=r"need 0 <= rho <= 1 and beta "
+                                             r"> 0, got rho=1\.2, beta=1\.6"):
             HFunctionParams(0.8, 1.6, 1.2, 0.8)
+
+    def test_extremal_rho(self):
+        # at rho = 0 sin(pi rho xi) vanishes, and H with it; at rho = 1,
+        # with alpha < beta, the left-pole series is a reference
+        zs = np.geomspace(1e-6, 0.09, 7)
+        zero = h_function(HFunctionParams(0.5, 0.93, 0.0, 0.5), zs)
+        assert np.array_equal(zero, np.zeros(7))
+        got = h_function(HFunctionParams(0.5, 0.93, 1.0, 0.5), zs)
+        ref = h_residue_series(0.5, 0.93, 1.0, 0.5, zs)
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+    def test_node_cap_names_z_and_the_count(self, monkeypatch):
+        # the step levels one z uses hold at most _H_NODES nodes together;
+        # z = 2 at (0.8, 1.6) needs 800 + 1600 by its second level
+        monkeypatch.setattr(fracmath, "_H_NODES", 2 ** 10)
+        with pytest.raises(HAccuracyError, match=re.escape(
+                "needs over 1024 nodes (2400 by step level 2) at z = 2")):
+            h_function(HFunctionParams(0.8, 1.6, 0.5, 0.8), 2.0)
 
     @pytest.mark.parametrize("beta", [1.7, 1.9])
     def test_residue_series_matches_the_contour(self, beta):

@@ -686,6 +686,21 @@ class TestClosedForm:
         q = green_points(GreenKind.G2, [0.8], 1.0, spec)[0]
         assert c == pytest.approx(q.real, rel=1e-6)
 
+    # at |theta| = beta <= 1 the density is one-sided: rho = 0 on the side
+    # of theta's sign, where the value is exactly 0, and rho = 1 on the other
+    @pytest.mark.parametrize("kind, alpha, beta", [
+        (GreenKind.G, 0.7, 0.6), (GreenKind.G, 1.0, 0.5),
+        (GreenKind.G2, 1.1, 0.6)], ids=["G", "G_alpha_1", "G2"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+    def test_extremal_skew_matches_the_rays(self, kind, alpha, beta, sign):
+        spec = ProblemSpec(alpha=alpha, beta=beta, theta=sign * beta)
+        xs = np.array([-2.0, -0.5, 0.5, 2.0])
+        closed = green_point_closed(kind, xs, 1.0, spec)
+        assert np.all(closed[np.sign(xs) == sign] == 0.0)
+        assert np.all(closed[np.sign(xs) != sign] > 0.0)
+        rays = green_points(kind, xs, 1.0, spec)
+        assert np.max(np.abs(closed - rays)) <= 1e-9
+
     def test_array_matches_one_point_calls(self):
         spec = ProblemSpec(alpha=0.8, beta=1.6, theta=0.1)
         xs = np.array([-7.0, -0.05, 0.03, 0.4, -1.2, 2.5, 30.0])

@@ -61,15 +61,16 @@ class TestModeEvolve:
         with pytest.raises(OracleInstabilityError):
             _evolve_scalar(0.5, c, dt, 8)
 
-    # a numpy dt becomes a Python float on entry, whose power raises
-    @pytest.mark.parametrize("alpha, dt", [(1.5, 1e299), (0.01, 1e-314),
-                                           (1.5, np.float64(1e299))],
-                             ids=["dt_alpha", "dt_alpha_minus_1",
-                                  "dt_alpha_numpy"])
-    def test_dt_power_overflow_named(self, alpha, dt):
+    # a numpy dt becomes a Python float on entry, whose power raises; dt's
+    # powers are named as the kernels' powers of t are
+    @pytest.mark.parametrize("alpha, dt, power", [
+        (1.5, 1e299, "1.5"), (0.01, 1e-314, "-0.99"),
+        (1.5, np.float64(1e299), "1.5")],
+        ids=["dt_alpha", "dt_alpha_minus_1", "dt_alpha_numpy"])
+    def test_dt_power_overflow_named(self, alpha, dt, power):
         with pytest.raises(OverflowError, match=re.escape(
-                f"dt^alpha or dt^(alpha - 1) overflows the double range at "
-                f"dt = {dt:g}, alpha = {alpha:g}")):
+                f"t^{power} overflows the double range at t = {dt:g}, "
+                f"alpha = {alpha:g}")):
             oracle_mode_evolve(alpha, np.ones(2), np.ones(2),
                                OracleConfig(dt, 4))
 
