@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .green import ProblemSpec, _ml_arg, _time_power
+from .green import ProblemSpec, _growth, _ml_arg, _time_power
 from .operators import gl_weights
-from .solver import (Field, SourceDescriptor, SpaceTimeGrid, _padded_fft,
+from .solver import (Field, SourceDescriptor, SpaceTimeGrid, _field,
                      _padded_wavenumbers)
 
 
@@ -63,9 +63,11 @@ def _evolve(alpha, arg, v, cfg, rows):
     newest step first, filled from its last row up, so step i's memory
     sum w[1] u_(i-1) + ... + w[i] u_0 is one product that reads both the
     weights and the history forward and copies neither.  Divergence is
-    checked once per block over all of its steps, against the bound that
-    every mode shares; the earliest failing step over all blocks is the
-    one reported.
+    checked once per block over all of its steps, against 1e12 times
+    1 + max |v|, read as a ratio to the latter so that it cannot overflow;
+    the earliest failing step over all blocks is the one reported.
+    Values past the double range are returned for oracle_solve's data
+    path to name, as it names solve's.
     """
     dt, n = cfg.dt, cfg.n_steps
     w = gl_weights(alpha, n)
@@ -74,7 +76,7 @@ def _evolve(alpha, arg, v, cfg, rows):
     if np.any(np.abs(denom) < 1e-12):
         raise OracleInstabilityError(
             "implicit GL step is singular; reduce dt")
-    bound = 1e12 * (1.0 + np.max(np.abs(v)))
+    size = 1.0 + np.max(np.abs(v))
     out = np.empty((len(rows), arg.size), dtype=complex)
     first_bad = n
     for lo in range(0, arg.size, _BLOCK_MODES):
@@ -86,7 +88,8 @@ def _evolve(alpha, arg, v, cfg, rows):
             hist[-1] = scale[block] / d
             for i in range(1, n):
                 hist[n - 1 - i] = -(w[1:i + 1] @ hist[n - i:]) / d
-            bad = np.flatnonzero(~(np.max(np.abs(hist), axis=1) <= bound))
+            ratio = np.max(np.abs(hist), axis=1) / size
+        bad = np.flatnonzero((ratio > 1e12) & (ratio < np.inf))
         if bad.size:
             first_bad = min(first_bad, n - 1 - bad[-1])
         out[:, block] = hist[n - 1 - rows]
@@ -104,6 +107,7 @@ def oracle_mode_evolve(alpha: float, coeffs, init, cfg: OracleConfig):
     enters as dt^(alpha - 1) * init at the first step, matching the
     generating-function solution
     u_hat(zeta) = dt^(alpha-1) init / ((1 - zeta)^alpha + c dt^alpha).
+    Steps past the double range are returned as inf or nan, not raised.
     """
     c = np.asarray(coeffs, dtype=complex)
     v = np.asarray(init, dtype=complex)
@@ -125,11 +129,12 @@ def oracle_solve(spec: ProblemSpec, f: SourceDescriptor,
                  grid: SpaceTimeGrid, cfg: OracleConfig) -> Field:
     """Reference field for the pure initial-value problem (g = 0, U = 0).
 
-    Works mode by mode: FFT the initial datum, run the GL recursion for
-    every wavenumber at once, inverse-FFT at the requested output times.
     Output times must sit on the dt lattice within the run, and only their
-    steps are kept.  The modes are the same 4x-extended set as solve's, so
-    differences against it measure the time discretization alone.
+    steps are kept.  This is solve's data path (solver._field) with one
+    GL run over the padded modes of f to every output time in place of
+    the Mittag-Leffler table.  So the modes are solve's 4x-extended set,
+    differences against it measure the time discretization alone, and
+    the oracle warns and refuses as solve does on the same f and grid.
     """
     rows = []
     for t in grid.times:
@@ -141,9 +146,16 @@ def oracle_solve(spec: ProblemSpec, f: SourceDescriptor,
         if not (n >= 1 and abs(n * cfg.dt - t) < 1e-9 * max(t, cfg.dt)):
             raise ValueError(f"output time {t} is off the dt lattice")
         rows.append(n - 1)
-    M, k = _padded_wavenumbers(grid)
-    v = _padded_fft(f, grid, M)
-    arg = _ml_arg(k, (cfg.dt,), spec, spec.source_coupling == "self")[0]
-    modes = _evolve(spec.alpha, arg, v, cfg, np.array(rows))
-    values = np.fft.ifft(modes, axis=1)[:, :grid.nx].copy()
-    return Field(grid=grid, values=values)
+    self_coupled = spec.source_coupling == "self"
+    run = None
+
+    def propagate(datum, kind, block):
+        nonlocal run
+        if run is None:  # one run on the first block; zero data take none
+            k = _padded_wavenumbers(grid)[1]
+            arg = _ml_arg(k, (cfg.dt,), spec, self_coupled)[0]
+            run = _evolve(spec.alpha, arg, datum, cfg, np.array(rows))
+        return run[block], _growth(spec, self_coupled)
+
+    zero = SourceDescriptor.zero()
+    return _field(spec, f, zero, zero, grid, propagate)

@@ -21,7 +21,8 @@ from .green import (_SOURCE, GreenKind, ProblemSpec, SpecValidationError,
 
 @dataclass(frozen=True)
 class SourceDescriptor:
-    """Initial datum or source profile: a named preset or raw samples."""
+    """Initial datum or source profile: a named preset or raw samples,
+    which must be finite."""
 
     kind: str = "zero"
     center: float = 0.0
@@ -35,8 +36,15 @@ class SourceDescriptor:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown source kind {self.kind!r}")
-        if self.kind == "samples" and self.values is None:
-            raise ValueError("samples descriptor needs values")
+        if self.kind == "samples":
+            if self.values is None:
+                raise ValueError("samples descriptor needs values")
+            # refused here, so a non-finite field only ever means overflow
+            vals = np.ravel(np.asarray(self.values, dtype=complex))
+            bad = np.flatnonzero(~np.isfinite(vals))
+            if bad.size:
+                raise ValueError(f"sample {bad[0]} is not finite: "
+                                 f"{vals[bad[0]]:g}")
         if self.kind == "gaussian" and not self.width > 0.0:
             raise ValueError(
                 f"gaussian width must be positive, got {self.width}")
@@ -277,20 +285,14 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
     has s = 1 and m_S = 1.  f = SourceDescriptor.delta() makes the output
     the Green function itself.
 
-    Each datum whose padded transform (for U times s mu) has a nonzero
-    entry is one term: that transform times its kernel from green's table,
-    G or G3 for f, G2 or G4 for g, the source kernel t^a E_{a,a+1} m_S for
-    U; a U given with mu = 0 warns that it adds nothing.  A kernel is one
-    Mittag-Leffler call over every padded mode and output time, in which
-    identical arguments are evaluated once; past _BLOCK_VALUES values the
-    times go in blocks, one call per block, so working memory does not
-    grow with their number.  A zero datum costs nothing.  Each row of
-    the result equals the single-time solve at its t.  A field that
-    leaves the double range raises OverflowError naming its first such
-    t, without a warning on the way.  Then one window check
-    (_window_verdict) reads the last t once: its transform for
-    resolution, then, if resolved, its inverse FFT over the whole padded
-    period for mass about to wrap onto the window.
+    The data path is _field, shared with oracle_solve; solve propagates a
+    datum's padded transform by its kernel from green's table, G or G3
+    for f, G2 or G4 for g, the source kernel t^a E_{a,a+1} m_S for U.  A
+    kernel is one Mittag-Leffler call over every padded mode and output
+    time, in which identical arguments are evaluated once; past
+    _BLOCK_VALUES values the times go in blocks, one call per block, so
+    working memory does not grow with their number.  Each row of the
+    result equals the single-time solve at its t.
 
     What does not depend on the data is kept within a process: the 16
     most recently used kernel tables (_kernel_table), each with its
@@ -304,15 +306,41 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
     if g.kind != "zero" and spec.alpha <= 1.0:
         raise SpecValidationError(
             ["second initial datum g requires 1 < alpha <= 2"])
-    self_coupled = spec.source_coupling == "self"
-    if self_coupled and U.kind != "zero":
+    if spec.source_coupling == "self" and U.kind != "zero":
         raise SpecValidationError(
             ["self-coupled (two-operator) problems admit no external source"])
     if U.kind == "dirac_delta":
         raise SpecValidationError(["delta source U is not supported"])
+    M = _padded_count(grid.nx)
 
+    def propagate(datum, kind, block):
+        table, growth = _kernel_table(kind, spec, M, grid.dx,
+                                      grid.times[block])
+        return datum * table, growth
+
+    return _field(spec, f, g, U, grid, propagate)
+
+
+def _field(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
+           U: SourceDescriptor, grid: SpaceTimeGrid, propagate) -> Field:
+    """The data path of solve and oracle_solve around one propagator:
+    propagate(datum, kind, block) returns the modes that a datum's padded
+    transform, of kernel kind, reaches at the times grid.times[block],
+    and the warning that the kernel grows with |k|, or None.
+
+    Each datum whose padded transform (for U times s mu) has a nonzero
+    entry is one term, rendered and transformed under np.errstate; a U
+    given with mu = 0 warns that it adds nothing, and all-zero data give
+    zeros at once.  Per block of times the terms' modes are summed and
+    inverse transformed.  A field that leaves the double range raises
+    OverflowError naming its first such t, without a warning on the way.
+    Then one window check (_window_verdict) reads the last t once: its
+    transform for resolution, then, if resolved, its inverse FFT over the
+    whole padded period for mass about to wrap onto the window.
+    """
     nx, M = grid.nx, _padded_count(grid.nx)
-    kind_f, kind_g = ((GreenKind.G3, GreenKind.G4) if self_coupled
+    kind_f, kind_g = ((GreenKind.G3, GreenKind.G4)
+                      if spec.source_coupling == "self"
                       else (GreenKind.G, GreenKind.G2))
     # an overflow on the way leaves inf or nan in the field, named below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -326,7 +354,7 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
             if kind is _SOURCE and datum.any():
                 if spec.mu == 0:
                     warnings.warn("source U given with mu = 0 adds nothing "
-                                  "to the field", stacklevel=2)
+                                  "to the field", stacklevel=3)
                     continue
                 # s mu U_hat, which can underflow to zero; the source
                 # kernel's table holds m_S
@@ -342,23 +370,22 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
         out = np.empty((len(grid.times), nx), dtype=complex)
         step = max(1, _BLOCK_VALUES // M)
         for lo in range(0, len(grid.times), step):
-            ts = grid.times[lo:lo + step]
-            tables = [_kernel_table(kind, spec, M, grid.dx, ts)
-                      for kind in kinds]
-            nhat = functools.reduce(np.add, (
-                datum * table for datum, (table, _) in zip(data, tables)))
+            block = slice(lo, lo + step)
+            terms = [propagate(datum, kind, block)
+                     for datum, kind in zip(data, kinds)]
+            nhat = functools.reduce(np.add, (modes for modes, _ in terms))
             rows = np.fft.ifft(nhat, axis=1)
-            out[lo:lo + len(ts)] = rows[:, :nx]
+            out[block] = rows[:, :nx]
     if not np.isfinite(out).all():
         t = grid.times[int(np.argmin(np.isfinite(out).all(axis=1)))]
-        raise OverflowError(f"solve produced non-finite values at t = {t:g}: "
-                            f"the field leaves the double range")
-    # every kernel of one solve has the same rate: G3 and G4 come only
+        raise OverflowError(f"the field has non-finite values at t = {t:g}: "
+                            f"it leaves the double range")
+    # every kernel of one field has the same rate: G3 and G4 come only
     # self-coupled, the source kernel only external
-    verdict = tables[0][1]
+    verdict = terms[0][1]
     # dispersive (imaginary-coefficient) kernels never localize
     if verdict is None and spec.lam.real > 0.0:
         verdict = _window_verdict(nhat[-1], rows[-1], nx)
     if verdict is not None:
-        warnings.warn(verdict, stacklevel=2)
+        warnings.warn(verdict, stacklevel=3)
     return Field(grid=grid, values=out)

@@ -347,16 +347,19 @@ class TestSolveCompare:
                     "--f", "gaussian:0,1e-300",
                     "-o", str(tmp_path / "f.csv")]) == 3
         assert capsys.readouterr().err == (
-            "solve produced non-finite values at t = 1e-10: the field leaves "
-            "the double range\n")
+            "the field has non-finite values at t = 1e-10: it leaves the "
+            "double range\n")
         assert not (tmp_path / "f.csv").exists()
 
     def test_oracle_subcommand(self, tmp_path):
         out = tmp_path / "o.csv"
-        assert run(["oracle", "--alpha", "0.8", "--beta", "1.6",
-                    "--x-range", "-20", "20", "--nx", "32", "--t", "0.5",
-                    "--f", "gaussian:0,1", "--dt", "0.015625",
-                    "-o", str(out)]) == 0
+        # nx 32 on this window is under-resolved for solve, and the oracle
+        # judges its window as solve does
+        with pytest.warns(UserWarning, match="under-resolved"):
+            assert run(["oracle", "--alpha", "0.8", "--beta", "1.6",
+                        "--x-range", "-20", "20", "--nx", "32", "--t", "0.5",
+                        "--f", "gaussian:0,1", "--dt", "0.015625",
+                        "-o", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "t,x,re,im"
 
     @pytest.mark.parametrize("dt", ["nan", "inf", "0"])

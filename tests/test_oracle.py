@@ -74,6 +74,15 @@ class TestModeEvolve:
             oracle_mode_evolve(alpha, np.ones(2), np.ones(2),
                                OracleConfig(dt, 4))
 
+    @pytest.mark.filterwarnings("error")
+    def test_bound_holds_for_data_near_the_double_range(self):
+        # 1e12 (1 + max |v|) would pass the double range; the growing mode
+        # answers in proportion to its datum
+        cfg = OracleConfig(0.05, 50)
+        unit = oracle_mode_evolve(0.9, [-0.5], [1.0], cfg)
+        got = oracle_mode_evolve(0.9, [-0.5], [1e297], cfg)
+        assert np.allclose(got, 1e297 * unit, rtol=1e-14, atol=0.0)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             oracle_mode_evolve(0.5, np.ones(3), np.ones(4),
@@ -212,7 +221,9 @@ class TestOracleSolve:
         with pytest.warns(UserWarning, match="mass outside"):
             ref = solve(spec, f, SourceDescriptor.zero(),
                         SourceDescriptor.zero(), grid)
-        got = oracle_solve(spec, f, grid, OracleConfig(1.0 / 512, 512))
+        # the oracle runs solve's data path, window verdict included
+        with pytest.warns(UserWarning, match="mass outside"):
+            got = oracle_solve(spec, f, grid, OracleConfig(1.0 / 512, 512))
         err = np.linalg.norm(got.values[0] - ref.values[0]) \
             / np.linalg.norm(ref.values[0])
         assert err < 5e-3
@@ -249,6 +260,36 @@ class TestOracleSolve:
                                    _padded_fft(f, grid, M), cfg)
         assert np.array_equal(got.values,
                               np.fft.ifft(modes[[255, 511]])[:, :grid.nx])
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_datum_takes_no_step(self):
+        # lam puts the implicit step of the first padded mode at 1 - 1: a
+        # Gaussian is refused, a zero datum is zero, as in solve
+        grid = SpaceTimeGrid(-5.0, 5.0, 16, (0.5,))
+        k, dt = _padded_wavenumbers(grid)[1], 0.25
+        spec = ProblemSpec(alpha=0.5, beta=2.0,
+                           lam=-1.0 / (k[1] ** 2 * dt ** 0.5))
+        cfg = OracleConfig(dt, 2)
+        with pytest.raises(OracleInstabilityError, match="singular"):
+            oracle_solve(spec, SourceDescriptor.gaussian(0.0, 1.0), grid, cfg)
+        got = oracle_solve(spec, SourceDescriptor.zero(), grid, cfg).values
+        assert got.shape == (1, 16) and not got.any()
+
+    @pytest.mark.filterwarnings("error")
+    def test_field_past_the_double_range_named_as_in_solve(self):
+        # dt^(alpha - 1) = 1e9 lifts the sample's modes past the double
+        # range at the first step
+        spec = ProblemSpec(alpha=0.1, beta=1.6)
+        grid = SpaceTimeGrid(-5.0, 5.0, 16, (1e-10,))
+        f = SourceDescriptor.from_samples([1e300] + [0.0] * 15)
+        z = SourceDescriptor.zero()
+        with pytest.raises(OverflowError) as ref:
+            solve(spec, f, z, z, grid)
+        with pytest.raises(OverflowError) as got:
+            oracle_solve(spec, f, grid, OracleConfig(1e-10, 1))
+        assert str(got.value) == str(ref.value) == (
+            "the field has non-finite values at t = 1e-10: it leaves the "
+            "double range")
 
     def test_off_lattice_time_rejected(self):
         spec = ProblemSpec(alpha=0.7, beta=1.4)
@@ -289,5 +330,10 @@ class TestRichardson:
             ref = solve(spec, f, z, z, grid).values[-1]
         assert [warn in str(w.message) for w in caught] \
             == ([True] if warn else [])
-        got = oracle_richardson(spec, f, grid)[-1]
+        # each of the three oracle runs judges the window as solve does
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = oracle_richardson(spec, f, grid)[-1]
+        assert [warn in str(w.message) for w in caught] \
+            == ([True] * 3 if warn else [])
         assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-7

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -64,6 +65,18 @@ class TestDescriptors:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             SourceDescriptor(kind="spline")
+
+    # refused where they enter, so a non-finite field means overflow
+    @pytest.mark.parametrize("build, text", [
+        (lambda: SourceDescriptor.from_samples([1.0, math.nan, math.inf]),
+         "sample 1 is not finite: nan+0j"),
+        (lambda: SourceDescriptor(kind="samples",
+                                  values=[0.0, 1.0, complex(0.0, math.inf)]),
+         "sample 2 is not finite: 0+infj"),
+    ], ids=["from_samples", "constructor"])
+    def test_non_finite_samples_named(self, build, text):
+        with pytest.raises(ValueError, match=re.escape(text)):
+            build()
 
 
 class TestGrid:
