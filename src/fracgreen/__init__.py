@@ -10,10 +10,8 @@ from .operators import SymbolParams, gl_weights, riesz_feller_symbol
 from .green import (FourierOnlyError, GreenKind, ProblemSpec, RegimeError,
                     SpecValidationError, ToleranceNotMetError, green_hat,
                     green_mass, green_point_closed, green_points)
-from .solver import (Field, SourceDescriptor, SpaceTimeGrid,
-                     convolve_time_singular, solve)
-from .oracle import (OracleConfig, OracleInstabilityError,
-                     oracle_mode_evolve, oracle_solve)
+from .solver import Field, SourceDescriptor, SpaceTimeGrid, solve
+from .oracle import OracleConfig, OracleInstabilityError, oracle_solve
 
 __all__ = [
     "__version__",
@@ -24,7 +22,5 @@ __all__ = [
     "ToleranceNotMetError", "green_hat", "green_mass",
     "green_point_closed", "green_points",
     "Field", "SourceDescriptor", "SpaceTimeGrid", "SpecValidationError",
-    "convolve_time_singular", "solve",
-    "OracleConfig", "OracleInstabilityError", "oracle_mode_evolve",
-    "oracle_solve",
+    "solve", "OracleConfig", "OracleInstabilityError", "oracle_solve",
 ]

@@ -110,6 +110,17 @@ def _add_grid_args(p):
                    help="output times, comma separated")
 
 
+def _add_field_args(p, f_default):
+    """The options solve and oracle share; only f's default differs."""
+    _add_spec_args(p)
+    _add_grid_args(p)
+    p.add_argument("--f", type=_parse_source, default=f_default)
+    for name in ("--g", "--U"):
+        p.add_argument(name, type=_parse_source,
+                       default=SourceDescriptor.zero())
+    p.add_argument("-o", "--output", default="-")
+
+
 def _spec_echo(spec: ProblemSpec) -> dict:
     """The spec's fields, lam as "lambda" and a complex value as [re, im]."""
     return {"lambda" if name == "lam" else name:
@@ -145,15 +156,20 @@ def _field_lines(grid, values):
 
 
 def _read_field_csv(path):
+    """A field CSV's (t, x, re, im) rows, each value finite, or ValueError."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if header[:4] != ["t", "x", "re", "im"]:
             raise ValueError(f"{path}: not a field CSV")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if line:
-                rows.append([float(v) for v in line.split(",")[:4]])
+                row = [float(v) for v in line.split(",")[:4]]
+                if not all(map(math.isfinite, row)):
+                    raise ValueError(f"{path}, line {lineno}: a value is "
+                                     f"not finite: {line}")
+                rows.append(row)
     if not rows:
         raise ValueError(f"{path}: empty field CSV")
     return np.asarray(rows)
@@ -196,27 +212,23 @@ def _cmd_green(args):
     return EXIT_OK
 
 
-def _cmd_solve(args):
+def _cmd_field(args):
+    """solve and oracle: the field of f, g and U on the grid, as CSV."""
     spec = _spec_from_args(args)
     grid = SpaceTimeGrid(args.x_range[0], args.x_range[1], args.nx, args.t)
-    field = solve(spec, args.f, args.g, args.U, grid)
+    if args.command == "solve":
+        field = solve(spec, args.f, args.g, args.U, grid)
+    else:
+        # a dt not positive and finite takes 0 steps; OracleConfig names it
+        n = _step(grid.times[-1], args.dt) if 0.0 < args.dt < math.inf else 0
+        field = oracle_solve(spec, args.f, grid, OracleConfig(args.dt, n),
+                             g=args.g, U=args.U)
     _write_lines(args.output, _field_lines(grid, field.values))
     if args.manifest:
         peak = float(np.max(np.abs(field.values)))
         checks = [["finite_values", bool(np.isfinite(peak)), peak]]
         _write_manifest(args.manifest, ["solve"] + args.raw_argv,
                         spec, grid, checks)
-    return EXIT_OK
-
-
-def _cmd_oracle(args):
-    spec = _spec_from_args(args)
-    grid = SpaceTimeGrid(args.x_range[0], args.x_range[1], args.nx, args.t)
-    dt = args.dt
-    # a dt not positive and finite takes 0 steps, and OracleConfig names it
-    n = _step(grid.times[-1], dt) if 0.0 < dt < math.inf else 0
-    field = oracle_solve(spec, args.f, grid, OracleConfig(dt, n))
-    _write_lines(args.output, _field_lines(grid, field.values))
     return EXIT_OK
 
 
@@ -295,27 +307,15 @@ def _build_parser():
     p.set_defaults(func=_cmd_green)
 
     p = sub.add_parser("solve", help="solve from initial data and a source")
-    _add_spec_args(p)
-    _add_grid_args(p)
-    p.add_argument("--f", type=_parse_source,
-                   default=SourceDescriptor.zero())
-    p.add_argument("--g", type=_parse_source,
-                   default=SourceDescriptor.zero())
-    p.add_argument("--U", type=_parse_source,
-                   default=SourceDescriptor.zero())
-    p.add_argument("-o", "--output", default="-")
+    _add_field_args(p, SourceDescriptor.zero())
     p.add_argument("--manifest", default=None,
                    help="write a JSON run manifest to this path")
-    p.set_defaults(func=_cmd_solve)
+    p.set_defaults(func=_cmd_field)
 
     p = sub.add_parser("oracle", help="reference solve by GL time stepping")
-    _add_spec_args(p)
-    _add_grid_args(p)
-    p.add_argument("--f", type=_parse_source,
-                   default=SourceDescriptor.delta())
+    _add_field_args(p, SourceDescriptor.delta())
     p.add_argument("--dt", type=float, default=1.0 / 1024.0)
-    p.add_argument("-o", "--output", default="-")
-    p.set_defaults(func=_cmd_oracle)
+    p.set_defaults(func=_cmd_field, manifest=None)
 
     p = sub.add_parser("compare", help="residual norms between two fields")
     p.add_argument("field_a")

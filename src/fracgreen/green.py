@@ -518,11 +518,12 @@ def green_point_closed(kind: GreenKind, x, t: float, spec: ProblemSpec):
             params = HFunctionParams(a, b, rho, kern.ml_index)
             h[side] = h_function(params, np.exp(log_arg[side]))
             contour |= side & (rho > 0.0)
-    out = t ** kern.tpow / (b * ax) * h
+    tpow = _time_power(t, kern.tpow, a)
+    out = tpow / (b * ax) * h
     # the contour stops at the absolute _H_ABS_TOL; carried through the
     # prefactor, that stop may exceed both the value and _H_ABS_TOL itself
     # (tiny |x|), and then no digit of the value is certain
-    stop = _H_ABS_TOL * t ** kern.tpow / (b * ax)
+    stop = _H_ABS_TOL * tpow / (b * ax)
     lost = (contour & (stop > np.abs(out)) & (stop > _H_ABS_TOL)).ravel()
     if lost.any():
         i = np.flatnonzero(lost)[0]

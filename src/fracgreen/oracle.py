@@ -6,12 +6,14 @@ touches the Mittag-Leffler or Fox-function machinery, so agreement with
 the closed-form path is a genuine cross-check.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .green import ProblemSpec, _growth, _ml_arg, _time_power
-from .operators import gl_weights
+from .green import (_SOURCE, GreenKind, ProblemSpec, _growth, _ml_arg,
+                    _time_power)
+from .operators import gl_weights, riesz_feller_symbol
 from .solver import (Field, SourceDescriptor, SpaceTimeGrid, _field,
                      _padded_wavenumbers)
 
@@ -55,28 +57,36 @@ class OracleConfig:
             raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
 
 
-def _evolve(alpha, arg, v, cfg, rows):
-    """GL evolution of the 1-D modes v with Mittag-Leffler argument arg =
-    -c dt^alpha at t = dt; returns the steps listed in rows.
+def _evolve(alpha, arg, f, g, src, cfg, rows):
+    """GL evolution of the 1-D modes with Mittag-Leffler argument arg =
+    -c dt^alpha at t = dt, driven by the modes f, g and src, each an array
+    or None; returns the steps listed in rows.
 
-    The modes run in blocks of _BLOCK_MODES.  A block keeps its history
-    newest step first, filled from its last row up, so step i's memory
-    sum w[1] u_(i-1) + ... + w[i] u_0 is one product that reads both the
+    The right-hand sides come from the Laplace pairs of G = 1/(s^a + c),
+    with s read as (1 - zeta)/dt: f enters as the impulse dt^(a-1) f at
+    step 0; g, through G2 = s G, as dt^(a-2) g at step 0 and -dt^(a-2) g
+    at step 1; src, through G / s, as dt^a src at every step.  The modes
+    run in blocks of _BLOCK_MODES.  A block keeps its history newest step
+    first, filled from its last row up, so step i's memory sum
+    w[1] u_(i-1) + ... + w[i] u_0 is one product that reads both the
     weights and the history forward and copies neither.  Divergence is
     checked once per block over all of its steps, against 1e12 times
-    1 + max |v|, read as a ratio to the latter so that it cannot overflow;
-    the earliest failing step over all blocks is the one reported.
-    Values past the double range are returned for oracle_solve's data
-    path to name, as it names solve's.
+    1 + the largest |datum|, read as a ratio to the latter so that it
+    cannot overflow; the earliest failing step over all blocks is the one
+    reported.  Values past the double range are returned for
+    oracle_solve's data path to name, as it names solve's.
     """
     dt, n = cfg.dt, cfg.n_steps
     w = gl_weights(alpha, n)
     denom = 1.0 - arg
-    scale = _time_power(dt, alpha - 1.0, alpha) * v
+    rhs = [None if v is None else _time_power(dt, alpha - p, alpha) * v
+           for p, v in ((1.0, f), (2.0, g), (0.0, src))]
+    head = functools.reduce(np.add, [v for v in rhs if v is not None])
+    kick, push = rhs[1:]
     if np.any(np.abs(denom) < 1e-12):
         raise OracleInstabilityError(
             "implicit GL step is singular; reduce dt")
-    size = 1.0 + np.max(np.abs(v))
+    size = 1.0 + max(np.max(np.abs(v)) for v in (f, g, src) if v is not None)
     out = np.empty((len(rows), arg.size), dtype=complex)
     first_bad = n
     for lo in range(0, arg.size, _BLOCK_MODES):
@@ -85,9 +95,15 @@ def _evolve(alpha, arg, v, cfg, rows):
         hist = np.empty((n, d.size), dtype=complex)  # row n - 1 - i: step i
         # a diverging block runs on to inf and nan, and is reported below
         with np.errstate(over="ignore", invalid="ignore"):
-            hist[-1] = scale[block] / d
+            hist[-1] = head[block] / d
             for i in range(1, n):
-                hist[n - 1 - i] = -(w[1:i + 1] @ hist[n - i:]) / d
+                # minus the right-hand side, added only where it is given
+                mem = w[1:i + 1] @ hist[n - i:]
+                if push is not None:
+                    mem = mem - push[block]
+                if i == 1 and kick is not None:
+                    mem = mem + kick[block]
+                hist[n - 1 - i] = -mem / d
             ratio = np.max(np.abs(hist), axis=1) / size
         bad = np.flatnonzero((ratio > 1e12) & (ratio < np.inf))
         if bad.size:
@@ -108,13 +124,16 @@ def oracle_mode_evolve(alpha: float, coeffs, init, cfg: OracleConfig):
     generating-function solution
     u_hat(zeta) = dt^(alpha-1) init / ((1 - zeta)^alpha + c dt^alpha).
     Steps past the double range are returned as inf or nan, not raised.
+    Not exported, and not called by oracle_solve: it stays here for the
+    tests and for perfbench/trace.py, which looks it up by name.
     """
     c = np.asarray(coeffs, dtype=complex)
     v = np.asarray(init, dtype=complex)
     if c.shape != v.shape:
         raise ValueError("coeffs and init must have matching shapes")
     arg = -c.ravel() * _time_power(cfg.dt, alpha, alpha)
-    out = _evolve(alpha, arg, v.ravel(), cfg, np.arange(cfg.n_steps))
+    out = _evolve(alpha, arg, v.ravel(), None, None, cfg,
+                  np.arange(cfg.n_steps))
     return out.reshape((cfg.n_steps,) + c.shape)
 
 
@@ -126,15 +145,18 @@ def _step(t, dt):
 
 
 def oracle_solve(spec: ProblemSpec, f: SourceDescriptor,
-                 grid: SpaceTimeGrid, cfg: OracleConfig) -> Field:
-    """Reference field for the pure initial-value problem (g = 0, U = 0).
+                 grid: SpaceTimeGrid, cfg: OracleConfig, *,
+                 g: SourceDescriptor = SourceDescriptor.zero(),
+                 U: SourceDescriptor = SourceDescriptor.zero()) -> Field:
+    """Reference field for solve(spec, f, g, U, grid).
 
     Output times must sit on the dt lattice within the run, and only their
     steps are kept.  This is solve's data path (solver._field) with one
-    GL run over the padded modes of f to every output time in place of
-    the Mittag-Leffler table.  So the modes are solve's 4x-extended set,
-    differences against it measure the time discretization alone, and
-    the oracle warns and refuses as solve does on the same f and grid.
+    GL run (_evolve) over the padded modes of all data, the source's being
+    s mu m_S U_hat as in solve, in place of the Mittag-Leffler tables.  So
+    the modes are solve's 4x-extended set, differences against it measure
+    the time discretization alone, and the oracle warns and refuses as
+    solve does on the same data and grid.
     """
     rows = []
     for t in grid.times:
@@ -147,15 +169,21 @@ def oracle_solve(spec: ProblemSpec, f: SourceDescriptor,
             raise ValueError(f"output time {t} is off the dt lattice")
         rows.append(n - 1)
     self_coupled = spec.source_coupling == "self"
-    run = None
 
-    def propagate(datum, kind, block):
-        nonlocal run
-        if run is None:  # one run on the first block; zero data take none
-            k = _padded_wavenumbers(grid)[1]
-            arg = _ml_arg(k, (cfg.dt,), spec, self_coupled)[0]
-            run = _evolve(spec.alpha, arg, datum, cfg, np.array(rows))
-        return run[block], _growth(spec, self_coupled)
+    def propagate(data, kinds):
+        k = _padded_wavenumbers(grid)[1]
+        arg = _ml_arg(k, (cfg.dt,), spec, self_coupled)[0]
+        f_hat = g_hat = src = None
+        for datum, kind in zip(data, kinds):
+            if kind is _SOURCE:
+                src = datum if spec.source_mode == "identity" \
+                    else riesz_feller_symbol(spec.source_symbol(), k) * datum
+            elif kind in (GreenKind.G2, GreenKind.G4):
+                g_hat = datum
+            else:
+                f_hat = datum
+        run = _evolve(spec.alpha, arg, f_hat, g_hat, src, cfg,
+                      np.array(rows))
+        return [(slice(None), run, _growth(spec, self_coupled))]
 
-    zero = SourceDescriptor.zero()
-    return _field(spec, f, zero, zero, grid, propagate)
+    return _field(spec, f, g, U, grid, propagate)

@@ -165,8 +165,10 @@ def convolve_time_singular(kernel_values, alpha: float, t_index: int,
     kernel_values[j] holds the smooth factor S at tau = j dt (scalar or
     vector); it is interpolated linearly on each step while the singular
     power is integrated exactly, so constants are reproduced exactly and
-    smooth integrands converge at O(dt^2).  solve does not call it; it
-    serves as an independent check on the closed-form source term there.
+    smooth integrands converge at O(dt^2).  Not exported, and not called
+    by the library (oracle_solve checks solve's source term): it stays
+    here for the tests and for perfbench/trace.py, which looks it up by
+    name.
     """
     if not 0.0 < alpha <= 2.0:
         raise ValueError("alpha must lie in (0, 2]")
@@ -285,8 +287,8 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
     has s = 1 and m_S = 1.  f = SourceDescriptor.delta() makes the output
     the Green function itself.
 
-    The data path is _field, shared with oracle_solve; solve propagates a
-    datum's padded transform by its kernel from green's table, G or G3
+    The data path is _field, shared with oracle_solve; solve sums each
+    datum's padded transform times its kernel from green's table, G or G3
     for f, G2 or G4 for g, the source kernel t^a E_{a,a+1} m_S for U.  A
     kernel is one Mittag-Leffler call over every padded mode and output
     time, in which identical arguments are evaluated once; past
@@ -303,6 +305,39 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
     The values do not depend on which solves came before, and the warnings
     are raised on every call.
     """
+    M = _padded_count(grid.nx)
+
+    def propagate(data, kinds):
+        step = max(1, _BLOCK_VALUES // M)
+        for lo in range(0, len(grid.times), step):
+            block = slice(lo, lo + step)
+            tables = [_kernel_table(kind, spec, M, grid.dx, grid.times[block])
+                      for kind in kinds]
+            modes = [datum * table for datum, (table, _) in zip(data, tables)]
+            yield block, functools.reduce(np.add, modes), tables[0][1]
+
+    return _field(spec, f, g, U, grid, propagate)
+
+
+def _field(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
+           U: SourceDescriptor, grid: SpaceTimeGrid, propagate) -> Field:
+    """The data path of solve and oracle_solve around one propagator:
+    propagate(data, kinds) takes every term at once, the padded transforms
+    data of kernel kinds, and yields blocks of output times: a slice of
+    grid.times, the modes that the terms reach together at those times,
+    and the warning that the kernels grow with |k|, or None.
+
+    It refuses a g where alpha <= 1, a U on a self-coupled spec and a
+    delta U.  Each datum whose padded transform (for U times s mu) has a
+    nonzero entry is one term, rendered and transformed under
+    np.errstate; a U given with mu = 0 warns that it adds nothing, and
+    all-zero data give zeros at once.  Per block of times the modes are
+    inverse transformed.  A field that leaves the double range raises
+    OverflowError naming its first such t, without a warning on the way.
+    Then one window check (_window_verdict) reads the last t once: its
+    transform for resolution, then, if resolved, its inverse FFT over the
+    whole padded period for mass about to wrap onto the window.
+    """
     if g.kind != "zero" and spec.alpha <= 1.0:
         raise SpecValidationError(
             ["second initial datum g requires 1 < alpha <= 2"])
@@ -311,33 +346,6 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
             ["self-coupled (two-operator) problems admit no external source"])
     if U.kind == "dirac_delta":
         raise SpecValidationError(["delta source U is not supported"])
-    M = _padded_count(grid.nx)
-
-    def propagate(datum, kind, block):
-        table, growth = _kernel_table(kind, spec, M, grid.dx,
-                                      grid.times[block])
-        return datum * table, growth
-
-    return _field(spec, f, g, U, grid, propagate)
-
-
-def _field(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
-           U: SourceDescriptor, grid: SpaceTimeGrid, propagate) -> Field:
-    """The data path of solve and oracle_solve around one propagator:
-    propagate(datum, kind, block) returns the modes that a datum's padded
-    transform, of kernel kind, reaches at the times grid.times[block],
-    and the warning that the kernel grows with |k|, or None.
-
-    Each datum whose padded transform (for U times s mu) has a nonzero
-    entry is one term, rendered and transformed under np.errstate; a U
-    given with mu = 0 warns that it adds nothing, and all-zero data give
-    zeros at once.  Per block of times the terms' modes are summed and
-    inverse transformed.  A field that leaves the double range raises
-    OverflowError naming its first such t, without a warning on the way.
-    Then one window check (_window_verdict) reads the last t once: its
-    transform for resolution, then, if resolved, its inverse FFT over the
-    whole padded period for mass about to wrap onto the window.
-    """
     nx, M = grid.nx, _padded_count(grid.nx)
     kind_f, kind_g = ((GreenKind.G3, GreenKind.G4)
                       if spec.source_coupling == "self"
@@ -368,21 +376,15 @@ def _field(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
             return Field(grid, np.zeros((len(grid.times), nx), complex))
 
         out = np.empty((len(grid.times), nx), dtype=complex)
-        step = max(1, _BLOCK_VALUES // M)
-        for lo in range(0, len(grid.times), step):
-            block = slice(lo, lo + step)
-            terms = [propagate(datum, kind, block)
-                     for datum, kind in zip(data, kinds)]
-            nhat = functools.reduce(np.add, (modes for modes, _ in terms))
+        for block, nhat, verdict in propagate(data, kinds):
             rows = np.fft.ifft(nhat, axis=1)
             out[block] = rows[:, :nx]
     if not np.isfinite(out).all():
         t = grid.times[int(np.argmin(np.isfinite(out).all(axis=1)))]
         raise OverflowError(f"the field has non-finite values at t = {t:g}: "
                             f"it leaves the double range")
-    # every kernel of one field has the same rate: G3 and G4 come only
-    # self-coupled, the source kernel only external
-    verdict = terms[0][1]
+    # every kernel of one field has the same rate, so one growth verdict:
+    # G3 and G4 come only self-coupled, the source kernel only external
     # dispersive (imaginary-coefficient) kernels never localize
     if verdict is None and spec.lam.real > 0.0:
         verdict = _window_verdict(nhat[-1], rows[-1], nx)

@@ -26,6 +26,7 @@ from fracgreen.fracmath import MLConvergenceError
 from fracgreen.operators import SymbolParams, gl_weights
 from fracgreen.oracle import (OracleConfig, OracleInstabilityError,
                               oracle_solve)
+from fracgreen.solver import SourceDescriptor
 
 
 def ml_mpmath(alpha: float, beta: float, z: complex) -> complex:
@@ -305,13 +306,14 @@ def gl_mode_evolve_loop(alpha: float, coeffs, init, cfg):
     return out
 
 
-def oracle_richardson(spec, f, grid):
-    """oracle_solve's field on grid from dt = T/256, T/512 and T/1024, T
-    the last output time, with two Richardson levels.  The
-    Grunwald-Letnikov error has an expansion in whole powers of dt (Lubich,
-    SIAM J. Math. Anal. 17(3), 1986): the first level removes its dt term,
-    the second its dt^2 term."""
-    u = [oracle_solve(spec, f, grid, OracleConfig(grid.times[-1] / n, n))
-         .values for n in (256, 512, 1024)]
+def oracle_richardson(spec, f, grid, g=SourceDescriptor.zero(),
+                      U=SourceDescriptor.zero()):
+    """oracle_solve's field on grid for the data f, g and U from
+    dt = T/256, T/512 and T/1024, T the last output time, with two
+    Richardson levels.  The Grunwald-Letnikov error has an expansion in
+    whole powers of dt (Lubich, SIAM J. Math. Anal. 17(3), 1986): the
+    first level removes its dt term, the second its dt^2 term."""
+    u = [oracle_solve(spec, f, grid, OracleConfig(grid.times[-1] / n, n),
+                      g=g, U=U).values for n in (256, 512, 1024)]
     once = [2.0 * fine - coarse for coarse, fine in zip(u, u[1:])]
     return (4.0 * once[1] - once[0]) / 3.0

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 
+from _reference import oracle_richardson
 from fracgreen.fracmath import mittag_leffler, mittag_leffler_array
 from fracgreen.green import (GreenKind, ProblemSpec, green_hat,
                              green_point_closed, green_points)
@@ -242,3 +243,35 @@ def test_criterion_9_cli_determinism_and_exit_codes(tmp_path):
     dt = time.time() - t0
     _report(9, ok, "; ".join(notes) if notes else
             f"byte-identical, residual 0, exit codes ok, {dt:.1f}s")
+
+
+def test_criterion_10_oracle_for_every_term():
+    # solve against the GL oracle extrapolated twice in dt, term by term:
+    # criterion 6's specs for f, G2 for g, one source per source_mode, and
+    # G3 with G4 for f and g on a self-coupled spec
+    t0 = time.time()
+    G, z = SourceDescriptor.gaussian(0.0, 1.0), SourceDescriptor.zero()
+    cases = (
+        (ProblemSpec(alpha=0.6, beta=1.4, theta=0.2), G, z, z),
+        (ProblemSpec(alpha=0.9, beta=1.8), G, z, z),
+        (ProblemSpec(alpha=1.5, beta=1.9), G, z, z),
+        (ProblemSpec(alpha=1.5, beta=1.7, theta=0.1), z, G, z),
+        (ProblemSpec(alpha=0.9, beta=1.6, mu=0.7, source_mode="identity"),
+         z, z, G),
+        (ProblemSpec(alpha=1.45, beta=1.8, gamma=1.2, phi=0.1, mu=0.6),
+         z, z, G),
+        (ProblemSpec(alpha=1.4, beta=1.6, gamma=1.2, theta=0.1, phi=0.05,
+                     mu=0.7, source_coupling="self"),
+         G, SourceDescriptor.gaussian(0.5, 1.5), z),
+    )
+    worst = 0.0
+    for spec, f, g, U in cases:
+        grid = SpaceTimeGrid(-40.0, 40.0, 128, (0.5, 1.0))
+        ref = solve(spec, f, g, U, grid).values
+        got = oracle_richardson(spec, f, grid, g, U)
+        worst = max(worst, float(np.max(np.abs(got - ref))
+                                 / np.max(np.abs(ref))))
+    dt = time.time() - t0
+    _report(10, worst <= 1e-6 and dt < 30.0,
+            f"max rel gap to the extrapolated oracle {worst:.2e} over "
+            f"{len(cases)} specs, {dt:.1f}s")

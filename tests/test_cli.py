@@ -340,6 +340,20 @@ class TestSolveCompare:
         assert run(["compare", str(a), str(b)]) == 2
         assert capsys.readouterr().err == f"{b}: empty field CSV\n"
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_is_named(self, value, tmp_path, capsys):
+        # a NaN would pass any --tol and write invalid JSON
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("t,x,re,im\n1,0,1,0\n1,0.5,1,0\n")
+        bad.write_text(f"t,x,re,im\n1,0,1,0\n1,0.5,{value},0\n")
+        out = tmp_path / "cmp.json"
+        for pair in ((good, bad), (bad, good)):
+            assert run(["compare", str(pair[0]), str(pair[1]), "--tol",
+                        "0.01", "-o", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                f"{bad}, line 3: a value is not finite: 1,0.5,{value},0\n")
+            assert not out.exists()
+
     # solve names its overflowing field before any warning or output
     def test_non_finite_field_is_tolerance_error(self, tmp_path, capsys):
         assert run(["solve", "--alpha", "0.1", "--beta", "1.6", "--x-range",
@@ -361,6 +375,25 @@ class TestSolveCompare:
                         "--f", "gaussian:0,1", "--dt", "0.015625",
                         "-o", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "t,x,re,im"
+
+    @pytest.mark.parametrize("data", [
+        ["--alpha", "1.5", "--beta", "1.7", "--f", "zero",
+         "--g", "gaussian:0,1"],
+        ["--alpha", "0.9", "--beta", "1.6", "--mu", "0.7", "--source-mode",
+         "identity", "--f", "zero", "--U", "gaussian:0,1"],
+    ], ids=["g", "identity_U"])
+    def test_oracle_takes_the_data_of_solve(self, data, tmp_path):
+        # --g and --U come from solve's parser; the oracle confirms solve
+        common = data + ["--x-range", "-20", "20", "--nx", "64", "--t",
+                         "0.5,1", "-o"]
+        s, o = tmp_path / "s.csv", tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["solve"] + common + [str(s)]) == 0
+            assert run(["oracle"] + common + [str(o), "--dt", "0.0078125"]) \
+                == 0
+        assert run(["compare", str(s), str(o), "--tol", "0.01",
+                    "-o", str(tmp_path / "cmp.json")]) == 0
 
     @pytest.mark.parametrize("dt", ["nan", "inf", "0"])
     def test_oracle_bad_dt_is_named(self, dt, tmp_path, capsys):
@@ -632,9 +665,14 @@ def test_each_error_kind_has_one_exit_code(cls, base, monkeypatch, capsys):
       "--x-range", "0", "1e-300"], 3,
      "-rate(k) t^alpha leaves the double range at t = 0.000976562, "
      "|k| = 5.02655e+301"),
+    # the closed form's t^(alpha - 1) is named as the rays' is
+    (["green", "--alpha", "0.01", "--beta", "2", "--x-range", "1", "2",
+      "--nx", "2", "--t", "1e-320", "--method", "closed"], 3,
+     "t^-0.99 overflows the double range at t = 9.99989e-321, "
+     "alpha = 0.01"),
 ], ids=["solve_t_alpha", "green_t_alpha", "oracle_dt_alpha",
         "solve_window_width", "solve_dx_zero", "solve_rate_overflows",
-        "oracle_rate_overflows"])
+        "oracle_rate_overflows", "green_closed_t_power"])
 def test_out_of_range_powers_and_widths_named(argv, code, text, tmp_path,
                                               capsys):
     out = tmp_path / "out.csv"

@@ -10,7 +10,7 @@ import pytest
 
 from _reference import gl_mode_evolve_loop, oracle_richardson
 from fracgreen import oracle
-from fracgreen.green import ProblemSpec
+from fracgreen.green import ProblemSpec, SpecValidationError
 from fracgreen.oracle import (OracleConfig, OracleInstabilityError,
                               oracle_mode_evolve, oracle_solve)
 from fracgreen.solver import (SourceDescriptor, SpaceTimeGrid, _padded_fft,
@@ -291,6 +291,48 @@ class TestOracleSolve:
             "the field has non-finite values at t = 1e-10: it leaves the "
             "double range")
 
+    @pytest.mark.parametrize("spec, g, U, text", [
+        (ProblemSpec(alpha=0.8, beta=1.6), "gauss", "zero",
+         "second initial datum g requires 1 < alpha <= 2"),
+        (ProblemSpec(alpha=0.8, beta=1.6, gamma=0.9, mu=0.5,
+                     source_coupling="self"), "zero", "gauss",
+         "self-coupled (two-operator) problems admit no external source"),
+        (ProblemSpec(alpha=0.8, beta=1.6, mu=0.5), "zero", "delta",
+         "delta source U is not supported"),
+    ], ids=["g_below_alpha_one", "self_coupled_source", "delta_source"])
+    def test_refuses_the_data_solve_refuses(self, spec, g, U, text):
+        data = {"zero": SourceDescriptor.zero(),
+                "gauss": SourceDescriptor.gaussian(0.0, 1.0),
+                "delta": SourceDescriptor.delta()}
+        f, g, U = data["gauss"], data[g], data[U]
+        grid = SpaceTimeGrid(-20.0, 20.0, 32, (0.5,))
+        with pytest.raises(SpecValidationError, match=re.escape(text)):
+            solve(spec, f, g, U, grid)
+        with pytest.raises(SpecValidationError, match=re.escape(text)):
+            oracle_solve(spec, f, grid, OracleConfig(1.0 / 64, 32), g=g, U=U)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", ["riesz_feller", "identity"])
+    def test_one_run_steps_every_datum(self, mode):
+        # the GL recursion is linear: the one run over f, g and U is the
+        # sum of the runs over each datum alone
+        spec = ProblemSpec(alpha=1.4, beta=1.7, theta=0.1, gamma=1.2,
+                           phi=0.1, mu=0.6, source_mode=mode)
+        grid = SpaceTimeGrid(-40.0, 40.0, 128, (0.25, 0.5))
+        cfg = OracleConfig(1.0 / 64, 32)
+        z = SourceDescriptor.zero()
+        f, g, U = (SourceDescriptor.gaussian(0.0, 1.0),
+                   SourceDescriptor.gaussian(0.5, 1.5),
+                   SourceDescriptor.gaussian(-0.5, 1.2))
+        together = oracle_solve(spec, f, grid, cfg, g=g, U=U).values
+        alone = sum(oracle_solve(spec, ff, grid, cfg, g=gg, U=uu).values
+                    for ff, gg, uu in ((f, z, z), (z, g, z), (z, z, U)))
+        assert _rel_gap(together, alone) <= 1e-13
+        # each term moves the field
+        for ff, gg, uu in ((z, g, U), (f, z, U), (f, g, z)):
+            part = oracle_solve(spec, ff, grid, cfg, g=gg, U=uu).values
+            assert _rel_gap(part, together) > 1e-3
+
     def test_off_lattice_time_rejected(self):
         spec = ProblemSpec(alpha=0.7, beta=1.4)
         grid = SpaceTimeGrid(-10.0, 10.0, 32, (0.3333,))
@@ -337,3 +379,55 @@ class TestRichardson:
         assert [warn in str(w.message) for w in caught] \
             == ([True] * 3 if warn else [])
         assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-7
+
+
+def _admissible_draws(seed, count):
+    """Seeded (id, spec, f, g, U) draws over the admissible domain, with
+    Gaussian data: alpha and beta in (0.3, 2); each skew within its order's
+    bound min(order, 2 - order) and within 2 - alpha, past which G_hat
+    grows with |k| and no field converges; g only where alpha > 1; U in
+    both source modes, external only; self-coupled draws with f and g."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for i in range(count):
+        a, b, gamma = rng.uniform(0.3, 2.0, 3)
+        theta, phi = rng.uniform(-1.0, 1.0, 2) \
+            * [min(order, 2.0 - order, 2.0 - a) for order in (b, gamma)]
+        mode = ("riesz_feller", "identity")[i % 2]
+        coupling = "self" if i % 3 == 2 else "external"
+        spec = ProblemSpec(alpha=a, beta=b, theta=theta, gamma=gamma,
+                           phi=phi, mu=rng.uniform(0.2, 1.0),
+                           source_mode=mode, source_coupling=coupling)
+        f, g, U = (SourceDescriptor.gaussian(c, w) for c, w in zip(
+            rng.uniform(-1.0, 1.0, 3), rng.uniform(0.8, 1.5, 3)))
+        z = SourceDescriptor.zero()
+        # self-coupled: f and g; external: U with f, g or both
+        keep = ((True, True, False) if coupling == "self" else
+                ((True, False, True), (False, True, True),
+                 (True, True, True))[rng.integers(3)])
+        f, g, U = (d if k else z for d, k in zip((f, g, U), keep))
+        if a <= 1.0:
+            g = z
+        terms = "".join(n for n, d in zip("fgU", (f, g, U)) if d is not z)
+        draws.append((f"{i:02d}-{coupling}-{terms}", spec, f, g, U))
+    return draws
+
+
+_DRAWS = _admissible_draws(3, 24)
+
+
+@pytest.mark.parametrize("spec, f, g, U", [d[1:] for d in _DRAWS],
+                         ids=[d[0] for d in _DRAWS])
+def test_seeded_draws_match_the_extrapolated_oracle(spec, f, g, U):
+    # both solvers share the window verdict: whatever solve warns, each
+    # oracle run warns the same kind, its ratio read at its own dt
+    grid = SpaceTimeGrid(-16.0, 16.0, 64, (0.5, 1.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ref = solve(spec, f, g, U, grid).values
+    kinds = [str(w.message).split(":")[0] for w in caught]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = oracle_richardson(spec, f, grid, g, U)
+    assert [str(w.message).split(":")[0] for w in caught] == kinds * 3
+    assert _rel_gap(got, ref) <= 1e-6
