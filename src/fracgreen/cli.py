@@ -73,6 +73,14 @@ def _parse_times(text: str):
     return tuple(float(v) for v in text.split(","))
 
 
+def _parse_tol(text: str) -> float:
+    tol = float(text)
+    if not 0.0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite and >= 0, got {text!r}")
+    return tol
+
+
 def _add_spec_args(p):
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
@@ -95,6 +103,9 @@ def _spec_from_args(args) -> ProblemSpec:
     lam = args.lam
     if args.schrodinger is not None:
         m, hbar = args.schrodinger
+        if m == 0.0:
+            raise SpecValidationError(
+                ["schrodinger mass M = 0 gives no lambda = i hbar / (2 M)"])
         lam = complex(0.0, hbar / (2.0 * m))
     return ProblemSpec(alpha=args.alpha, beta=args.beta, gamma=args.gamma,
                        theta=args.theta, phi=args.phi, lam=lam, mu=args.mu,
@@ -227,8 +238,7 @@ def _cmd_field(args):
     if args.manifest:
         peak = float(np.max(np.abs(field.values)))
         checks = [["finite_values", bool(np.isfinite(peak)), peak]]
-        _write_manifest(args.manifest, ["solve"] + args.raw_argv,
-                        spec, grid, checks)
+        _write_manifest(args.manifest, args.raw_argv, spec, grid, checks)
     return EXIT_OK
 
 
@@ -320,8 +330,8 @@ def _build_parser():
     p = sub.add_parser("compare", help="residual norms between two fields")
     p.add_argument("field_a")
     p.add_argument("field_b")
-    p.add_argument("--tol", type=float, default=None,
-                   help="exit 3 when relative_l2 exceeds this")
+    p.add_argument("--tol", type=_parse_tol, default=None,
+                   help="exit 3 when relative_l2 exceeds this (>= 0)")
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=_cmd_compare)
 

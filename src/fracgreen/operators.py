@@ -47,11 +47,14 @@ def riesz_feller_symbol(p: SymbolParams, k):
     The operator itself acts as multiplication by -Psi; the value at
     k = 0 is 0 by continuity.  Accepts scalars or arrays.  Every k, real
     or complex, takes the continuation from the half line s = sign(Re k),
-    (s k)^order exp(i s skew pi/2), which refuses Re k = 0 != k.
+    (s k)^order exp(i s skew pi/2), which refuses Re k = 0 != k; a k that
+    is not finite is refused as well.
     """
     k = np.asarray(k, dtype=complex) + 0j  # + 0j: k = -0.0 becomes 0
     scalar = k.ndim == 0
     k = np.atleast_1d(k)
+    if not np.isfinite(k).all():
+        raise ValueError(f"k = {k[~np.isfinite(k)][0]} is not finite")
     s = np.sign(k.real)
     cut = (s == 0.0) & (k != 0.0)
     if cut.any():

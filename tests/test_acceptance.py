@@ -227,13 +227,16 @@ def test_criterion_9_cli_determinism_and_exit_codes(tmp_path):
         ok = False
         notes.append("self-residual not exactly 0")
 
+    # the datum moved by one unit: a field far outside 1e-2 of the first
+    shifted = tmp_path / "c.csv"
+    ok &= cli.run(args[:-1] + ["gaussian:1,1", "-o", str(shifted)]) == 0
     codes = {
         "success": cli.run(["validate", "--alpha", "0.5", "--beta", "1.5"]),
         "constraint": cli.run(["validate", "--alpha", "0.5", "--beta", "2",
                                "--theta", "0.1"]),
         "usage": cli.run(["no-such-command"]),
         "tolerance": cli.run(["compare", str(tmp_path / "a.csv"),
-                              str(tmp_path / "b.csv"), "--tol", "-1"]),
+                              str(shifted), "--tol", "0.01"]),
     }
     expected = {"success": 0, "constraint": 2, "usage": 1, "tolerance": 3}
     for name, want in expected.items():

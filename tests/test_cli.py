@@ -1,5 +1,6 @@
 """Unit tests for the command-line front end."""
 
+import ast
 import json
 import math
 import os
@@ -68,6 +69,16 @@ class TestSymbol:
     def test_bad_skew_is_constraint_error(self):
         assert run(["symbol", "--order", "2", "--skew", "0.5",
                     "--k-range", "0", "1"]) == 2
+
+    @pytest.mark.parametrize("lo, hi", [("nan", "1"), ("1", "nan")])
+    def test_non_finite_wavenumber_is_constraint_error(self, lo, hi,
+                                                       tmp_path, capsys):
+        # the first k that is not finite is named; no table is written
+        out = tmp_path / "sym.csv"
+        assert run(["symbol", "--order", "1.5", "--k-range", lo, hi,
+                    "--nk", "3", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "k = (nan+0j) is not finite\n"
+        assert not out.exists()
 
 
 class TestGreen:
@@ -283,6 +294,7 @@ class TestSolveCompare:
         assert doc["spec"]["alpha"] == 0.8
         assert doc["grid"]["nx"] == 32
         assert doc["checks"][0][1] is True
+        assert doc["command"] == self._solve_args(csv, man)
         assert "version" in doc
         assert "quadrature" not in doc
         assert "regime" not in doc["spec"]
@@ -321,10 +333,27 @@ class TestSolveCompare:
         doc = json.loads(out.read_text())
         assert doc["relative_l2"] == 0.0
 
-    def test_tolerance_exit_code(self, tmp_path):
-        csv = tmp_path / "f.csv"
-        self._solve_quietly(csv)
-        assert run(["compare", str(csv), str(csv), "--tol", "-1"]) == 3
+    @staticmethod
+    def _fields_apart(tmp_path):
+        # two one-point fields whose relative L2 gap is 3.6
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("t,x,re,im\n1,0,1,0\n")
+        b.write_text("t,x,re,im\n1,0,4.6,0\n")
+        return [str(a), str(b)]
+
+    def test_tolerance_exit_code(self, tmp_path, capsys):
+        assert run(["compare", *self._fields_apart(tmp_path),
+                    "--tol", "0.01"]) == 3
+        assert capsys.readouterr().err == (
+            "relative_l2 3.600e+00 exceeds tolerance 1.000e-02\n")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tolerance_outside_its_range_is_usage_error(self, tol, tmp_path,
+                                                        capsys):
+        # nan and inf would pass every gap, -1 would fail every one
+        assert run(["compare", *self._fields_apart(tmp_path),
+                    "--tol", tol]) == 1
+        assert "tolerance must be finite and >= 0" in capsys.readouterr().err
 
     def test_mismatched_grids_rejected(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -381,7 +410,9 @@ class TestSolveCompare:
          "--g", "gaussian:0,1"],
         ["--alpha", "0.9", "--beta", "1.6", "--mu", "0.7", "--source-mode",
          "identity", "--f", "zero", "--U", "gaussian:0,1"],
-    ], ids=["g", "identity_U"])
+        ["--alpha", "0.8", "--beta", "1.6", "--theta", "0.1",
+         "--f", "gaussian:0,1"],
+    ], ids=["g", "identity_U", "f"])
     def test_oracle_takes_the_data_of_solve(self, data, tmp_path):
         # --g and --U come from solve's parser; the oracle confirms solve
         common = data + ["--x-range", "-20", "20", "--nx", "64", "--t",
@@ -451,6 +482,16 @@ class TestValidate:
         assert run(["validate", "--alpha", "1", "--beta", "2",
                     "--schrodinger", "1", "1"]) == 0
 
+    @pytest.mark.parametrize("command", ["validate", "green"])
+    def test_schrodinger_zero_mass_is_constraint_error(self, command,
+                                                       capsys):
+        grid = [] if command == "validate" else [
+            "--x-range", "0.5", "2", "--nx", "3", "--t", "1"]
+        assert run([command, "--alpha", "0.8", "--beta", "1.6",
+                    "--schrodinger", "0", "1"] + grid) == 2
+        assert capsys.readouterr().err == (
+            "schrodinger mass M = 0 gives no lambda = i hbar / (2 M)\n")
+
 
 class TestNegativeValues:
     """A value that starts with '-' is a value in every number form the
@@ -469,7 +510,10 @@ class TestNegativeValues:
         for z in (["--z", "-1e-4"], ["--z=-1e-4"]):
             assert run(["ml", "--alpha", "0.8", "--beta", "1.8"] + z) == 0
             lines.append(capsys.readouterr().out)
-        assert lines[0] == lines[1] != ""
+        assert lines[0] == lines[1]
+        # real at small |z|, and E_{0.8,1.8}(-1e-4) to 1e-14 (mpmath)
+        re, im = map(float, lines[0].split(","))
+        assert abs(re - 1.0736013289504227) <= 1e-14 and im == 0.0
 
     @pytest.mark.parametrize("lo", ["-2e0", "-2.0e+0", "-20E-1"])
     def test_range_bound_in_exponent_form(self, lo, tmp_path):
@@ -564,15 +608,48 @@ class TestPlumbing:
 
     def test_import_loads_numpy_only(self, run_python):
         # scipy and mpmath load on first use, so a cold CLI process that
-        # needs neither never pays for importing them
+        # needs neither never pays for importing them; nor for decimal
         out = run_python("import sys, fracgreen.cli; print(sorted(m for m in "
                          "sys.modules if m.split('.')[0] in "
-                         "('scipy', 'mpmath')))")
+                         "('scipy', 'mpmath', 'decimal')))")
         assert out.strip() == "[]"
+
+    def test_no_package_code_imports_scipy_or_mpmath(self):
+        # every code path, not only the requests tried below: the one
+        # import allowed is in the body of fracmath.quad, which the
+        # benchmark's tracer wraps and which no package code calls
+        found = []
+        for path in sorted(Path(fracmath.__file__).parent.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            allowed = set()
+            if path.name == "fracmath.py":
+                quad, = [node for node in tree.body
+                         if isinstance(node, ast.FunctionDef)
+                         and node.name == "quad"]
+                allowed = set(map(id, ast.walk(quad)))
+            for node in ast.walk(tree):
+                if id(node) in allowed:
+                    continue
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                elif (isinstance(node, ast.Call) and node.args
+                      and isinstance(node.args[0], ast.Constant)
+                      and getattr(node.func, "attr",
+                                  getattr(node.func, "id", None))
+                      in ("import_module", "__import__")):
+                    names = [str(node.args[0].value)]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.split(".")[0] in ("scipy", "mpmath")]
+        assert found == []
 
     def test_runtime_needs_neither_scipy_nor_mpmath(self, run_python):
         # the same requests in two fresh interpreters, one of which cannot
-        # import scipy or mpmath: every exit code is 0 and every byte agrees
+        # import scipy or mpmath: every exit code is 0, no RuntimeWarning
+        # is raised and every byte agrees
         requests = [
             ["green", "--alpha", "0.8", "--beta", "1.6", "--theta", "0.1",
              "--x-range", "0.5", "3", "--nx", "6", "--t", "1",
@@ -585,15 +662,38 @@ class TestPlumbing:
             ["green", "--alpha", "0.8", "--beta", "1.5", "--x-range",
              "-0.008", "0.008", "--nx", "5", "--t", "1",
              "--method", "quadrature"],
+            # the closed form at clashing poles (beta 1.5) and at small H
+            # arguments (beta 1.7)
+            ["green", "--alpha", "0.8", "--beta", "1.5", "--theta", "0.1",
+             "--x-range", "0.02", "0.5", "--nx", "5", "--t", "1",
+             "--method", "closed"],
+            ["green", "--alpha", "0.8", "--beta", "1.7", "--x-range",
+             "0.001", "0.09", "--nx", "5", "--t", "1", "--method", "closed"],
+            # the self-coupled G3 by quadrature on a grid holding x = 0
+            ["green", "--kind", "G3", "--alpha", "0.8", "--beta", "1.6",
+             "--gamma", "0.9", "--theta", "0.1", "--phi", "0.05", "--mu",
+             "0.7", "--source-coupling", "self", "--x-range", "-6", "6",
+             "--nx", "41", "--t", "1", "--method", "quadrature"],
+            ["solve", "--alpha", "0.9", "--beta", "1.6", "--theta", "0.1",
+             "--x-range", "-30", "30", "--nx", "64", "--t", "0.5,1",
+             "--f", "gaussian:0,1"],
+            ["solve", "--alpha", "1.5", "--beta", "1.7", "--x-range", "-12",
+             "12", "--nx", "128", "--t", "1", "--f", "gaussian:0,1",
+             "--g", "box:-1,1"],
             ["solve", "--alpha", "0.8", "--beta", "1.6", "--x-range", "-20",
              "20", "--nx", "32", "--t", "1", "--f", "gaussian:0,1",
              "--U", "box:-1,1", "--mu", "0.5"],
             ["oracle", "--alpha", "0.8", "--beta", "1.6", "--x-range", "-20",
              "20", "--nx", "32", "--t", "0.5", "--f", "gaussian:0,1",
              "--dt", "0.015625"],
+            # a datum near the double range
+            ["oracle", "--alpha", "0.1", "--beta", "1.6", "--x-range", "-5",
+             "5", "--nx", "16", "--t", "0.5", "--f", "gaussian:0,1e-300",
+             "--dt", "0.0625"],
         ]
         code = (
-            "import contextlib, io, json, sys\n"
+            "import contextlib, io, json, sys, warnings\n"
+            "warnings.simplefilter('error', RuntimeWarning)\n"
             "class Block:\n"
             "    def find_spec(self, name, path=None, target=None):\n"
             "        if name.split('.')[0] in ('scipy', 'mpmath'):\n"

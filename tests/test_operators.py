@@ -64,6 +64,16 @@ class TestSymbol:
                 np.array([riesz_feller_symbol(p, k[j])]).view(np.uint64),
                 ref[[j]].view(np.uint64))
 
+    @pytest.mark.parametrize("k, named", [
+        ([1.0, math.nan, math.inf], "(nan+0j)"), (math.inf, "(inf+0j)"),
+        ([2.0, -math.inf], "(-inf+0j)"),
+        ([1.0, complex(1.0, math.nan)], "(1+nanj)")])
+    def test_non_finite_k_is_named(self, k, named):
+        # the first k that is not finite, as a ValueError (CLI exit 2)
+        with pytest.raises(ValueError) as exc:
+            riesz_feller_symbol(SymbolParams(1.5, 0.3), k)
+        assert str(exc.value) == f"k = {named} is not finite"
+
     def test_scalar_input_returns_scalar(self):
         assert isinstance(riesz_feller_symbol(SymbolParams(1.0), 3.0),
                           complex)
