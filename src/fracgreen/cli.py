@@ -192,10 +192,24 @@ def _cmd_ml(args):
     return EXIT_OK
 
 
+def _linspace(bounds, n, option):
+    """np.linspace over bounds, which with their span must be finite."""
+    lo, hi = bounds
+    if not math.isfinite(hi - lo):  # numpy would warn and fill nan
+        raise ValueError(f"{option} needs finite bounds and span, got "
+                         f"{lo:g} to {hi:g}")
+    return np.linspace(lo, hi, n)
+
+
 def _cmd_symbol(args):
     p = SymbolParams(order=args.order, skew=args.skew)
-    ks = np.linspace(args.k_range[0], args.k_range[1], args.nk)
-    vals = riesz_feller_symbol(p, ks)
+    ks = _linspace(args.k_range, args.nk, "--k-range")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, named below
+        vals = riesz_feller_symbol(p, ks)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise OverflowError(f"|k|^{p.order:g} leaves the double range at "
+                            f"k = {ks[bad[0]]:g}")
     _write_lines(args.output, ["k,re,im"] + _rows(ks, vals.real, vals.imag))
     return EXIT_OK
 
@@ -203,7 +217,7 @@ def _cmd_symbol(args):
 def _cmd_green(args):
     spec = _spec_from_args(args)
     kind = GreenKind[args.kind]
-    xs = np.linspace(args.x_range[0], args.x_range[1], args.nx)
+    xs = _linspace(args.x_range, args.nx, "--x-range")
     lines = ["t,x,re,im,method"]
 
     def eval_time(t):

@@ -10,6 +10,7 @@ space operator acts as multiplication by -Psi.
 """
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -246,34 +247,38 @@ def _leading_coeffs(terms):
             for sgn in (1.0, -1.0)]
 
 
+@functools.lru_cache(maxsize=256)
 def _growth(spec: ProblemSpec, self_coupled: bool):
     """The text saying that G_hat grows with |k|, or None: where the
     phase pi + arg(lead), reduced to (-pi, pi], of the large-|k|
     Mittag-Leffler argument -rate(k) t^alpha on a half line is below
-    alpha pi/2 in size.  solve warns it and _check_dissipative raises it."""
+    alpha pi/2 in size.  Kept, as ProblemSpec is frozen: every solve asks."""
     for lead in _leading_coeffs(_rate_terms(spec, self_coupled)):
         ph = math.remainder(math.pi + cmath.phase(lead), 2.0 * math.pi)
         if abs(ph) < spec.alpha * math.pi / 2.0:
             return (f"G_hat grows with |k|: Mittag-Leffler argument phase "
                     f"{ph / math.pi:.4g} pi inside alpha pi/2 = "
                     f"{spec.alpha / 2.0:.4g} pi; the kernel has no "
-                    f"real-space form and the field does not converge in nx")
+                    f"real-space form")
     return None
 
 
+def _refuse_growth(spec: ProblemSpec, self_coupled: bool):
+    """FourierOnlyError where G_hat grows (_growth), the one refusal of the
+    real-space entries and both solvers there."""
+    if (growth := _growth(spec, self_coupled)) is not None:
+        raise FourierOnlyError(f"{growth} (Fourier-space evaluation only)")
+
+
 def _check_dissipative(spec: ProblemSpec, kinds_self: bool):
-    """Raise FourierOnlyError where the real-space kernel does not exist:
-    Re(coeff * symbol) not strictly positive off k = 0, or G_hat growing
-    with |k|."""
+    """FourierOnlyError where the real-space kernel does not exist: some
+    Re(coeff * symbol) not positive off k = 0, or G_hat growing."""
     for term in _rate_terms(spec, kinds_self):
         if min(lead.real for lead in _leading_coeffs([term])) <= 0.0:
             raise FourierOnlyError(
                 "Re(coefficient * symbol) is not positive; the real-space "
-                "kernel does not decay (Fourier-space evaluation only)"
-            )
-    growth = _growth(spec, kinds_self)
-    if growth is not None:
-        raise FourierOnlyError(f"{growth} (Fourier-space evaluation only)")
+                "kernel does not decay (Fourier-space evaluation only)")
+    _refuse_growth(spec, kinds_self)
 
 
 def green_points(kind: GreenKind, xs, t: float,

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .green import (_SOURCE, GreenKind, ProblemSpec, _growth, _ml_arg,
-                    _time_power)
+from .green import _SOURCE, GreenKind, ProblemSpec, _ml_arg, _time_power
 from .operators import gl_weights, riesz_feller_symbol
 from .solver import (Field, SourceDescriptor, SpaceTimeGrid, _field,
                      _padded_wavenumbers)
@@ -124,8 +123,8 @@ def oracle_mode_evolve(alpha: float, coeffs, init, cfg: OracleConfig):
     generating-function solution
     u_hat(zeta) = dt^(alpha-1) init / ((1 - zeta)^alpha + c dt^alpha).
     Steps past the double range are returned as inf or nan, not raised.
-    Not exported, and not called by oracle_solve: it stays here for the
-    tests and for perfbench/trace.py, which looks it up by name.
+    Not called by the library: kept for the tests and perfbench/trace.py,
+    which looks it up by name.
     """
     c = np.asarray(coeffs, dtype=complex)
     v = np.asarray(init, dtype=complex)
@@ -156,7 +155,7 @@ def oracle_solve(spec: ProblemSpec, f: SourceDescriptor,
     s mu m_S U_hat as in solve, in place of the Mittag-Leffler tables.  So
     the modes are solve's 4x-extended set, differences against it measure
     the time discretization alone, and the oracle warns and refuses as
-    solve does on the same data and grid.
+    solve does on the same data and grid, a growing G_hat among them.
     """
     rows = []
     for t in grid.times:
@@ -168,11 +167,10 @@ def oracle_solve(spec: ProblemSpec, f: SourceDescriptor,
         if not (n >= 1 and abs(n * cfg.dt - t) < 1e-9 * max(t, cfg.dt)):
             raise ValueError(f"output time {t} is off the dt lattice")
         rows.append(n - 1)
-    self_coupled = spec.source_coupling == "self"
 
     def propagate(data, kinds):
         k = _padded_wavenumbers(grid)[1]
-        arg = _ml_arg(k, (cfg.dt,), spec, self_coupled)[0]
+        arg = _ml_arg(k, (cfg.dt,), spec, spec.source_coupling == "self")[0]
         f_hat = g_hat = src = None
         for datum, kind in zip(data, kinds):
             if kind is _SOURCE:
@@ -182,8 +180,7 @@ def oracle_solve(spec: ProblemSpec, f: SourceDescriptor,
                 g_hat = datum
             else:
                 f_hat = datum
-        run = _evolve(spec.alpha, arg, f_hat, g_hat, src, cfg,
-                      np.array(rows))
-        return [(slice(None), run, _growth(spec, self_coupled))]
+        yield slice(None), _evolve(spec.alpha, arg, f_hat, g_hat, src, cfg,
+                                   np.array(rows))
 
     return _field(spec, f, g, U, grid, propagate)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .green import (_SOURCE, GreenKind, ProblemSpec, SpecValidationError,
-                    _growth, _kernel, _kernel_rows, _time)
+                    _kernel, _kernel_rows, _refuse_growth, _time)
 
 
 @dataclass(frozen=True)
@@ -165,10 +165,8 @@ def convolve_time_singular(kernel_values, alpha: float, t_index: int,
     kernel_values[j] holds the smooth factor S at tau = j dt (scalar or
     vector); it is interpolated linearly on each step while the singular
     power is integrated exactly, so constants are reproduced exactly and
-    smooth integrands converge at O(dt^2).  Not exported, and not called
-    by the library (oracle_solve checks solve's source term): it stays
-    here for the tests and for perfbench/trace.py, which looks it up by
-    name.
+    smooth integrands converge at O(dt^2).  Not called by the library: it
+    stays for the tests and perfbench/trace.py, which looks it up by name.
     """
     if not 0.0 < alpha <= 2.0:
         raise ValueError("alpha must lie in (0, 2]")
@@ -206,17 +204,14 @@ def _padded_count(nx: int) -> int:
 
 
 def _padded_wavenumbers(grid: SpaceTimeGrid):
-    """Padded mode count and wavenumbers matching the transform convention.
-
-    With f_hat(k) = Int exp(+ikx) f dx, the FFT bin m carries
-    k_m = -2 pi fftfreq(M, dx)[m].
-    """
+    """The padded mode count M of grid and its _wavenumbers."""
     M = _padded_count(grid.nx)
     return M, _wavenumbers(M, grid.dx)
 
 
 def _wavenumbers(M: int, dx: float) -> np.ndarray:
-    """The M padded wavenumbers of spacing dx, in FFT bin order."""
+    """The M padded wavenumbers of spacing dx in FFT bin order: with
+    f_hat(k) = Int exp(+ikx) f dx, bin m carries -2 pi fftfreq(M, dx)[m]."""
     return -2.0 * math.pi * np.fft.fftfreq(M, d=dx)
 
 
@@ -224,17 +219,14 @@ def _wavenumbers(M: int, dx: float) -> np.ndarray:
 def _kernel_table(kind, spec: ProblemSpec, M: int, dx: float, ts: tuple):
     """solve's propagator for one kernel kind (GreenKind or _SOURCE) and
     block of output times: the read-only _kernel_rows on the wavenumbers
-    of (M, dx), and the warning that the kernel grows with |k|, or None.
-
-    The key holds every input of both, and a Mittag-Leffler value depends
-    on its (alpha, beta, z) alone, so a hit returns the bytes and the text
-    a miss computes.  A table holds at most max(_BLOCK_VALUES, M) values:
+    of (M, dx).  The key holds every input, and a Mittag-Leffler value
+    depends on its (alpha, beta, z) alone, so a hit returns the bytes a
+    miss computes.  A table holds at most max(_BLOCK_VALUES, M) values:
     2 MB for the 16 kept on grids up to M = 8192 (nx <= 2048).
     """
-    kern = _kernel(kind, spec)
-    table = _kernel_rows(kern, _wavenumbers(M, dx), ts, spec)
+    table = _kernel_rows(_kernel(kind, spec), _wavenumbers(M, dx), ts, spec)
     table.flags.writeable = False
-    return table, _growth(spec, kern.self_coupled)
+    return table
 
 
 def _padded_fft(desc: SourceDescriptor, grid: SpaceTimeGrid, M: int):
@@ -280,30 +272,24 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
           U: SourceDescriptor, grid: SpaceTimeGrid) -> Field:
     """Solution field from initial data f (and g for alpha > 1) plus source U.
 
-    U is read as a fixed spatial profile switched on at t = 0; mode k
-    receives s mu t^a E_{a,a+1}(-lam Psi_beta(k) t^a) m_S(k) U_hat(k), the
-    exact time integral of the source kernel.  The riesz_feller source
-    mode has s = -1 and m_S the gamma-operator symbol; the identity mode
-    has s = 1 and m_S = 1.  f = SourceDescriptor.delta() makes the output
-    the Green function itself.
+    U is a fixed profile switched on at t = 0; mode k receives
+    s mu t^a E_{a,a+1}(-lam Psi_beta(k) t^a) m_S(k) U_hat(k), the exact
+    time integral of the source kernel, with s = -1 and m_S the
+    gamma-operator symbol in the riesz_feller source mode, s = 1 and
+    m_S = 1 in the identity mode.  f = SourceDescriptor.delta() makes the
+    output the Green function itself.
 
-    The data path is _field, shared with oracle_solve; solve sums each
-    datum's padded transform times its kernel from green's table, G or G3
-    for f, G2 or G4 for g, the source kernel t^a E_{a,a+1} m_S for U.  A
-    kernel is one Mittag-Leffler call over every padded mode and output
-    time, in which identical arguments are evaluated once; past
-    _BLOCK_VALUES values the times go in blocks, one call per block, so
-    working memory does not grow with their number.  Each row of the
-    result equals the single-time solve at its t.
-
-    What does not depend on the data is kept within a process: the 16
-    most recently used kernel tables (_kernel_table), each with its
-    growth warning, at most 2 MB on grids up to nx = 2048.  A repeated
-    solve on a (spec, grid) then renders and transforms each datum
-    given, multiplies by the kept tables and makes one inverse FFT per
-    block: no Mittag-Leffler call and no symbol.
-    The values do not depend on which solves came before, and the warnings
-    are raised on every call.
+    The data path is _field, shared with oracle_solve, which raises
+    FourierOnlyError where G_hat grows with |k|, as green_points does.
+    solve sums each datum's padded transform times its kernel, G or G3
+    for f, G2 or G4 for g, t^a E_{a,a+1} m_S for U.  A kernel is one
+    Mittag-Leffler call over every padded mode and output time, identical
+    arguments evaluated once; past _BLOCK_VALUES values the times go in
+    blocks, one call each, so working memory does not grow with their
+    number.  Each row equals the single-time solve at its t.  A repeated
+    solve on a (spec, grid) reads the kept tables (_kernel_table): no
+    Mittag-Leffler call and no symbol.  The values do not depend on which
+    solves came before, and the warnings are raised on every call.
     """
     M = _padded_count(grid.nx)
 
@@ -313,8 +299,8 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
             block = slice(lo, lo + step)
             tables = [_kernel_table(kind, spec, M, grid.dx, grid.times[block])
                       for kind in kinds]
-            modes = [datum * table for datum, (table, _) in zip(data, tables)]
-            yield block, functools.reduce(np.add, modes), tables[0][1]
+            modes = [datum * table for datum, table in zip(data, tables)]
+            yield block, functools.reduce(np.add, modes)
 
     return _field(spec, f, g, U, grid, propagate)
 
@@ -324,36 +310,36 @@ def _field(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
     """The data path of solve and oracle_solve around one propagator:
     propagate(data, kinds) takes every term at once, the padded transforms
     data of kernel kinds, and yields blocks of output times: a slice of
-    grid.times, the modes that the terms reach together at those times,
-    and the warning that the kernels grow with |k|, or None.
+    grid.times and the modes that the terms reach together at those times.
 
-    It refuses a g where alpha <= 1, a U on a self-coupled spec and a
-    delta U.  Each datum whose padded transform (for U times s mu) has a
-    nonzero entry is one term, rendered and transformed under
-    np.errstate; a U given with mu = 0 warns that it adds nothing, and
-    all-zero data give zeros at once.  Per block of times the modes are
-    inverse transformed.  A field that leaves the double range raises
-    OverflowError naming its first such t, without a warning on the way.
-    Then one window check (_window_verdict) reads the last t once: its
+    It refuses a g where alpha <= 1, a U on a self-coupled spec, a delta
+    U, then, zero data too, a spec whose G_hat grows (_refuse_growth).
+    Each datum whose padded transform (for U times s mu) has a nonzero
+    entry is one term, rendered and transformed under np.errstate; a U
+    given with mu = 0 warns that it adds nothing, and all-zero data give
+    zeros at once.  Per block of times the modes are inverse transformed.
+    A field that leaves the double range raises OverflowError naming its
+    first such t, without a warning on the way.  Then, where Re lam > 0,
+    one window check (_window_verdict) reads the last t once: its
     transform for resolution, then, if resolved, its inverse FFT over the
     whole padded period for mass about to wrap onto the window.
     """
     if g.kind != "zero" and spec.alpha <= 1.0:
         raise SpecValidationError(
             ["second initial datum g requires 1 < alpha <= 2"])
-    if spec.source_coupling == "self" and U.kind != "zero":
+    self_coupled = spec.source_coupling == "self"
+    if self_coupled and U.kind != "zero":
         raise SpecValidationError(
             ["self-coupled (two-operator) problems admit no external source"])
     if U.kind == "dirac_delta":
         raise SpecValidationError(["delta source U is not supported"])
+    # one rate for every kernel: G3, G4 and no source when self-coupled
+    _refuse_growth(spec, self_coupled)
     nx, M = grid.nx, _padded_count(grid.nx)
-    kind_f, kind_g = ((GreenKind.G3, GreenKind.G4)
-                      if spec.source_coupling == "self"
+    kind_f, kind_g = ((GreenKind.G3, GreenKind.G4) if self_coupled
                       else (GreenKind.G, GreenKind.G2))
     # an overflow on the way leaves inf or nan in the field, named below
     with np.errstate(over="ignore", invalid="ignore"):
-        # the padded transform and kind of each datum that is not all
-        # zero; a zero descriptor is neither rendered nor transformed
         data, kinds = [], []
         for desc, kind in ((f, kind_f), (g, kind_g), (U, _SOURCE)):
             if desc.kind == "zero":
@@ -376,18 +362,15 @@ def _field(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
             return Field(grid, np.zeros((len(grid.times), nx), complex))
 
         out = np.empty((len(grid.times), nx), dtype=complex)
-        for block, nhat, verdict in propagate(data, kinds):
+        for block, nhat in propagate(data, kinds):
             rows = np.fft.ifft(nhat, axis=1)
             out[block] = rows[:, :nx]
     if not np.isfinite(out).all():
         t = grid.times[int(np.argmin(np.isfinite(out).all(axis=1)))]
         raise OverflowError(f"the field has non-finite values at t = {t:g}: "
                             f"it leaves the double range")
-    # every kernel of one field has the same rate, so one growth verdict:
-    # G3 and G4 come only self-coupled, the source kernel only external
     # dispersive (imaginary-coefficient) kernels never localize
-    if verdict is None and spec.lam.real > 0.0:
-        verdict = _window_verdict(nhat[-1], rows[-1], nx)
-    if verdict is not None:
+    verdict = spec.lam.real > 0.0 and _window_verdict(nhat[-1], rows[-1], nx)
+    if verdict:
         warnings.warn(verdict, stacklevel=3)
     return Field(grid=grid, values=out)

@@ -73,12 +73,42 @@ class TestSymbol:
     @pytest.mark.parametrize("lo, hi", [("nan", "1"), ("1", "nan")])
     def test_non_finite_wavenumber_is_constraint_error(self, lo, hi,
                                                        tmp_path, capsys):
-        # the first k that is not finite is named; no table is written
+        # the bounds are named; no table is written
         out = tmp_path / "sym.csv"
         assert run(["symbol", "--order", "1.5", "--k-range", lo, hi,
                     "--nk", "3", "-o", str(out)]) == 2
-        assert capsys.readouterr().err == "k = (nan+0j) is not finite\n"
+        assert capsys.readouterr().err == (
+            f"--k-range needs finite bounds and span, got {lo} to {hi}\n")
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_power_is_tolerance_error(self, tmp_path, capsys):
+        # 5e299^1.5 leaves the double range; inf,nan rows were written
+        out = tmp_path / "sym.csv"
+        assert run(["symbol", "--order", "1.5", "--k-range", "-2", "1e300",
+                    "--nk", "3", "-o", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "|k|^1.5 leaves the double range at k = 5e+299\n")
+        assert not out.exists()
+
+
+# green and symbol refuse a range before np.linspace, which warns on it
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lo, hi, shown", [
+    ("inf", "1", "inf to 1"), ("-1", "inf", "-1 to inf"),
+    ("-1e308", "1e308", "-1e+308 to 1e+308")])
+@pytest.mark.parametrize("command, option", [
+    (["green", "--alpha", "0.8", "--beta", "1.6", "--nx", "3", "--t", "1"],
+     "--x-range"),
+    (["symbol", "--order", "1.5", "--nk", "3"], "--k-range")],
+    ids=["green", "symbol"])
+def test_non_finite_range_is_constraint_error(command, option, lo, hi, shown,
+                                              tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert run(command + [option, lo, hi, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"{option} needs finite bounds and span, got {shown}\n")
+    assert not out.exists()
 
 
 class TestGreen:
@@ -393,6 +423,22 @@ class TestSolveCompare:
             "the field has non-finite values at t = 1e-10: it leaves the "
             "double range\n")
         assert not (tmp_path / "f.csv").exists()
+
+    # G_hat grows with |k|: every entry refuses, as green does
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_growing_kernel_is_tolerance_error(self, command, tmp_path,
+                                               capsys):
+        out = tmp_path / "f.csv"
+        assert run([command, "--alpha", "1.8", "--beta", "1.2", "--theta",
+                    "0.5", "--x-range", "-10", "10", "--nx", "16",
+                    "--t", "0.5", "--f", "gaussian:0,1", "-o",
+                    str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "G_hat grows with |k|: Mittag-Leffler argument phase -0.75 pi "
+            "inside alpha pi/2 = 0.9 pi; the kernel has no real-space form "
+            "(Fourier-space evaluation only)\n")
+        assert not out.exists()
 
     def test_oracle_subcommand(self, tmp_path):
         out = tmp_path / "o.csv"

@@ -9,12 +9,24 @@ so each call must give finite values or raise an ArithmeticError, which
 the CLI maps to exit 3: never a ValueError from a check below the entry,
 a MemoryError, another exception or a warning.  A few draws also go
 through cli.run, which exits 0, 2 or 3 with at most one stderr line.
+
+A second sweep runs both solvers in process over every skew: each call
+gives a finite field, at most a window warning, or FourierOnlyError
+exactly where G_hat grows with |k|.
 """
 
 import json
 import subprocess
 import sys
+import warnings
 from collections import Counter
+
+import numpy as np
+import pytest
+
+from fracgreen.green import FourierOnlyError, ProblemSpec, _growth
+from fracgreen.oracle import OracleConfig, oracle_solve
+from fracgreen.solver import SourceDescriptor, SpaceTimeGrid, solve
 
 # the child's address-space bound, 1 GiB; the closed form's node cap keeps
 # its largest refusal near 0.6 GiB of address space
@@ -27,6 +39,9 @@ _CALL_SECONDS = 30.0
 # the refusals of an admissible input
 _ARITHMETIC_ERRORS = ("FourierOnlyError", "ToleranceNotMetError",
                       "HAccuracyError", "MLConvergenceError", "OverflowError")
+
+# the documented warnings of a field whose window misses it
+_WINDOW_WARNINGS = ("field under-resolved", "field mass outside")
 
 _CHILD = r'''
 import contextlib, io, json, os, resource, signal, sys, tempfile, time
@@ -149,3 +164,59 @@ def test_admissible_draws_give_values_or_named_refusals(python_env):
     for argv, code, err in report["runs"]:
         assert code in (0, 2, 3), (argv, err)
         assert err.count("\n") == (code != 0), (argv, err)
+
+
+def _solver_draws(seed, count):
+    """Seeded (spec, f, g, U, grid, cfg) draws: alpha and beta in (0.3, 2),
+    each skew up to its order's whole bound min(order, 2 - order), so past
+    2 - alpha where G_hat grows, and on it one time in four; mu > 0 in
+    both source modes, one draw in three self-coupled; Gaussian data on
+    nx 8 or 16 and two times on the lattice of 16 or 32 oracle steps."""
+    rng = np.random.default_rng(seed)
+    zero = SourceDescriptor.zero()
+    draws = []
+    for i in range(count):
+        a, b, gamma = (float(v) for v in rng.uniform(0.3, 2.0, 3))
+        theta, phi = (float(rng.choice([-1.0, 1.0]) if rng.random() < 0.25
+                            else rng.uniform(-1.0, 1.0)) * min(o, 2.0 - o)
+                      for o in (b, gamma))
+        coupling = "self" if i % 3 == 2 else "external"
+        spec = ProblemSpec(alpha=a, beta=b, theta=theta, gamma=gamma,
+                           phi=phi, mu=float(rng.uniform(0.1, 1.0)),
+                           source_mode=("riesz_feller", "identity")[i % 2],
+                           source_coupling=coupling)
+        f, g, U = (SourceDescriptor.gaussian(float(c), float(w))
+                   for c, w in zip(rng.uniform(-1.0, 1.0, 3),
+                                   rng.uniform(0.5, 1.5, 3)))
+        g = g if a > 1.0 else zero
+        U = U if coupling == "external" else zero
+        t, n = float(rng.uniform(0.2, 2.0)), int(rng.choice([16, 32]))
+        grid = SpaceTimeGrid(-8.0, 8.0, int(rng.choice([8, 16])),
+                             (t / 2.0, t))
+        draws.append((spec, f, g, U, grid, OracleConfig(t / n, n)))
+    return draws
+
+
+def test_solvers_answer_or_refuse_where_g_hat_grows():
+    # a growing spec is refused by both solvers before any work, every
+    # other one gives a finite field with at most a window warning; never
+    # a RuntimeWarning, an MLConvergenceError or an OracleInstabilityError
+    grown = 0
+    for spec, f, g, U, grid, cfg in _solver_draws(11, 60):
+        grows = _growth(spec, spec.source_coupling == "self") is not None
+        grown += grows
+        for run in (lambda: solve(spec, f, g, U, grid),
+                    lambda: oracle_solve(spec, f, grid, cfg, g=g, U=U)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                warnings.simplefilter("error", RuntimeWarning)
+                if grows:
+                    with pytest.raises(FourierOnlyError):
+                        run()
+                    continue
+                values = run().values
+            assert np.isfinite(values).all(), spec
+            assert all(str(w.message).startswith(_WINDOW_WARNINGS)
+                       for w in caught), spec
+    # both sides of the rule are drawn
+    assert 5 <= grown <= 55

@@ -1,5 +1,6 @@
 """Unit tests for kernels: Fourier side, quadrature, closed form, mass."""
 
+import cmath
 import math
 import re
 import warnings
@@ -12,7 +13,7 @@ from hypothesis import example, given, reject, strategies as st
 from _reference import (fourier_inverse_qawf, h_residue_series,
                         self_coupled_at_zero)
 
-from fracgreen import green
+from fracgreen import green, oracle
 from fracgreen.fracmath import HAccuracyError, mittag_leffler_array, rgamma
 from fracgreen.green import (FourierOnlyError, GreenKind, ProblemSpec,
                              RegimeError, SpecValidationError,
@@ -20,6 +21,7 @@ from fracgreen.green import (FourierOnlyError, GreenKind, ProblemSpec,
                              green_hat, green_mass, green_point_closed,
                              green_points)
 from fracgreen.operators import riesz_feller_symbol
+from fracgreen.oracle import OracleConfig, oracle_solve
 from fracgreen.solver import SourceDescriptor, SpaceTimeGrid, solve
 
 
@@ -230,20 +232,55 @@ class TestGreenPoint:
         self_coupled = spec.source_coupling == "self"
         assert (_growth(spec, self_coupled) is not None) == grows
 
-    def test_one_growth_text_for_solve_and_real_space(self):
-        spec = ProblemSpec(alpha=1.8, beta=1.2, theta=0.5)
-        texts = []
-        for evaluate in (green_points, green_point_closed):
+    @pytest.mark.parametrize("spec, t, window", [
+        (ProblemSpec(alpha=1.8, beta=1.2, theta=0.5), 0.9, 10.0),
+        # solve named z here, and the oracle answered 76.2
+        (ProblemSpec(alpha=1.8765, beta=0.7572, theta=0.7572), 310.9,
+         0.263),
+        (ProblemSpec(alpha=1.5, beta=1.6, lam=cmath.exp(0.3j * math.pi)),
+         1.0, 10.0),
+        # the higher order, mu's, sets the phase at large |k|
+        (ProblemSpec(alpha=1.8, beta=1.2, gamma=1.5, phi=0.45, mu=1.0,
+                     source_coupling="self"), 1.0, 10.0),
+    ], ids=["real_lam", "re_anchor", "complex_lam", "self_coupled"])
+    def test_all_four_entries_raise_one_growth_text(self, monkeypatch, spec,
+                                                    t, window):
+        self_coupled = spec.source_coupling == "self"
+        calls = []
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, call)
+
+        for module, name in [(green, "mittag_leffler_array"),
+                             (green, "h_function"), (np.fft, "fft"),
+                             (np.fft, "ifft"), (oracle, "_evolve")]:
+            counting(module, name)
+        grid = SpaceTimeGrid(-window, window, 16, (t,))
+        zero = SourceDescriptor.zero()
+        f = SourceDescriptor.delta()
+        entries = [
+            lambda: green_points(GreenKind.G3 if self_coupled
+                                 else GreenKind.G, [0.1], t, spec),
+            lambda: solve(spec, f, zero, zero, grid),
+            lambda: oracle_solve(spec, f, grid, OracleConfig(t / 64, 64))]
+        # the closed form is G's, with a real lam
+        if not self_coupled and spec.lam.imag == 0:
+            entries.append(
+                lambda: green_point_closed(GreenKind.G, [0.1], t, spec))
+        texts = set()
+        for evaluate in entries:
             with pytest.raises(FourierOnlyError) as info:
-                evaluate(GreenKind.G, [0.4, 1.1], 0.9, spec)
-            texts.append(str(info.value))
-        grid = SpaceTimeGrid(-10.0, 10.0, 64, (0.9,))
-        with pytest.warns(UserWarning) as caught:
-            solve(spec, SourceDescriptor.delta(), SourceDescriptor.zero(),
-                  SourceDescriptor.zero(), grid)
-        [warned] = [str(w.message) for w in caught]
-        assert "no real-space form" in warned and "converge in nx" in warned
-        assert texts == [warned + " (Fourier-space evaluation only)"] * 2
+                evaluate()
+            texts.add(str(info.value))
+        assert texts == {_growth(spec, self_coupled)
+                         + " (Fourier-space evaluation only)"}
+        assert "no real-space form (Fourier" in texts.pop()
+        assert calls == []
 
     def test_schrodinger_coefficient_keeps_its_refusal(self):
         spec = ProblemSpec(alpha=1.0, beta=2.0, lam=1j)

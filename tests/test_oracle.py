@@ -263,12 +263,14 @@ class TestOracleSolve:
 
     @pytest.mark.filterwarnings("error")
     def test_zero_datum_takes_no_step(self):
-        # lam puts the implicit step of the first padded mode at 1 - 1: a
-        # Gaussian is refused, a zero datum is zero, as in solve
+        # mu puts the implicit step of the first padded mode at 1 - 1: a
+        # Gaussian is refused, a zero datum is zero, as in solve; lam's
+        # order is the top one, so G_hat does not grow
         grid = SpaceTimeGrid(-5.0, 5.0, 16, (0.5,))
         k, dt = _padded_wavenumbers(grid)[1], 0.25
-        spec = ProblemSpec(alpha=0.5, beta=2.0,
-                           lam=-1.0 / (k[1] ** 2 * dt ** 0.5))
+        spec = ProblemSpec(alpha=0.5, beta=2.0, gamma=1.0,
+                           mu=-(1.0 / dt ** 0.5 + k[1] ** 2) / abs(k[1]),
+                           source_coupling="self")
         cfg = OracleConfig(dt, 2)
         with pytest.raises(OracleInstabilityError, match="singular"):
             oracle_solve(spec, SourceDescriptor.gaussian(0.0, 1.0), grid, cfg)

@@ -367,18 +367,6 @@ class TestSolve:
         assert "increase nx" in text and "9.4e-02" in text
         assert "widen the grid" not in text
 
-    def test_growing_kernel_warning_names_the_growth(self):
-        # G_hat grows with |k| here, so a finer grid is no remedy
-        spec = ProblemSpec(alpha=1.8, beta=1.2, theta=0.5)
-        grid = SpaceTimeGrid(-10.0, 10.0, 64, (0.9,))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            solve(spec, SourceDescriptor.delta(), self._zero(), self._zero(),
-                  grid)
-        text = " ".join(str(w.message) for w in caught)
-        assert "grows with |k|" in text and "-0.75 pi" in text
-        assert "increase nx" not in text
-
     def test_no_warning_on_wide_grid(self):
         spec = ProblemSpec(alpha=1.0, beta=2.0)
         grid = SpaceTimeGrid(-20.0, 20.0, 128, (0.5,))
@@ -633,10 +621,9 @@ def test_mass_outside_warning_tracks_the_wrap_error():
 
 
 class TestKernelMemo:
-    """solve keeps its latest kernel tables, each with its growth warning,
-    and derives nothing else without the data; a solve on kept tables
-    must give the bytes and the warnings of a solve after the memo is
-    cleared."""
+    """solve keeps its latest kernel tables, and derives nothing else
+    without the data; a solve on kept tables must give the bytes and the
+    warnings of a solve after the memo is cleared."""
 
     _ZERO = SourceDescriptor.zero()
     _GAUSS = SourceDescriptor.gaussian(0.0, 1.0)
@@ -668,12 +655,9 @@ class TestKernelMemo:
     @pytest.mark.parametrize("spec, f, U, grid, text", [
         (ProblemSpec(alpha=0.8, beta=1.1), _GAUSS, _ZERO,
          SpaceTimeGrid(-3.0, 3.0, 64, (2.0,)), "mass outside"),
-        (ProblemSpec(alpha=1.8, beta=1.2, theta=0.5),
-         SourceDescriptor.delta(), _ZERO,
-         SpaceTimeGrid(-10.0, 10.0, 64, (0.9,)), "grows with |k|"),
         (ProblemSpec(alpha=1.4, beta=1.6), _GAUSS,
          SourceDescriptor.box(-1.0, 1.5), _GRID, "mu = 0"),
-    ], ids=["window", "growing", "mu_zero"])
+    ], ids=["window", "mu_zero"])
     def test_hit_warns_as_a_miss(self, spec, f, U, grid, text):
         solver._kernel_table.cache_clear()
         _, miss = _messages(spec, f, self._ZERO, U, grid)
@@ -696,7 +680,7 @@ class TestKernelMemo:
         spec = ProblemSpec(alpha=0.8, beta=1.6)
         M, _ = solver._padded_wavenumbers(self._GRID)
         table = solver._kernel_table(green.GreenKind.G, spec, M,
-                                     self._GRID.dx, (1.0,))[0]
+                                     self._GRID.dx, (1.0,))
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
@@ -759,16 +743,13 @@ class TestKernelMemo:
          solver._BLOCK_VALUES, "mass outside", 1),
         (ProblemSpec(alpha=0.8, beta=1.5, mu=0.5, source_mode="identity"),
          "U", _NARROW, 512, "mass outside", 2),
-        (ProblemSpec(alpha=1.8, beta=1.2, theta=0.5), "f",
-         SpaceTimeGrid(-10.0, 10.0, 64, (0.9,)), solver._BLOCK_VALUES,
-         "grows with |k|", 1),
-    ], ids=["rf_source_two_blocks", "window", "source_window", "growing"])
+    ], ids=["rf_source_two_blocks", "window", "source_window"])
     def test_hit_derives_nothing_from_spec_and_grid(
             self, monkeypatch, spec, data, grid, block, text, blocks):
         f = self._GAUSS if "f" in data else self._ZERO
         g = self._BOX if "g" in data else self._ZERO
         U = self._BOX if "U" in data else self._ZERO
-        counts = dict.fromkeys(["ml", "symbol", "growth", "ifft"], 0)
+        counts = dict.fromkeys(["ml", "symbol", "ifft"], 0)
 
         def counting(name, fn):
             def call(*args, **kwargs):
@@ -779,19 +760,16 @@ class TestKernelMemo:
         for module, attr, name in [
                 (green, "mittag_leffler_array", "ml"),
                 (green, "riesz_feller_symbol", "symbol"),
-                (solver, "_growth", "growth"),
                 (np.fft, "ifft", "ifft")]:
             monkeypatch.setattr(module, attr,
                                 counting(name, getattr(module, attr)))
         monkeypatch.setattr(solver, "_BLOCK_VALUES", block)
         self._clear()
         values, miss = _messages(spec, f, g, U, grid)
-        # one growth verdict per table made: one per kernel per block
-        assert counts["ml"] > 0 and counts["growth"] == len(data) * blocks
-        assert counts["ifft"] == blocks
+        assert counts["ml"] > 0 and counts["ifft"] == blocks
         counts.update(dict.fromkeys(counts, 0))
         again, hit = _messages(spec, f, g, U, grid)
-        assert counts == dict(ml=0, symbol=0, growth=0, ifft=blocks)
+        assert counts == dict(ml=0, symbol=0, ifft=blocks)
         assert again.tobytes() == values.tobytes() and hit == miss
         assert len(hit) == sum(text in m for m in hit) == 1
 
