@@ -290,12 +290,14 @@ def _cmd_validate(args):
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser, as are its subparsers, that reads a token of '-'
-    then a digit (-1e-4, -1,0.5) as a value; argparse alone reads only
-    the forms -1 and -.5 so.  No fracgreen option starts that way."""
+    then a digit (-1e-4, -1,0.5) or then inf or nan in any case (-inf,
+    -Infinity, -nan) as a value, as float() does; argparse alone reads
+    only the forms -1 and -.5 so.  No fracgreen option starts that way."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)",
+                                                   re.IGNORECASE)
 
 
 def _build_parser():

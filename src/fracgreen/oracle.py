@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .green import _SOURCE, GreenKind, ProblemSpec, _ml_arg, _time_power
+from .green import ProblemSpec, _ml_arg, _time_power
 from .operators import gl_weights, riesz_feller_symbol
 from .solver import (Field, SourceDescriptor, SpaceTimeGrid, _field,
                      _padded_wavenumbers)
@@ -150,12 +150,13 @@ def oracle_solve(spec: ProblemSpec, f: SourceDescriptor,
     """Reference field for solve(spec, f, g, U, grid).
 
     Output times must sit on the dt lattice within the run, and only their
-    steps are kept.  This is solve's data path (solver._field) with one
-    GL run (_evolve) over the padded modes of all data, the source's being
-    s mu m_S U_hat as in solve, in place of the Mittag-Leffler tables.  So
-    the modes are solve's 4x-extended set, differences against it measure
-    the time discretization alone, and the oracle warns and refuses as
-    solve does on the same data and grid, a growing G_hat among them.
+    steps are kept.  This is solve's data path (solver._field), which
+    hands over f_hat, g_hat and s mu U_hat by role; in place of the
+    Mittag-Leffler tables, one GL run (_evolve) steps the three, the
+    source times its own m_S.  So the modes are solve's 4x-extended set,
+    differences against it measure the time discretization alone, and the
+    oracle warns and refuses as solve does on the same data and grid, a
+    growing G_hat among them.
     """
     rows = []
     for t in grid.times:
@@ -168,19 +169,12 @@ def oracle_solve(spec: ProblemSpec, f: SourceDescriptor,
             raise ValueError(f"output time {t} is off the dt lattice")
         rows.append(n - 1)
 
-    def propagate(data, kinds):
+    def propagate(f_hat, g_hat, src_hat):
         k = _padded_wavenumbers(grid)[1]
         arg = _ml_arg(k, (cfg.dt,), spec, spec.source_coupling == "self")[0]
-        f_hat = g_hat = src = None
-        for datum, kind in zip(data, kinds):
-            if kind is _SOURCE:
-                src = datum if spec.source_mode == "identity" \
-                    else riesz_feller_symbol(spec.source_symbol(), k) * datum
-            elif kind in (GreenKind.G2, GreenKind.G4):
-                g_hat = datum
-            else:
-                f_hat = datum
-        yield slice(None), _evolve(spec.alpha, arg, f_hat, g_hat, src, cfg,
-                                   np.array(rows))
+        if src_hat is not None and spec.source_mode == "riesz_feller":
+            src_hat = riesz_feller_symbol(spec.source_symbol(), k) * src_hat
+        yield slice(None), _evolve(spec.alpha, arg, f_hat, g_hat, src_hat,
+                                   cfg, np.array(rows))
 
     return _field(spec, f, g, U, grid, propagate)

@@ -230,10 +230,15 @@ def _kernel_table(kind, spec: ProblemSpec, M: int, dx: float, ts: tuple):
 
 
 def _padded_fft(desc: SourceDescriptor, grid: SpaceTimeGrid, M: int):
-    """Transform of desc rendered on grid, zero-padded to M points; a zero
-    rendering skips the FFT."""
+    """Transform of desc rendered on grid, zero-padded to M points, or None
+    where it is all zero; a zero descriptor or rendering skips the FFT."""
+    if desc.kind == "zero":
+        return None
     col = desc.render(grid.x, grid.dx)
-    return np.fft.fft(col, n=M) if col.any() else np.zeros(M, dtype=complex)
+    if not col.any():
+        return None
+    hat = np.fft.fft(col, n=M)
+    return hat if hat.any() else None
 
 
 # solve warns that the field wraps round the padded period where |N| over
@@ -281,8 +286,10 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
 
     The data path is _field, shared with oracle_solve, which raises
     FourierOnlyError where G_hat grows with |k|, as green_points does.
-    solve sums each datum's padded transform times its kernel, G or G3
-    for f, G2 or G4 for g, t^a E_{a,a+1} m_S for U.  A kernel is one
+    solve is the one place that maps the terms to kernel kinds: f goes
+    through G (G3 when self-coupled), g through G2 (G4), and the source
+    through t^a E_{a,a+1} m_S (_SOURCE); the modes are the sum of each
+    given term times its kernel, in the order f, g, U.  A kernel is one
     Mittag-Leffler call over every padded mode and output time, identical
     arguments evaluated once; past _BLOCK_VALUES values the times go in
     blocks, one call each, so working memory does not grow with their
@@ -292,14 +299,17 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
     solves came before, and the warnings are raised on every call.
     """
     M = _padded_count(grid.nx)
+    kinds = ((GreenKind.G3, GreenKind.G4) if spec.source_coupling == "self"
+             else (GreenKind.G, GreenKind.G2)) + (_SOURCE,)
 
-    def propagate(data, kinds):
+    def propagate(f_hat, g_hat, src_hat):
         step = max(1, _BLOCK_VALUES // M)
         for lo in range(0, len(grid.times), step):
             block = slice(lo, lo + step)
-            tables = [_kernel_table(kind, spec, M, grid.dx, grid.times[block])
-                      for kind in kinds]
-            modes = [datum * table for datum, table in zip(data, tables)]
+            modes = [hat * _kernel_table(kind, spec, M, grid.dx,
+                                         grid.times[block])
+                     for hat, kind in zip((f_hat, g_hat, src_hat), kinds)
+                     if hat is not None]
             yield block, functools.reduce(np.add, modes)
 
     return _field(spec, f, g, U, grid, propagate)
@@ -308,21 +318,23 @@ def solve(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
 def _field(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
            U: SourceDescriptor, grid: SpaceTimeGrid, propagate) -> Field:
     """The data path of solve and oracle_solve around one propagator:
-    propagate(data, kinds) takes every term at once, the padded transforms
-    data of kernel kinds, and yields blocks of output times: a slice of
+    propagate(f_hat, g_hat, src_hat) takes the three terms by role, the
+    padded transforms of f and g and s mu U_hat, each None where that
+    term is absent, and yields blocks of output times: a slice of
     grid.times and the modes that the terms reach together at those times.
 
     It refuses a g where alpha <= 1, a U on a self-coupled spec, a delta
     U, then, zero data too, a spec whose G_hat grows (_refuse_growth).
-    Each datum whose padded transform (for U times s mu) has a nonzero
-    entry is one term, rendered and transformed under np.errstate; a U
-    given with mu = 0 warns that it adds nothing, and all-zero data give
-    zeros at once.  Per block of times the modes are inverse transformed.
-    A field that leaves the double range raises OverflowError naming its
-    first such t, without a warning on the way.  Then, where Re lam > 0,
-    one window check (_window_verdict) reads the last t once: its
-    transform for resolution, then, if resolved, its inverse FFT over the
-    whole padded period for mass about to wrap onto the window.
+    Each datum is rendered and transformed under np.errstate; a zero
+    descriptor, a transform that is all zero (s mu U_hat can underflow)
+    and a U given with mu = 0, which warns that it adds nothing, are
+    absent terms, and with no term the field is zeros at once.  Per block
+    of times the modes are inverse transformed.  A field that leaves the
+    double range raises OverflowError naming its first such t, without a
+    warning on the way.  Then, where Re lam > 0, one window check
+    (_window_verdict) reads the last t once: its transform for
+    resolution, then, if resolved, its inverse FFT over the whole padded
+    period for mass about to wrap onto the window.
     """
     if g.kind != "zero" and spec.alpha <= 1.0:
         raise SpecValidationError(
@@ -333,36 +345,25 @@ def _field(spec: ProblemSpec, f: SourceDescriptor, g: SourceDescriptor,
             ["self-coupled (two-operator) problems admit no external source"])
     if U.kind == "dirac_delta":
         raise SpecValidationError(["delta source U is not supported"])
-    # one rate for every kernel: G3, G4 and no source when self-coupled
+    # every term has the one rate of the spec: one growth test covers all
     _refuse_growth(spec, self_coupled)
     nx, M = grid.nx, _padded_count(grid.nx)
-    kind_f, kind_g = ((GreenKind.G3, GreenKind.G4) if self_coupled
-                      else (GreenKind.G, GreenKind.G2))
     # an overflow on the way leaves inf or nan in the field, named below
     with np.errstate(over="ignore", invalid="ignore"):
-        data, kinds = [], []
-        for desc, kind in ((f, kind_f), (g, kind_g), (U, _SOURCE)):
-            if desc.kind == "zero":
-                continue
-            datum = _padded_fft(desc, grid, M)
-            if kind is _SOURCE and datum.any():
-                if spec.mu == 0:
-                    warnings.warn("source U given with mu = 0 adds nothing "
-                                  "to the field", stacklevel=3)
-                    continue
-                # s mu U_hat, which can underflow to zero; the source
-                # kernel's table holds m_S
-                datum = (-spec.mu if spec.source_mode == "riesz_feller"
-                         else spec.mu) * datum
-            if not datum.any():
-                continue
-            data.append(datum)
-            kinds.append(kind)
-        if not data:
+        f_hat, g_hat, src_hat = [_padded_fft(d, grid, M) for d in (f, g, U)]
+        if src_hat is not None and spec.mu == 0:
+            warnings.warn("source U given with mu = 0 adds nothing to the "
+                          "field", stacklevel=3)
+            src_hat = None
+        elif src_hat is not None:
+            src_hat = (-spec.mu if spec.source_mode == "riesz_feller"
+                       else spec.mu) * src_hat
+            src_hat = src_hat if src_hat.any() else None
+        if f_hat is None and g_hat is None and src_hat is None:
             return Field(grid, np.zeros((len(grid.times), nx), complex))
 
         out = np.empty((len(grid.times), nx), dtype=complex)
-        for block, nhat in propagate(data, kinds):
+        for block, nhat in propagate(f_hat, g_hat, src_hat):
             rows = np.fft.ifft(nhat, axis=1)
             out[block] = rows[:, :nx]
     if not np.isfinite(out).all():

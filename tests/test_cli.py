@@ -829,3 +829,78 @@ def test_out_of_range_powers_and_widths_named(argv, code, text, tmp_path,
     assert text in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+# one valid request per subcommand, each of whose numeric values the
+# sweep below sets in turn to each value of its kind; green takes the
+# rays, as the closed form spends seconds refusing the H arguments of
+# lambda or t = 1e-300
+_SWEEP_BASE = {
+    "ml": ["ml", "--alpha", "0.8", "--beta", "1.2", "--z", "-0.5"],
+    "symbol": ["symbol", "--order", "1.5", "--skew", "0.2", "--k-range",
+               "-2", "2", "--nk", "5"],
+    "green": ["green", "--alpha", "0.8", "--beta", "1.6", "--gamma", "1",
+              "--theta", "0.1", "--phi", "0", "--lambda", "1", "--mu", "0",
+              "--x-range", "0.5", "3", "--nx", "4", "--t", "1",
+              "--method", "quadrature"],
+    "solve": ["solve", "--alpha", "1.5", "--beta", "1.6", "--theta", "0.1",
+              "--mu", "0.5", "--x-range", "-10", "10", "--nx", "16", "--t",
+              "1", "--f", "gaussian:0,1", "--g", "gaussian:0,1", "--U",
+              "gaussian:0,1"],
+    "oracle": ["oracle", "--alpha", "0.8", "--beta", "1.6", "--lambda", "1",
+               "--x-range", "-10", "10", "--nx", "16", "--t", "0.5,1",
+               "--f", "gaussian:0,1", "--dt", "0.25"],
+    "validate": ["validate", "--alpha", "0.8", "--beta", "1.6", "--gamma",
+                 "1", "--theta", "0.1", "--phi", "0", "--lambda", "1",
+                 "--mu", "0"],
+}
+_FLOAT_VALUES = ["nan", "-nan", "inf", "-inf", "0", "-0", "1e-300", "1e300",
+                 "-1", "-1e300", "0.7"]
+# counts stay small: a count never allocates a large array here
+_COUNT_VALUES = ["-1", "0", "1", "3", "2.5", "nan", "-inf"]
+_COUNTS = ("--nx", "--nk")
+_NOT_NUMERIC = ("--f", "--g", "--U", "--method")
+
+
+def _numeric_slots(argv):
+    """(index, is_float) of each numeric value of argv: a range's two
+    bounds and the value of each other option but the data and --method."""
+    for i, token in enumerate(argv):
+        if token.endswith("-range"):
+            yield from ((i + 1, True), (i + 2, True))
+        elif token.startswith("--") and token not in _NOT_NUMERIC:
+            yield i + 1, token not in _COUNTS
+
+
+@pytest.mark.parametrize("command", sorted(_SWEEP_BASE))
+def test_argv_sweep_gives_values_or_named_refusals(command, capsys):
+    # each numeric value set in turn to each edge value, with every
+    # RuntimeWarning an error: nothing escapes run, no float value is a
+    # usage error, a refusal is one stderr line and an answer is finite
+    base = _SWEEP_BASE[command]
+    problems = []
+    for i, is_float in _numeric_slots(base):
+        for value in _FLOAT_VALUES if is_float else _COUNT_VALUES:
+            argv = base[:i] + [value] + base[i + 1:]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    code = run(argv)
+                except Exception as exc:  # any escape fails the sweep
+                    code = f"{type(exc).__name__}: {exc}"
+            out, err = capsys.readouterr()
+            if code not in (0, 1, 2, 3) or code == 1 and is_float:
+                problems.append(f"{argv}: {code} {err!r}")
+            if code in (2, 3) and err.count("\n") != 1:
+                problems.append(f"{argv}: exit {code} with {err!r}")
+            if code == 0:
+                numbers = []
+                for token in out.replace("\n", ",").split(","):
+                    try:
+                        numbers.append(float(token))
+                    except ValueError:  # a header or method name
+                        pass
+                if not all(map(math.isfinite, numbers)):
+                    problems.append(f"{argv}: non-finite output")
+    assert problems == []

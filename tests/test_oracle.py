@@ -185,6 +185,23 @@ class TestModeBlocks:
 
 
 class TestOracleSolve:
+    @pytest.mark.parametrize("mode", ["riesz_feller", "identity"])
+    def test_roles_come_by_position_not_by_identity(self, mode):
+        # one descriptor object given as f, g and U is three terms, as
+        # three equal descriptors are: a role is where a datum is passed,
+        # never which object carries it
+        spec = ProblemSpec(alpha=1.5, beta=1.6, gamma=1.8, mu=0.5,
+                           source_mode=mode)
+        grid = SpaceTimeGrid(-40.0, 40.0, 128, (0.5, 1.0))
+        cfg = OracleConfig(1.0 / 64, 64)
+        d = SourceDescriptor.gaussian(0.3, 1.2)
+        f, g, U = (SourceDescriptor.gaussian(0.3, 1.2) for _ in range(3))
+        for shared, apart in (
+                (solve(spec, d, d, d, grid), solve(spec, f, g, U, grid)),
+                (oracle_solve(spec, d, grid, cfg, g=d, U=d),
+                 oracle_solve(spec, f, grid, cfg, g=g, U=U))):
+            assert shared.values.tobytes() == apart.values.tobytes()
+
     def test_heat_regime_matches_evolution(self):
         spec = ProblemSpec(alpha=1.0, beta=2.0)
         grid = SpaceTimeGrid(-20.0, 20.0, 128, (1.0,))
