@@ -1,26 +1,39 @@
 """Closed-form Green functions for space-time fractional diffusion-wave
 equations, with a spectral solver and an independent finite-difference
-reference path."""
+reference path.
+
+The public names and the submodules load on first access, so importing
+the package, or the CLI module alone, loads neither numpy nor any
+library module."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .fracmath import (HAccuracyError, HFunctionParams, h_function,
-                       mittag_leffler, mittag_leffler_array)
-from .operators import SymbolParams, gl_weights, riesz_feller_symbol
-from .green import (FourierOnlyError, GreenKind, ProblemSpec, RegimeError,
-                    SpecValidationError, ToleranceNotMetError, green_hat,
-                    green_mass, green_point_closed, green_points)
-from .solver import Field, SourceDescriptor, SpaceTimeGrid, solve
-from .oracle import OracleConfig, OracleInstabilityError, oracle_solve
+# each public name, in the order of __all__, and its defining module
+_HOME = {
+    "HAccuracyError": "fracmath", "HFunctionParams": "fracmath",
+    "h_function": "fracmath", "mittag_leffler": "fracmath",
+    "mittag_leffler_array": "fracmath",
+    "SymbolParams": "operators", "gl_weights": "operators",
+    "riesz_feller_symbol": "operators",
+    "FourierOnlyError": "green", "GreenKind": "green",
+    "ProblemSpec": "green", "RegimeError": "green",
+    "ToleranceNotMetError": "green", "green_hat": "green",
+    "green_mass": "green", "green_point_closed": "green",
+    "green_points": "green",
+    "Field": "solver", "SourceDescriptor": "solver",
+    "SpaceTimeGrid": "solver", "SpecValidationError": "green",
+    "solve": "solver", "OracleConfig": "oracle",
+    "OracleInstabilityError": "oracle", "oracle_solve": "oracle",
+}
 
-__all__ = [
-    "__version__",
-    "HAccuracyError", "HFunctionParams", "h_function",
-    "mittag_leffler", "mittag_leffler_array",
-    "SymbolParams", "gl_weights", "riesz_feller_symbol",
-    "FourierOnlyError", "GreenKind", "ProblemSpec", "RegimeError",
-    "ToleranceNotMetError", "green_hat", "green_mass",
-    "green_point_closed", "green_points",
-    "Field", "SourceDescriptor", "SpaceTimeGrid", "SpecValidationError",
-    "solve", "OracleConfig", "OracleInstabilityError", "oracle_solve",
-]
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name):
+    if name in _HOME.values():
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(__getattr__(_HOME[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,15 +14,10 @@ import math
 import re
 import sys
 
-import numpy as np
-
 from . import __version__
-from .fracmath import mittag_leffler
-from .green import (GreenKind, ProblemSpec, SpecValidationError,
-                    green_point_closed, green_points)
-from .operators import SymbolParams, riesz_feller_symbol
-from .oracle import OracleConfig, _step, oracle_solve
-from .solver import SourceDescriptor, SpaceTimeGrid, solve
+
+# numpy and the library modules load in the subcommand that runs them, so
+# a process that compares two CSVs imports neither
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -30,6 +25,9 @@ EXIT_CONSTRAINT = 2
 EXIT_TOLERANCE = 3
 
 _FMT = "%.17g"
+
+# the names of green.GreenKind, which --kind takes without loading green
+_KINDS = ("G", "G1", "G2", "G3", "G4")
 
 
 def _fmt(v) -> str:
@@ -41,40 +39,58 @@ def _rows(*cols):
     return [",".join(map(_fmt, row)) for row in zip(*cols)]
 
 
+def _floats(text: str):
+    """The comma-separated floats of text, or None if one is not a float."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        return None
+
+
 def _parse_complex(text: str) -> complex:
     """Parse 're' or 're,im' into a complex number."""
-    parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise argparse.ArgumentTypeError(f"expected re or re,im, got {text!r}")
+    parts = _floats(text)
+    if parts is None or len(parts) > 2:
+        raise argparse.ArgumentTypeError(f"expected re or re,im, got {text!r}")
+    return complex(*parts)
 
 
-def _parse_source(text: str) -> SourceDescriptor:
-    """Parse zero | delta[:center] | gaussian[:center,width] | box:lo,hi."""
-    name, _, rest = text.partition(":")
-    args = [float(v) for v in rest.split(",")] if rest else []
-    try:
-        if name == "zero":
-            return SourceDescriptor.zero()
-        if name == "delta":
-            return SourceDescriptor.delta(*args)
-        if name == "gaussian":
-            return SourceDescriptor.gaussian(*args)
-        if name == "box":
-            return SourceDescriptor.box(*args)
-    except (TypeError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    raise argparse.ArgumentTypeError(f"unknown source {name!r}")
+# each source form: its usage text and the counts of numbers it takes;
+# the names are those of SourceDescriptor's constructors
+_SOURCES = {"zero": ("zero", (0,)), "delta": ("delta[:center]", (0, 1)),
+            "gaussian": ("gaussian[:center[,width]]", (0, 1, 2)),
+            "box": ("box:lo,hi", (2,))}
+
+
+def _parse_source(text: str):
+    """The form of a source, as (name, numbers).  Only the form is
+    checked here; _cmd_field builds the descriptor, which checks the
+    values."""
+    name, sep, rest = text.partition(":")
+    if name not in _SOURCES:
+        forms = " | ".join(form for form, _ in _SOURCES.values())
+        raise argparse.ArgumentTypeError(
+            f"unknown source {name!r}, expected {forms}")
+    form, counts = _SOURCES[name]
+    args = _floats(rest) if sep else []
+    if args is None or len(args) not in counts:
+        raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+    return name, tuple(args)
 
 
 def _parse_times(text: str):
-    return tuple(float(v) for v in text.split(","))
+    times = _floats(text)
+    if times is None:
+        raise argparse.ArgumentTypeError(
+            f"expected t or t1,t2,..., got {text!r}")
+    return tuple(times)
 
 
 def _parse_tol(text: str) -> float:
-    tol = float(text)
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
     if not 0.0 <= tol < math.inf:
         raise argparse.ArgumentTypeError(
             f"tolerance must be finite and >= 0, got {text!r}")
@@ -99,7 +115,8 @@ def _add_spec_args(p):
                    default="external")
 
 
-def _spec_from_args(args) -> ProblemSpec:
+def _spec_from_args(args):
+    from .green import ProblemSpec, SpecValidationError
     lam = args.lam
     if args.schrodinger is not None:
         m, hbar = args.schrodinger
@@ -127,12 +144,11 @@ def _add_field_args(p, f_default):
     _add_grid_args(p)
     p.add_argument("--f", type=_parse_source, default=f_default)
     for name in ("--g", "--U"):
-        p.add_argument(name, type=_parse_source,
-                       default=SourceDescriptor.zero())
+        p.add_argument(name, type=_parse_source, default="zero")
     p.add_argument("-o", "--output", default="-")
 
 
-def _spec_echo(spec: ProblemSpec) -> dict:
+def _spec_echo(spec) -> dict:
     """The spec's fields, lam as "lambda" and a complex value as [re, im]."""
     return {"lambda" if name == "lam" else name:
             [v.real, v.imag] if isinstance(v, complex) else v
@@ -160,12 +176,6 @@ def _write_manifest(path, command, spec, grid, checks):
     _write_lines(path, [json.dumps(doc, indent=2, sort_keys=True)])
 
 
-def _field_lines(grid, values):
-    return ["t,x,re,im"] + _rows(
-        np.repeat(grid.times, grid.nx), np.tile(grid.x, len(grid.times)),
-        values.real.ravel(), values.imag.ravel())
-
-
 def _read_field_csv(path):
     """A field CSV's (t, x, re, im) rows, each value finite, or ValueError."""
     rows = []
@@ -176,17 +186,22 @@ def _read_field_csv(path):
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if line:
-                row = [float(v) for v in line.split(",")[:4]]
+                values = line.split(",")[:4]
+                if len(values) < 4:
+                    raise ValueError(f"{path}, line {lineno}: expected "
+                                     f"t,x,re,im, got {line}")
+                row = [float(v) for v in values]
                 if not all(map(math.isfinite, row)):
                     raise ValueError(f"{path}, line {lineno}: a value is "
                                      f"not finite: {line}")
                 rows.append(row)
     if not rows:
         raise ValueError(f"{path}: empty field CSV")
-    return np.asarray(rows)
+    return rows
 
 
 def _cmd_ml(args):
+    from .fracmath import mittag_leffler
     v = mittag_leffler(args.alpha, args.beta, args.z)
     print(_fmt(v.real) + "," + _fmt(v.imag))
     return EXIT_OK
@@ -194,6 +209,7 @@ def _cmd_ml(args):
 
 def _linspace(bounds, n, option):
     """np.linspace over bounds, which with their span must be finite."""
+    import numpy as np
     lo, hi = bounds
     if not math.isfinite(hi - lo):  # numpy would warn and fill nan
         raise ValueError(f"{option} needs finite bounds and span, got "
@@ -202,6 +218,8 @@ def _linspace(bounds, n, option):
 
 
 def _cmd_symbol(args):
+    import numpy as np
+    from .operators import SymbolParams, riesz_feller_symbol
     p = SymbolParams(order=args.order, skew=args.skew)
     ks = _linspace(args.k_range, args.nk, "--k-range")
     with np.errstate(over="ignore", invalid="ignore"):  # inf, named below
@@ -215,6 +233,7 @@ def _cmd_symbol(args):
 
 
 def _cmd_green(args):
+    from .green import GreenKind, green_point_closed, green_points
     spec = _spec_from_args(args)
     kind = GreenKind[args.kind]
     xs = _linspace(args.x_range, args.nx, "--x-range")
@@ -239,36 +258,51 @@ def _cmd_green(args):
 
 def _cmd_field(args):
     """solve and oracle: the field of f, g and U on the grid, as CSV."""
+    import numpy as np
+    from .oracle import OracleConfig, _step, oracle_solve
+    from .solver import SourceDescriptor, SpaceTimeGrid, solve
     spec = _spec_from_args(args)
     grid = SpaceTimeGrid(args.x_range[0], args.x_range[1], args.nx, args.t)
+    f, g, U = (getattr(SourceDescriptor, name)(*values)
+               for name, values in (args.f, args.g, args.U))
     if args.command == "solve":
-        field = solve(spec, args.f, args.g, args.U, grid)
+        field = solve(spec, f, g, U, grid)
     else:
         # a dt not positive and finite takes 0 steps; OracleConfig names it
         n = _step(grid.times[-1], args.dt) if 0.0 < args.dt < math.inf else 0
-        field = oracle_solve(spec, args.f, grid, OracleConfig(args.dt, n),
-                             g=args.g, U=args.U)
-    _write_lines(args.output, _field_lines(grid, field.values))
+        field = oracle_solve(spec, f, grid, OracleConfig(args.dt, n), g=g,
+                             U=U)
+    values = field.values
+    _write_lines(args.output, ["t,x,re,im"] + _rows(
+        np.repeat(grid.times, grid.nx), np.tile(grid.x, len(grid.times)),
+        values.real.ravel(), values.imag.ravel()))
     if args.manifest:
-        peak = float(np.max(np.abs(field.values)))
+        peak = float(np.max(np.abs(values)))
         checks = [["finite_values", bool(np.isfinite(peak)), peak]]
         _write_manifest(args.manifest, args.raw_argv, spec, grid, checks)
     return EXIT_OK
 
 
 def _cmd_compare(args):
+    """The residual norms of field b against field a, by the standard
+    library alone.  math.hypot scales its sum, so squares past the double
+    range do not overflow it; a norm that is itself past it is named."""
     a = _read_field_csv(args.field_a)
     b = _read_field_csv(args.field_b)
-    if a.shape != b.shape or not np.allclose(a[:, :2], b[:, :2]):
-        raise SpecValidationError(
-            ["field CSVs disagree on the (t, x) sample points"])
-    va = a[:, 2] + 1j * a[:, 3]
-    vb = b[:, 2] + 1j * b[:, 3]
-    num = float(np.linalg.norm(va - vb))
-    den = float(np.linalg.norm(va))
+    # numpy's allclose rule, |a - b| <= 1e-8 + 1e-5 |b|, at each t and x
+    if len(a) != len(b) or any(abs(u - v) > 1e-8 + 1e-5 * abs(v)
+                               for ra, rb in zip(a, b)
+                               for u, v in zip(ra[:2], rb[:2])):
+        raise ValueError("field CSVs disagree on the (t, x) sample points")
+    diff = [(ra[2] - rb[2], ra[3] - rb[3]) for ra, rb in zip(a, b)]
+    num = math.hypot(*(v for d in diff for v in d))
+    den = math.hypot(*(v for row in a for v in row[2:]))
     rel = 0.0 if num == 0.0 else num / max(den, 1e-300)
     doc = {"relative_l2": rel, "absolute_l2": num, "reference_l2": den,
-           "max_abs": float(np.max(np.abs(va - vb)))}
+           "max_abs": max(math.hypot(*d) for d in diff)}
+    for name, value in sorted(doc.items()):
+        if not math.isfinite(value):
+            raise OverflowError(f"{name} leaves the double range")
     _write_lines(args.output, [json.dumps(doc, indent=2, sort_keys=True)])
     if args.tol is not None and rel > args.tol:
         print(f"relative_l2 {rel:.3e} exceeds tolerance {args.tol:.3e}",
@@ -278,6 +312,7 @@ def _cmd_compare(args):
 
 
 def _cmd_validate(args):
+    from .green import SpecValidationError
     try:
         _spec_from_args(args)
     except SpecValidationError as exc:
@@ -323,8 +358,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_symbol)
 
     p = sub.add_parser("green", help="tabulate a Green kernel on an x-grid")
-    p.add_argument("--kind", choices=[k.name for k in GreenKind],
-                   default="G")
+    p.add_argument("--kind", choices=_KINDS, default="G")
     _add_spec_args(p)
     _add_grid_args(p)
     p.add_argument("--method", choices=("auto", "closed", "quadrature"),
@@ -333,13 +367,13 @@ def _build_parser():
     p.set_defaults(func=_cmd_green)
 
     p = sub.add_parser("solve", help="solve from initial data and a source")
-    _add_field_args(p, SourceDescriptor.zero())
+    _add_field_args(p, "zero")
     p.add_argument("--manifest", default=None,
                    help="write a JSON run manifest to this path")
     p.set_defaults(func=_cmd_field)
 
     p = sub.add_parser("oracle", help="reference solve by GL time stepping")
-    _add_field_args(p, SourceDescriptor.delta())
+    _add_field_args(p, "delta")
     p.add_argument("--dt", type=float, default=1.0 / 1024.0)
     p.set_defaults(func=_cmd_field, manifest=None)
 

@@ -1,6 +1,7 @@
 """Unit tests for the command-line front end."""
 
 import ast
+import importlib
 import json
 import math
 import os
@@ -14,9 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import fracgreen
 from fracgreen import cli, fracmath
 from fracgreen.fracmath import HAccuracyError, MLConvergenceError
-from fracgreen.green import (FourierOnlyError, RegimeError,
+from fracgreen.green import (FourierOnlyError, GreenKind, RegimeError,
                              SpecValidationError, ToleranceNotMetError)
 from fracgreen.oracle import OracleInstabilityError
 
@@ -330,10 +332,13 @@ class TestSolveCompare:
         assert "regime" not in doc["spec"]
         assert "dt_oracle" not in doc["grid"]
 
+    # a well-formed source outside the domain is named by its descriptor,
+    # which the subcommand builds: exit 2 and one line
     def test_zero_width_source_is_usage_error(self, tmp_path, capsys):
         args = self._solve_args(tmp_path / "f.csv") + ["--U", "gaussian:0,0"]
-        assert run(args) == 1
-        assert "width must be positive" in capsys.readouterr().err
+        assert run(args) == 2
+        assert capsys.readouterr().err == (
+            "gaussian width must be positive, got 0.0\n")
 
     @pytest.mark.parametrize("datum", ["gaussian:nan,1", "gaussian:inf,1",
                                        "gaussian:0,inf"])
@@ -341,9 +346,25 @@ class TestSolveCompare:
                                                 capsys):
         args = self._solve_args(tmp_path / "f.csv")
         args[args.index("--f") + 1] = datum
-        assert run(args) == 1
-        assert "center and width must be finite" in capsys.readouterr().err
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gaussian center and width must be finite")
+        assert err.count("\n") == 1
         assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("datum, form", [
+        ("box:1", "box:lo,hi"),
+        ("gaussian:1,2,3", "gaussian[:center[,width]]"),
+        ("gaussian:a", "gaussian[:center[,width]]"),
+        ("gaussian:", "gaussian[:center[,width]]"),
+        ("delta:1,2", "delta[:center]"), ("zero:1", "zero")])
+    def test_malformed_source_names_its_form(self, datum, form, tmp_path,
+                                             capsys):
+        args = self._solve_args(tmp_path / "f.csv")
+        args[args.index("--f") + 1] = datum
+        assert run(args) == 1
+        assert capsys.readouterr().err.endswith(
+            f"argument --f: expected {form}, got {datum!r}\n")
 
     def test_delta_outside_the_window_is_constraint_error(self, tmp_path,
                                                           capsys):
@@ -398,6 +419,37 @@ class TestSolveCompare:
         b.write_text("t,x,re,im\n")
         assert run(["compare", str(a), str(b)]) == 2
         assert capsys.readouterr().err == f"{b}: empty field CSV\n"
+
+    def test_norm_past_the_double_range_of_finite_fields(self, tmp_path,
+                                                         capsys):
+        # the sums of squares overflow, the scaled norms do not
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("t,x,re,im\n1,0,1e200,0\n1,0.5,2e200,0\n")
+        b.write_text("t,x,re,im\n1,0,1e200,0\n1,0.5,9e200,0\n")
+        out = tmp_path / "cmp.json"
+        assert run(["compare", str(a), str(b), "--tol", "0.01", "-o",
+                    str(out)]) == 3
+        doc = json.loads(out.read_text())
+        assert doc["relative_l2"] == pytest.approx(7.0 / math.sqrt(5.0),
+                                                   rel=1e-14)
+        assert capsys.readouterr().err == (
+            "relative_l2 3.130e+00 exceeds tolerance 1.000e-02\n")
+        # a gap past the double range is named, never written as Infinity
+        b.write_text("t,x,re,im\n1,0,-1.7e308,0\n1,0.5,2e200,0\n")
+        a.write_text("t,x,re,im\n1,0,1.7e308,0\n1,0.5,2e200,0\n")
+        out.unlink()
+        assert run(["compare", str(a), str(b), "--tol", "0.01", "-o",
+                    str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "absolute_l2 leaves the double range\n")
+        assert not out.exists()
+
+    def test_short_row_is_named(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        a.write_text("t,x,re,im\n1,0,1,0\n1,0.5\n")
+        assert run(["compare", str(a), str(a)]) == 2
+        assert capsys.readouterr().err == (
+            f"{a}, line 3: expected t,x,re,im, got 1,0.5\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_value_is_named(self, value, tmp_path, capsys):
@@ -653,12 +705,77 @@ class TestPlumbing:
         assert ("alpha" in proc.stderr) == (code == 2)
 
     def test_import_loads_numpy_only(self, run_python):
-        # scipy and mpmath load on first use, so a cold CLI process that
-        # needs neither never pays for importing them; nor for decimal
-        out = run_python("import sys, fracgreen.cli; print(sorted(m for m in "
-                         "sys.modules if m.split('.')[0] in "
-                         "('scipy', 'mpmath', 'decimal')))")
-        assert out.strip() == "[]"
+        # numpy and the library modules load in the subcommand that runs
+        # them, scipy and mpmath on first use, so a cold CLI process pays
+        # for no import that its request does not need; nor for decimal
+        out = run_python(
+            "import sys, fracgreen.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('numpy', 'scipy', 'mpmath', 'decimal', 'fracgreen')))\n"
+            "import fracgreen\n"
+            "print([getattr(fracgreen, m).__name__ for m in ('fracmath', "
+            "'operators', 'green', 'solver', 'oracle')])\n")
+        assert out.splitlines() == [
+            "['fracgreen', 'fracgreen.cli']",
+            "['fracgreen.fracmath', 'fracgreen.operators', 'fracgreen.green', "
+            "'fracgreen.solver', 'fracgreen.oracle']"]
+
+    def test_public_names_are_their_modules_objects(self):
+        for name in fracgreen.__all__[1:]:
+            obj = getattr(fracgreen, name)
+            home = importlib.import_module(obj.__module__)
+            assert obj is getattr(home, name), name
+        with pytest.raises(AttributeError, match="no attribute 'cli2'"):
+            fracgreen.cli2
+
+    def test_kind_choices_are_the_green_kinds(self):
+        assert cli._KINDS == tuple(kind.name for kind in GreenKind)
+
+    def test_compare_needs_no_numpy(self, tmp_path, run_python):
+        # with numpy unimportable, compare gives the norms that numpy's
+        # sums give, to 1e-14 relative
+        base = ["--alpha", "0.8", "--beta", "1.6", "--x-range", "-20", "20",
+                "--nx", "32", "--t", "0.5,1", "--f", "gaussian:0,1"]
+        paths = {name: str(tmp_path / f"{name}.csv")
+                 for name in ("solve", "oracle", "rows_a", "rows_b")}
+        assert run(["solve", *base, "-o", paths["solve"]]) == 0
+        assert run(["oracle", *base, "--dt", "0.0625", "-o",
+                    paths["oracle"]]) == 0
+        Path(paths["rows_a"]).write_text(
+            "t,x,re,im\n1,0,1,-2\n1,0.5,3,0.25\n")
+        Path(paths["rows_b"]).write_text(
+            "t,x,re,im\n1,0,4.6,1e-300\n1,0.5,-3,7\n")
+        pairs = [("solve", "oracle"), ("oracle", "solve"),
+                 ("solve", "solve"), ("rows_a", "rows_b")]
+        code = (
+            "import contextlib, io, json, sys\n"
+            "class Block:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'numpy':\n"
+            "            raise ImportError(name + ' is blocked')\n"
+            "sys.meta_path.insert(0, Block())\n"
+            "from fracgreen import cli\n"
+            "out = []\n"
+            "for a, b in {pairs!r}:\n"
+            "    buf = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(buf):\n"
+            "        rc = cli.run(['compare', a, b])\n"
+            "    out.append([rc, json.loads(buf.getvalue())])\n"
+            "print(json.dumps(out))\n")
+        got = json.loads(run_python(code.format(
+            pairs=[(paths[a], paths[b]) for a, b in pairs])))
+        for (a, b), (rc, doc) in zip(pairs, got):
+            fa, fb = (np.loadtxt(paths[n], delimiter=",", skiprows=1,
+                                 ndmin=2) for n in (a, b))
+            va, vb = (f[:, 2] + 1j * f[:, 3] for f in (fa, fb))
+            num = np.linalg.norm(va - vb)
+            den = np.linalg.norm(va)
+            want = {"relative_l2": 0.0 if num == 0.0 else num / den,
+                    "absolute_l2": num, "reference_l2": den,
+                    "max_abs": np.max(np.abs(va - vb))}
+            assert rc == 0
+            assert doc == pytest.approx(want, rel=1e-14, abs=0.0), (a, b)
+        assert got[0][1]["relative_l2"] > 1e-6
 
     def test_no_package_code_imports_scipy_or_mpmath(self):
         # every code path, not only the requests tried below: the one
@@ -859,28 +976,44 @@ _FLOAT_VALUES = ["nan", "-nan", "inf", "-inf", "0", "-0", "1e-300", "1e300",
 # counts stay small: a count never allocates a large array here
 _COUNT_VALUES = ["-1", "0", "1", "3", "2.5", "nan", "-inf"]
 _COUNTS = ("--nx", "--nk")
-_NOT_NUMERIC = ("--f", "--g", "--U", "--method")
+# source forms outside the domain (exit 2) or malformed (exit 1)
+_SOURCE_VALUES = ["gaussian:0,inf", "gaussian:0,-1", "gaussian:0,0",
+                  "box:nan,1", "box:1,0", "delta:nan", "box:1",
+                  "gaussian:1,2,3", "delta:1,2", "gaussian:a", "zero:1",
+                  "gaussian:", "samples:", "bogus:1"]
+_COMPLEX_VALUES = ["nan,1", "1,inf", "1,", ",1", "1,x", "1,2,3"]
+_SOURCES = ("--f", "--g", "--U")
+# text that only Python's own messages hold
+_LEAKS = ("SourceDescriptor.", "_parse_", "positional argument")
 
 
-def _numeric_slots(argv):
-    """(index, is_float) of each numeric value of argv: a range's two
-    bounds and the value of each other option but the data and --method."""
+def _slots(argv):
+    """(index, values) of each value of argv that the sweep sets: a
+    range's two bounds and the value of each other option but --method,
+    with the values of its kind; a complex option takes both kinds."""
     for i, token in enumerate(argv):
         if token.endswith("-range"):
-            yield from ((i + 1, True), (i + 2, True))
-        elif token.startswith("--") and token not in _NOT_NUMERIC:
-            yield i + 1, token not in _COUNTS
+            yield from ((i + 1, _FLOAT_VALUES), (i + 2, _FLOAT_VALUES))
+        elif token in _COUNTS:
+            yield i + 1, _COUNT_VALUES
+        elif token in _SOURCES:
+            yield i + 1, _SOURCE_VALUES
+        elif token.startswith("--") and token != "--method":
+            yield i + 1, _FLOAT_VALUES
+            if token in ("--lambda", "--mu", "--z"):
+                yield i + 1, _COMPLEX_VALUES
 
 
 @pytest.mark.parametrize("command", sorted(_SWEEP_BASE))
 def test_argv_sweep_gives_values_or_named_refusals(command, capsys):
-    # each numeric value set in turn to each edge value, with every
+    # each value set in turn to each edge value or form, with every
     # RuntimeWarning an error: nothing escapes run, no float value is a
-    # usage error, a refusal is one stderr line and an answer is finite
+    # usage error, a usage error shows none of Python's own text, a
+    # refusal is one stderr line and an answer is finite
     base = _SWEEP_BASE[command]
     problems = []
-    for i, is_float in _numeric_slots(base):
-        for value in _FLOAT_VALUES if is_float else _COUNT_VALUES:
+    for i, values in _slots(base):
+        for value in values:
             argv = base[:i] + [value] + base[i + 1:]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -890,8 +1023,11 @@ def test_argv_sweep_gives_values_or_named_refusals(command, capsys):
                 except Exception as exc:  # any escape fails the sweep
                     code = f"{type(exc).__name__}: {exc}"
             out, err = capsys.readouterr()
-            if code not in (0, 1, 2, 3) or code == 1 and is_float:
+            if code not in (0, 1, 2, 3) or (code == 1
+                                            and values is _FLOAT_VALUES):
                 problems.append(f"{argv}: {code} {err!r}")
+            if code == 1 and any(leak in err for leak in _LEAKS):
+                problems.append(f"{argv}: usage error {err!r}")
             if code in (2, 3) and err.count("\n") != 1:
                 problems.append(f"{argv}: exit {code} with {err!r}")
             if code == 0:
